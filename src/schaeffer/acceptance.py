@@ -270,10 +270,11 @@ def criterion_9() -> CriterionResult:
     lam, n = 0.5, 1024
     worst = 0.0
     worst_k = None
-    for k in range(2868, 3277):
+    lo, hi = 2868, 3277
+    truth = np.abs(asymptotics.weighted_truth(lam, n, np.arange(lo - 3, hi + 3)))
+    for k in range(lo, hi):
         est = asymptotics.uniform_airy_estimate(lam, n, k)
-        wmax = max(abs(asymptotics.weighted_truth(lam, n, j))
-                   for j in range(k - 3, k + 4))
+        wmax = float(np.max(truth[k - lo: k - lo + 7]))
         rel = abs(est.value - est.fft_truth) / max(wmax, asymptotics.TRUTH_FLOOR)
         if rel > worst:
             worst, worst_k = rel, k

@@ -378,15 +378,17 @@ class AiryEstimate:
 _truth_cache: dict = {}
 
 
-def weighted_truth(lam: float, n: int, k: int) -> float:
-    """FFT coefficient of (1-z^2) b_lambda^n at integer k (cached per (lambda, n))."""
+def weighted_truth(lam: float, n: int, k):
+    """FFT coefficient of (1-z^2) b_lambda^n at integer k, or at each k of an
+    integer array (cached per (lambda, n); one extraction covers max(k))."""
     key = (float(lam), int(n))
     arr = _truth_cache.get(key)
-    if arr is None or arr.size <= k:
-        K = max(k + 8, blaschke.default_coeff_count(blaschke.MoebiusParam(lam, n)))
-        arr = blaschke.weighted_coeffs(blaschke.MoebiusParam(lam, n), K).coeffs.real
+    if arr is None or arr.size <= np.max(k):
+        p = blaschke.MoebiusParam(lam, n)
+        K = max(int(np.max(k)) + 8, blaschke.default_coeff_count(p))
+        arr = blaschke.weighted_coeffs(p, K).coeffs.real
         _truth_cache[key] = arr
-    return float(arr[k])
+    return arr[k] if np.ndim(k) else float(arr[k])
 
 
 def clear_truth_cache():
@@ -447,22 +449,15 @@ def stationary_phase_estimate(lam: float, n: int, k: float,
     a = k / n
     if not beta < a < 1 / beta:
         raise ModeError(f"k/n = {a} outside the mid range ({beta}, {1 / beta})")
-    a0 = alpha0(lam)
     M = _midpoint(lam, a)
     zp = complex(M, math.sqrt(max(0.0, 1 - M * M)))
     phi_p = float(np.angle(zp))
     h_at = float(phase_value(lam, a, zp).imag)
-    env = (
-        math.sqrt(2 / (math.pi * n))
-        * (1 - lam ** 2)
-        * (a - a0) ** 0.25
-        * (1 / a0 - a) ** 0.25
-        / (lam * a ** 1.5)
-    )
-    return env * math.cos(n * h_at - phi_p + 3 * math.pi / 4)
+    return stationary_phase_envelope(lam, n, k) * math.cos(n * h_at - phi_p + 3 * math.pi / 4)
 
 
 def stationary_phase_envelope(lam: float, n: int, k: float) -> float:
+    """Amplitude of ``stationary_phase_estimate``."""
     a = k / n
     a0 = alpha0(lam)
     return (
@@ -528,9 +523,9 @@ def decay_exponent_fit(lam: float, region: Region, n_list,
         k = k_of_n(n) if k_of_n is not None else _default_k(region, lam, n, alpha_eff)
         ks.append(k)
         if region in _POWER_REGIONS:
-            lo = max(0, k - window)
-            vals = [abs(weighted_truth(lam, n, j)) for j in range(lo, k + window + 1)]
-            logs.append(math.log(max(max(vals), 1e-300)))
+            js = np.arange(max(0, k - window), k + window + 1)
+            peak = float(np.max(np.abs(weighted_truth(lam, n, js))))
+            logs.append(math.log(max(peak, 1e-300)))
         else:
             lw = blaschke.log_weighted_coeff_magnitude(lam, n, k, window=window)
             logs.append(float(np.max(lw)))

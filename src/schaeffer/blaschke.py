@@ -2,11 +2,13 @@
 
 The Moebius factor b_lambda(z) = (z - lambda)/(1 - conj(lambda) z) is inner,
 so on the unit circle |b_lambda| = 1 and the coefficient sequence of
-b_lambda^n has unit l2 norm (Parseval).  Coefficients are computed by
-sampling on the circle and taking an FFT, with the transform size doubled
-until two successive coefficient vectors agree to ALIAS_TOL in sup norm;
-aliasing of a function analytic in |z| < 1/|lambda| dies off geometrically,
-so the doubling test is a cheap certified stop.
+b_lambda^n has unit l2 norm (Parseval).  Coefficients are computed by an
+FFT of samples on the circle.  Only the phase is sampled, arg b_lambda(e^{it})
+= t - 2 arg(1 - conj(lambda) e^{it}), so b^n = exp(i n arg b) is unimodular to
+rounding and far cheaper than the complex power.  ``circle_fft`` doubles
+the transform size until two successive coefficient vectors agree to
+ALIAS_TOL in sup norm; aliasing of a function analytic in |z| < 1/|lambda|
+dies off geometrically, so the doubling test is a cheap certified stop.
 
 For coefficients far outside the dominant index range [alpha0*n, n/alpha0]
 (alpha0 = (1-lambda)/(1+lambda)) the values underflow double precision.
@@ -89,10 +91,6 @@ class CoefficientSeries:
     def linf(self) -> float:
         return self._norm("linf", lambda c: float(np.max(np.abs(c))))
 
-    def padded(self, extra: int) -> "CoefficientSeries":
-        c = np.concatenate([self.coeffs, np.zeros(extra, dtype=complex)])
-        return CoefficientSeries(c, self.origin, self.param)
-
 
 def moebius_coeff(lam: complex, k: int) -> complex:
     """k-th Taylor coefficient of b_lambda: -lambda at k=0, (1-|lambda|^2)
@@ -113,38 +111,56 @@ def default_coeff_count(p: MoebiusParam) -> int:
     return int(np.ceil(p.n / p.alpha0)) + 8 * int(np.ceil(p.n ** (1 / 3)))
 
 
-def _circle_samples(lam: complex, n: int, size: int) -> np.ndarray:
-    z = np.exp(2j * np.pi * np.arange(size) / size)
-    return ((z - lam) / (1 - np.conj(lam) * z)) ** n
+def circle_phase(points, size: int) -> np.ndarray:
+    """Phase of prod_i b_{lambda_i}^{m_i} at the size-th roots of unity, for
+    points [(lambda_i, m_i)]: sum_i m_i (t - 2 arg(1 - conj(lambda_i) e^{it}))."""
+    j = np.arange(size)
+    winding = sum(m for _, m in points)
+    phase = (2 * np.pi / size) * ((winding * j) % size)
+    z = np.exp((2j * np.pi / size) * j)
+    for lam, m in points:
+        phase -= 2 * m * np.angle(1 - np.conj(lam) * z)
+    return phase
+
+
+def circle_fft(points, K: int, need: int) -> np.ndarray:
+    """Coefficients c[0..K] of prod_i b_{lambda_i}^{m_i} from its phase samples,
+    by circle FFTs doubled from size >= 4 need until two agree to ALIAS_TOL."""
+    size = 1 << int(np.ceil(np.log2(4 * need)))
+    prev = None
+    while True:
+        if size > MAX_FFT_SIZE:
+            raise ResourceError(f"FFT size {size} exceeds budget {MAX_FFT_SIZE}")
+        c = np.fft.fft(np.exp(1j * circle_phase(points, size))) / size
+        cur = c[: K + 1].copy()
+        if prev is not None and np.max(np.abs(cur - prev)) < ALIAS_TOL:
+            return cur
+        prev = cur
+        size *= 2
 
 
 def blaschke_power_coeffs(p: MoebiusParam, K: int) -> CoefficientSeries:
     """Coefficients c[0..K] of b_lambda^n by adaptive-size circle FFT."""
     if K < 1:
         raise DomainError("K must be >= 1")
-    need = max(K + 1, default_coeff_count(p))
-    size = 1 << int(np.ceil(np.log2(4 * need)))
-    prev = None
-    while True:
-        if size > MAX_FFT_SIZE:
-            raise ResourceError(f"FFT size {size} exceeds budget {MAX_FFT_SIZE}")
-        c = np.fft.fft(_circle_samples(p.lam, p.n, size)) / size
-        cur = c[: K + 1].copy()
-        if prev is not None and np.max(np.abs(cur - prev)) < ALIAS_TOL:
-            return CoefficientSeries(cur, SeriesOrigin.BLASCHKE_POWER, p)
-        prev = cur
-        size *= 2
+    c = circle_fft([(p.lam, p.n)], K, max(K + 1, default_coeff_count(p)))
+    return CoefficientSeries(c, SeriesOrigin.BLASCHKE_POWER, p)
 
 
 def weighted_coeffs(p: MoebiusParam, K: int) -> CoefficientSeries:
-    """Coefficients of (1-z^2) b_lambda^n via the split
-    c_w(k) = c(k) - c(k-2) for k >= 2, c_w(k) = c(k) for k < 2."""
+    """Coefficients of (1-z^2) b_lambda^n, c[0..K]."""
     if K < 2:
         raise DomainError("K must be >= 2")
-    base = blaschke_power_coeffs(p, K).coeffs
-    w = base.copy()
-    w[2:] = base[2:] - base[:-2]
-    return CoefficientSeries(w, SeriesOrigin.WEIGHTED_BLASCHKE_POWER, p)
+    return weight_series(blaschke_power_coeffs(p, K))
+
+
+def weight_series(base: CoefficientSeries) -> CoefficientSeries:
+    """(1-z^2) times a stored series, by the split c_w(k) = c(k) - c(k-2)
+    for k >= 2, c_w(k) = c(k) for k < 2 (same length)."""
+    c = base.coeffs
+    w = c.copy()
+    w[2:] = c[2:] - c[:-2]
+    return CoefficientSeries(w, SeriesOrigin.WEIGHTED_BLASCHKE_POWER, base.param)
 
 
 def linf_A_norm(s: CoefficientSeries) -> float:
@@ -184,7 +200,7 @@ def _decaying_saddle_radius(lam: float, a: float) -> float:
 
 
 def log_weighted_coeff_magnitude(lam: float, n: int, k: int, window: int = 0) -> np.ndarray:
-    """log |c_w(j)| for j in [k-window, k+window], usable far below underflow.
+    """log |c_w(j)| for 0 <= j in [k-window, k+window], far below underflow.
 
     Samples (1-z^2) b_lambda^n on the circle through the decaying saddle of
     the coefficient integral, rescaled by its maximum modulus so that all
@@ -205,6 +221,6 @@ def log_weighted_coeff_magnitude(lam: float, n: int, k: int, window: int = 0) ->
     phase = n * (np.angle(z - lam) - np.angle(1 - lam * z))
     vals = (1 - z * z) * np.exp(log_mod - scale + 1j * phase)
     c = np.fft.fft(vals) / size
-    js = np.arange(k - window, k + window + 1)
+    js = np.arange(max(0, k - window), k + window + 1)
     mags = np.maximum(np.abs(c[js]), 1e-300)
     return np.log(mags) + scale - js * np.log(r)

@@ -81,10 +81,11 @@ def _coeff_task(args):
     lam, n, kmax = args
     p = blaschke.MoebiusParam(lam, n)
     K = kmax if kmax is not None else blaschke.default_coeff_count(p)
-    series = blaschke.weighted_coeffs(p, max(K, 2))
+    base = blaschke.blaschke_power_coeffs(p, max(K, 2))
+    series = blaschke.weight_series(base)
     rows = [(lam, n, k, c.real, c.imag) for k, c in enumerate(series.coeffs)]
     norm = blaschke.linf_A_norm(series) if kmax is None else series.linf
-    defect = blaschke.parseval_defect(blaschke.blaschke_power_coeffs(p, series.max_index))
+    defect = blaschke.parseval_defect(base)
     return rows, (lam, n, series.max_index, norm, defect)
 
 
@@ -165,13 +166,14 @@ def cmd_bounds(opts) -> int:
 def _asym_task(args):
     lam, n, ks, alpha, beta = args
     out = []
-    for k in ks:
+    truths = asymptotics.weighted_truth(lam, n, np.array(ks))
+    for k, truth in zip(ks, truths.tolist()):
         region = asymptotics.classify_region(lam, n, k, alpha, beta)
         est = None
         g2 = None
         flag = ""
         try:
-            ae = asymptotics.uniform_airy_estimate(lam, n, k)
+            ae = asymptotics.uniform_airy_estimate(lam, n, k, compute_truth=False)
             est, g2 = ae.value.real, ae.gamma_sq
             if not ae.branch_ok:
                 flag = "branch-tracking"
@@ -180,7 +182,6 @@ def _asym_task(args):
                 est = asymptotics.stationary_phase_estimate(lam, n, k, beta)
             except ModeError:
                 est = None
-        truth = asymptotics.weighted_truth(lam, n, k)
         rel = (abs(est - truth) / max(abs(truth), asymptotics.TRUTH_FLOOR)
                if est is not None else None)
         out.append((lam, n, k, region.value, est, truth, rel, g2, flag))

@@ -353,22 +353,8 @@ def _product_weighted_linf(spec: SpectrumSpec) -> float:
     rmax = max(abs(l) for l, _ in spec.points)
     alpha0 = (1 - rmax) / (1 + rmax)
     K = int(np.ceil(mm / alpha0)) + 8 * int(np.ceil(mm ** (1 / 3))) + 2
-    size = 1 << int(np.ceil(np.log2(4 * (K + 1))))
-    prev = None
-    while True:
-        if size > blaschke.MAX_FFT_SIZE:
-            raise DomainError("FFT budget exceeded for product spectrum")
-        z = np.exp(2j * np.pi * np.arange(size) / size)
-        vals = np.ones(size, dtype=complex)
-        for lam, mult in spec.points:
-            vals *= ((z - lam) / (1 - np.conj(lam) * z)) ** mult
-        vals *= 1 - z * z
-        c = np.fft.fft(vals) / size
-        cur = c[: K + 1].copy()
-        if prev is not None and np.max(np.abs(cur - prev)) < blaschke.ALIAS_TOL:
-            return float(np.max(np.abs(cur)))
-        prev = cur
-        size *= 2
+    c = blaschke.circle_fft(spec.points, K, K + 1)
+    return blaschke.weight_series(blaschke.CoefficientSeries(c)).linf
 
 
 def schaeffer_upper(n: int) -> float:

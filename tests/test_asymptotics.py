@@ -242,6 +242,20 @@ def test_truth_cache_roundtrip():
     assert v1 == v2
 
 
+def test_truth_array_matches_scalar_bitwise():
+    ks = np.array([2, 17, 40, 97, 150])
+    A.clear_truth_cache()
+    arr = A.weighted_truth(0.5, 64, ks)
+    assert arr.shape == ks.shape
+    for k, v in zip(ks, arr):
+        A.clear_truth_cache()
+        assert A.weighted_truth(0.5, 64, int(k)) == v
+    # past default_coeff_count the array read extends the cache once
+    A.clear_truth_cache()
+    wide = A.weighted_truth(0.5, 64, np.arange(0, 400))
+    assert [A.weighted_truth(0.5, 64, k) for k in range(400)] == wide.tolist()
+
+
 class TestRegionEnvelopeShapes:
     """Windowed coefficient magnitudes against the per-region envelope
     shapes at n = 2048, with a median-fitted constant per region.

@@ -85,6 +85,21 @@ class TestPowerCoeffs:
             blaschke_power_coeffs(MoebiusParam(0.5, 2), 1 << 25)
 
 
+class TestCircleSamples:
+    def test_samples_unimodular(self):
+        # b_lambda is inner: the phase-only samples have modulus 1 to rounding
+        vals = np.exp(1j * blaschke.circle_phase([(0.65, 4096)], 1 << 17))
+        assert np.max(np.abs(np.abs(vals) - 1)) <= 4 * 2.0 ** -52
+
+    @pytest.mark.parametrize("lam", [0.65, -0.4, 0.35 + 0.3j])
+    def test_samples_match_complex_power(self, lam):
+        n, size = 7, 256
+        z = np.exp(2j * np.pi * np.arange(size) / size)
+        direct = ((z - lam) / (1 - np.conj(lam) * z)) ** n
+        vals = np.exp(1j * blaschke.circle_phase([(lam, n)], size))
+        assert np.max(np.abs(vals - direct)) < 1e-13
+
+
 class TestWeightedCoeffs:
     def test_hand_convolution_n1(self):
         # c_w(k) = c(k) - c(k-2) applied to the geometric series of b_0.5
@@ -116,7 +131,9 @@ class TestLinfNorm:
 
     def test_zero_padding_invariant(self):
         s = weighted_coeffs(MoebiusParam(0.5, 4), 40)
-        assert linf_A_norm(s.padded(50)) == linf_A_norm(s)
+        padded = CoefficientSeries(np.concatenate([s.coeffs, np.zeros(50)]),
+                                   s.origin, s.param)
+        assert linf_A_norm(padded) == linf_A_norm(s)
 
     def test_truncation_before_dominant_region_rejected(self):
         s = weighted_coeffs(MoebiusParam(0.5, 1024), 100)
@@ -156,6 +173,16 @@ class TestExponentialRegions:
         slope = np.polyfit(ns, logs, 1)[0]
         assert slope < -1e-3
 
+    def test_window_clamped_at_zero(self):
+        # j < 0 would read wrapped FFT bins; the window stops at j = 0
+        lw = log_weighted_coeff_magnitude(0.5, 8, 1, window=3)
+        assert lw.shape == (5,)
+        n, size = 8, 1 << 12
+        z = np.exp(2j * np.pi * np.arange(size) / size)
+        vals = (1 - z * z) * ((z - 0.5) / (1 - 0.5 * z)) ** n
+        direct = np.log(np.abs((np.fft.fft(vals) / size)[:5]))
+        assert np.allclose(lw, direct, atol=1e-9)
+
     def test_deep_region_magnitude_is_tiny(self):
         # far right of the dominant range the coefficient is far below
         # double-precision underflow; only its log is representable
@@ -179,7 +206,7 @@ class TestSeriesContainer:
     @settings(max_examples=50, deadline=None)
     def test_padding_never_changes_norms(self, vals, extra):
         s = CoefficientSeries(np.array(vals, dtype=float))
-        p = s.padded(extra)
+        p = CoefficientSeries(np.concatenate([s.coeffs, np.zeros(extra)]))
         assert p.l1 == pytest.approx(s.l1)
         assert p.linf == pytest.approx(s.linf)
 

@@ -1,8 +1,11 @@
 import csv
 import json
 
+from collections import Counter
+
 import pytest
 
+from schaeffer import asymptotics, blaschke
 from schaeffer.cli import main
 
 
@@ -130,6 +133,22 @@ class TestAsymptotics:
         assert by_region["V"]["mode"] == "power"
         assert float(by_region["VII"]["slope"]) < 0
         assert by_region["VII"]["mode"] == "exponential"
+
+    def test_one_extraction_per_key(self, tmp_path, monkeypatch):
+        # the k grid, the Airy truth reads and the power-region fits all
+        # share one circle-FFT extraction per (lambda, n)
+        calls = Counter()
+        original = blaschke.blaschke_power_coeffs
+
+        def counted(p, K):
+            calls[(p.lam, p.n)] += 1
+            return original(p, K)
+
+        monkeypatch.setattr(blaschke, "blaschke_power_coeffs", counted)
+        asymptotics.clear_truth_cache()
+        assert main(["asymptotics", "--lambda", "0.5", "--n", "64,128,256,512",
+                     "--out", str(tmp_path / "asym.csv")]) == 0
+        assert calls == {(0.5, n): 1 for n in (64, 128, 256, 512)}
 
 
 class TestValidateAndConfig:

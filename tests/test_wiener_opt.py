@@ -4,10 +4,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from schaeffer.blaschke import CoefficientSeries, MoebiusParam, weighted_coeffs
+from schaeffer.blaschke import (
+    CoefficientSeries,
+    MoebiusParam,
+    blaschke_power_coeffs,
+    weighted_coeffs,
+)
 from schaeffer.errors import DomainError, ModeError
 from schaeffer.spectra import SpectrumSpec
 from schaeffer.wiener_opt import (
+    _product_weighted_linf,
     admm_basis_pursuit,
     phi_exact_truncated,
     phi_lower_bound,
@@ -142,6 +148,17 @@ class TestPhiLowerBound:
     def test_product_spectrum_path(self):
         v = phi_lower_bound(SpectrumSpec([(0.3, 2), (0.5, 1)]))
         assert v >= 0
+
+    def test_product_matches_convolved_factors(self):
+        # (1-z^2) b_0.3 b_0.6 from the single-factor series, convolved
+        K = 400
+        a = blaschke_power_coeffs(MoebiusParam(0.3, 1), K).coeffs
+        b = blaschke_power_coeffs(MoebiusParam(0.6, 1), K).coeffs
+        prod = np.convolve(a, b)[: K + 1]
+        weighted = prod.copy()
+        weighted[2:] -= prod[:-2]
+        norm = _product_weighted_linf(SpectrumSpec([(0.3, 1), (0.6, 1)]))
+        assert norm == pytest.approx(np.max(np.abs(weighted)), abs=1e-12)
 
 
 class TestSchaefferUpper:
