@@ -6,8 +6,9 @@ Subpackages by topic:
                    (1 - z^2) b_lambda^n
 * ``modelspace``   the explicit lower-triangular Toeplitz counterexample and
                    Malmquist-Walsh model-space utilities
-* ``wiener_opt``   truncated l1 interpolation programs: phi, quotient norms,
-                   the coefficient-norm lower bound, sqrt(e n)
+* ``wiener_opt``   the truncated l1 interpolation program: the resolvent
+                   interpolation norm, phi as its zeta = 0 case, the
+                   coefficient-norm lower bound, sqrt(e n)
 * ``resolvent``    the rho-parameterized resolvent bound family and its four
                    closed-form cases
 * ``asymptotics``  saddle points, the seven-region decay table, stationary

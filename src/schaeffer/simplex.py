@@ -1,14 +1,13 @@
 """Dense two-phase tableau simplex in extended precision.
 
-The l1 interpolation programs solved here pin polynomial jet data at points
-inside the unit disk; in monomial coordinates those constraint rows are the
-rows of a confluent Vandermonde system whose conditioning grows roughly
-like 4^multiplicity.  Double-precision interior-point solvers silently
-return infeasible "optima" already at multiplicity 16 (their feasibility
-tolerance is wider than the subspace gap), so the LPs are solved with an
-explicit tableau in numpy longdouble where basic solutions are exact up to
-the 64-bit significand.  Problem sizes stay tiny: at most a few dozen rows
-by a few thousand columns.
+The l1 interpolation programs solved here constrain a polynomial's inner
+products with the Malmquist-Walsh basis of a model space; those rows are
+O(1) and nearly orthonormal, but the data spans many orders of magnitude
+and the optimal vertex must be exact, not merely within an interior-point
+feasibility tolerance.  The LPs are therefore solved with an explicit
+tableau in numpy longdouble, where basic solutions are exact up to the
+64-bit significand.  Problem sizes stay tiny: at most a few dozen rows by a
+few thousand columns.
 """
 
 from __future__ import annotations

@@ -64,13 +64,6 @@ class SpectrumSpec:
             p *= lam ** mult
         return p
 
-    def minimal_poly(self) -> np.ndarray:
-        """Coefficients of m(z) = prod (z - lambda_i)^mult, ascending in z."""
-        m = np.array([1.0 + 0j])
-        for lam in self.expanded():
-            m = np.convolve(m, np.array([-lam, 1.0 + 0j]))
-        return m
-
     def require_nonzero(self):
         if any(l == 0 for l, _ in self.points):
             raise DomainError("spectrum contains 0; operation needs invertibility")

@@ -1,19 +1,19 @@
-"""Truncated Wiener-quotient-norm optimization.
+"""Truncated l1 interpolation programs.
 
-phi(lambda_1, ..., lambda_n) is the least l1 coefficient norm above the
-pinned constant term over analytic functions h with h(0) = prod lambda_i
-and an m_i-fold zero at each lambda_i; truncating h to degree D turns it
-into a small linear program whose value decreases monotonically to phi as
-D grows.  The same machinery evaluates quotient norms of polynomial data
-and the resolvent interpolation norm inf{||f||_W : f matches the jet data
-of 1/(zeta - z) on the spectrum}; for real data the latter's constraints are
-posed in the Malmquist-Walsh basis of the model space instead of as jets.
+One kernel, ``_interpolate``, computes the truncated resolvent
+interpolation norm N_D(zeta) = min{||f||_1 : deg f <= D, f matches the jets
+of 1/(zeta - z) on the spectrum}; ``_converging_lp`` doubles D until the
+value settles.  phi(lambda_1, ..., lambda_n), the least l1 coefficient norm
+above the pinned constant term over analytic h with h(0) = prod lambda_i and
+an m_i-fold zero at each lambda_i, is the zeta = 0 case: h = a0 (1 + z f)
+with a0 = prod lambda_i gives phi_D = |a0| N_{D-1}(0) (Remark 5).  Both
+values decrease monotonically in the truncation degree.
 
-Exact mode (real spectra) solves the split-variable LP with the extended
-precision simplex; jet feasibility of the reported solution is then
-re-verified at 60 significant digits and folded into the converged flag.
-Complex data falls back to an ADMM basis-pursuit iteration, flagged
-non-certified.
+A real spectrum with real zeta is posed in the Malmquist-Walsh basis of the
+model space and solved exactly by the extended-precision simplex; for phi
+the jets of the reported h are then re-verified at 60 significant digits
+and folded into the converged flag.  Other data falls back to an ADMM
+basis-pursuit iteration on jet rows, flagged non-certified.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blaschke
-from .errors import DomainError, ModeError
+from .errors import DomainError
 from .simplex import LD, min_l1_solution
 from .spectra import SpectrumSpec
 
@@ -34,86 +34,35 @@ _JET_RESIDUAL_TOL = 1e-8
 
 
 @dataclass
-class TruncatedL1Problem:
-    """A truncated l1 interpolation program: minimize the l1 norm of a
-    degree-``degree`` coefficient vector subject to the jet constraints
-    ``rows @ a = rhs``.  Real data is solved exactly by the extended
-    precision simplex; complex data by ADMM (non-certified)."""
-
-    degree: int
-    rows: np.ndarray
-    rhs: np.ndarray
-
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.rows) and not np.iscomplexobj(self.rhs)
-
-    def solve(self):
-        """Returns (value, coefficients)."""
-        if self.is_real:
-            return min_l1_solution(self.rows, self.rhs)
-        x, v, _ = admm_basis_pursuit(self.rows, self.rhs)
-        return v, x
-
-
-@dataclass
 class PhiResult:
     value: float
     degree_used: int
     converged: bool
     lower_bound: float
     schaeffer_upper: float
-    method: str = "lp-exact"
-
-    def to_json_dict(self, spec: SpectrumSpec) -> dict:
-        return {
-            "n": spec.degree,
-            "lambdas": [[l.real, l.imag] for l, _ in spec.points],
-            "multiplicities": [m for _, m in spec.points],
-            "phi_truncated": self.value,
-            "degree": self.degree_used,
-            "converged": self.converged,
-            "lower_bound": self.lower_bound,
-            "schaeffer_upper": self.schaeffer_upper,
-        }
+    method: str
 
 
-def _jet_rows(points, D: int, k_start: int) -> np.ndarray:
-    """Rows of the scaled jet map a -> h^{(d)}(lambda)/d! over coefficients
-    a_k, k = k_start..D, one row per (lambda_i, d < mult_i); real spectra.
+def _jet_rows(points, D: int, dtype) -> np.ndarray:
+    """Rows of the scaled jet map a -> a^{(d)}(lambda)/d! over coefficients
+    a_0..a_D, one row per (lambda_i, d < mult_i), in ``dtype`` (complex, or
+    LD for a real spectrum).
 
     Entry (d; k) is binom(k, d) lambda^(k-d), built by a cumulative-ratio
-    recurrence in extended precision.
+    recurrence.
     """
-    rows = []
+    rows = np.zeros((sum(mult for _, mult in points), D + 1), dtype=dtype)
+    r = 0
     for lam, mult in points:
-        if lam.imag != 0:
-            raise ModeError("jet rows in exact mode need real eigenvalues")
-        lam_ld = LD(lam.real)
+        lam = dtype(lam if np.dtype(dtype).kind == "c" else lam.real)
         for d in range(mult):
-            row = np.zeros(D + 1, dtype=LD)
-            if d <= D:
-                ks = np.arange(d, D + 1)
-                ratios = np.ones(ks.size, dtype=LD)
-                # binom(k+1,d)/binom(k,d) * lambda = (k+1)/(k+1-d) * lambda
-                ratios[1:] = (ks[1:].astype(LD) / (ks[1:] - d).astype(LD)) * lam_ld
-                row[d:] = np.cumprod(ratios)
-            rows.append(row)
-    return np.vstack(rows)[:, k_start:]
-
-
-def _jet_rows_complex(points, D: int, k_start: int) -> np.ndarray:
-    rows = []
-    for lam, mult in points:
-        for d in range(mult):
-            row = np.zeros(D + 1, dtype=complex)
-            if d <= D:
-                ks = np.arange(d, D + 1)
-                ratios = np.ones(ks.size, dtype=complex)
-                ratios[1:] = (ks[1:] / (ks[1:] - d)) * lam
-                row[d:] = np.cumprod(ratios)
-            rows.append(row)
-    return np.vstack(rows)[:, k_start:]
+            ks = np.arange(d, D + 1).astype(LD)
+            ratios = np.ones(ks.size, dtype=dtype)
+            # binom(k+1,d)/binom(k,d) * lambda = (k+1)/(k+1-d) * lambda
+            ratios[1:] = ks[1:] / (ks[1:] - d) * lam
+            rows[r, d:] = np.cumprod(ratios)
+            r += 1
+    return rows
 
 
 def _first_order_scan(r: np.ndarray, mu) -> np.ndarray:
@@ -172,38 +121,67 @@ def _to_mpf(x):
     return mp.mpf(hi) + mp.mpf(lo)
 
 
-def _verify_jets(coeffs, points, rhs_of, k_start: int) -> float:
-    """Max scaled jet residual of a reported solution, at 60 digits.
+def _verify_jets(f, spec: SpectrumSpec):
+    """Max scaled jet residual of h = a0 (1 + z f), a0 = prod lambda_i, at
+    60 digits: h must have an m_i-fold zero at each lambda_i.
 
-    Rows with a nonzero target are measured relative to that target: the
-    pinned constant term sits many orders below the coefficient scale, and
-    a solution that merely drops it would otherwise look feasible.
-    Homogeneous rows are measured against the cancellation scale.
+    The value rows, sum_{k>=1} h_k lambda^k = -a0, are measured relative to
+    a0: it sits many orders below the coefficient scale, and a solution that
+    merely drops it would otherwise look feasible.  The derivative rows are
+    homogeneous and measured against the cancellation scale, the sum of the
+    terms' moduli.  Only nonzero coefficients are visited (a basic solution
+    has at most |m|), each term binom(k, d) lambda^(k-d) h_k formed directly.
     """
     import mpmath as mp
 
-    worst = 0.0
+    worst = mp.mpf(0)
     with mp.workdps(60):
-        a = [_to_mpf(c) for c in coeffs]
-        for lam, mult in points:
+        a0 = mp.mpf(spec.eigen_product().real)
+        h = [(k + 1, a0 * _to_mpf(c)) for k, c in enumerate(f) if c != 0]
+        for lam, mult in spec.points:
             lm = mp.mpf(lam.real)
             for d in range(mult):
-                acc = mp.mpf(0)
-                abssum = mp.mpf(0)
-                term = mp.mpf(1)
-                for k in range(d, len(a) + k_start):
-                    if k >= k_start:
-                        contrib = term * a[k - k_start]
-                        acc += contrib
-                        abssum += abs(contrib)
-                    term = term * lm * (k + 1) / (k + 1 - d)
-                rhs = mp.mpf(rhs_of(lam, d))
-                # a zero jet must come from genuine cancellation among the
-                # solution's own terms, not from comparing against the much
-                # larger row scale
-                denom = abs(rhs) if rhs != 0 else max(abssum, mp.mpf(1e-300))
-                worst = max(worst, float(abs(acc - rhs) / denom))
+                terms = [math.comb(k, d) * lm ** (k - d) * hk for k, hk in h if k >= d]
+                acc = mp.fsum(terms)
+                if d == 0:
+                    resid = abs(acc + a0) / abs(a0)
+                else:
+                    # a zero jet must come from genuine cancellation among
+                    # the solution's own terms
+                    resid = abs(acc) / max(mp.fsum(abs(t) for t in terms), mp.mpf(1e-300))
+                worst = max(worst, resid)
     return worst
+
+
+def _interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
+    """min ||f||_1 over polynomials f of degree deg matching the jets of
+    1/(zeta - z) on the spectrum.  Returns (value, coefficients f_0..f_deg).
+
+    f matches the jets exactly when f - h lies in B H^2, where
+    h = (1 - B/B(zeta))/(zeta - z), i.e. when <f, e_j> = <h, e_j> for the
+    Malmquist-Walsh basis e_1..e_N of the model space K_B.  A real spectrum
+    with real zeta is posed in that form: the rows are the basis's Taylor
+    coefficients (``_malmquist_walsh_rows``), the right-hand side is the
+    closed form <h, e_j> (``_malmquist_walsh_resolvent_rhs``), and the
+    extended-precision simplex solves it exactly.  These rows are an
+    invertible triangular transform of the jet rows, so the program is the
+    same, but they stay well conditioned where the jet rows (conditioning
+    ~4^n) run out of long-double precision from n ~ 48.  Other data keeps
+    the jet rows, whose d-th scaled jet at lambda is (zeta - lambda)^-(d+1),
+    and the non-certified ADMM iteration.  The program is homogeneous in the
+    data, so it is solved at unit sup norm and scaled back.
+    """
+    if spec.is_real and zeta.imag == 0:
+        mus = [lam.real for lam in spec.expanded()]
+        rhs = _malmquist_walsh_resolvent_rhs(mus, zeta.real)
+        scale = np.max(np.abs(rhs))
+        val, f = min_l1_solution(_malmquist_walsh_rows(mus, deg), rhs / scale)
+    else:
+        rhs = np.array([(zeta - lam) ** (-(d + 1))
+                        for lam, mult in spec.points for d in range(mult)])
+        scale = np.max(np.abs(rhs))
+        f, val, _ = admm_basis_pursuit(_jet_rows(spec.points, deg, complex), rhs / scale)
+    return float(val * scale), f * scale
 
 
 def _converging_lp(solve_at, D0: int, cap: int, rel_tol: float):
@@ -228,62 +206,40 @@ def phi_exact_truncated(
     D: int | None = None,
     rel_tol: float = DEFAULT_REL_TOL,
     cap: int = DEFAULT_DEGREE_CAP,
-    method: str = "exact",
 ) -> PhiResult:
-    """Truncated phi: min over degree-D polynomials h of sum_{k>=1} |a_k|
-    subject to h(0) = prod lambda_i and an m_i-fold zero at each lambda_i.
-    Upper bound on phi, nonincreasing in D."""
+    """Truncated phi: min over degree-D polynomials h of sum_{k>=1} |h_k|
+    subject to h(0) = a0 = prod lambda_i and an m_i-fold zero at each
+    lambda_i.  Upper bound on phi, nonincreasing in D.
+
+    This is the zeta = 0 resolvent program (Remark 5): h = a0 (1 + z f) is
+    feasible exactly when f matches the jets of 1/(0 - z) = -1/z on the
+    spectrum, and then sum_{k>=1} |h_k| = |a0| ||f||_1, so phi_D is |a0|
+    times the interpolation norm at degree D - 1.  For a real spectrum the
+    jets of h are re-verified at 60 digits and folded into the converged
+    flag (method "lp-exact"); complex spectra are never certified ("admm").
+    """
     spec.require_nonzero()
     spec.require_interior()
-    if method == "exact" and not spec.is_real:
-        raise ModeError("exact LP mode needs a real spectrum; use method='subgradient'")
     mm = spec.degree
-    a0 = spec.eigen_product()
     D0 = D if D is not None else max(8 * mm, 64)
     if D0 < mm + 1:
         raise DomainError(f"degree D={D0} below |m|+1={mm + 1}")
 
-    def rhs_template(dtype):
-        rhs = np.zeros(mm, dtype=dtype)
-        r = 0
-        for lam, mult in spec.points:
-            rhs[r] = -a0.real if dtype is LD else -a0
-            r += mult
-        return rhs
-
-    if method == "exact":
-        def solve_at(deg):
-            prob = TruncatedL1Problem(deg, _jet_rows(spec.points, deg, k_start=1),
-                                      rhs_template(LD))
-            return prob.solve()
-
-        val, coeffs, degree, conv = _converging_lp(solve_at, D0, cap, rel_tol)
-        resid = _verify_jets(
-            coeffs, spec.points,
-            rhs_of=lambda lam, d: -float(a0.real) if d == 0 else 0.0,
-            k_start=1,
-        )
-        converged = conv and resid <= _JET_RESIDUAL_TOL
-        meth = "lp-exact"
-    elif method == "subgradient":
-        def solve_at(deg):
-            rows = _jet_rows_complex(spec.points, deg, k_start=1)
-            _, v, ok = admm_basis_pursuit(rows, rhs_template(complex))
-            return v, ok
-
-        val, _, degree, _ = _converging_lp(solve_at, D0, cap, rel_tol)
-        converged = False  # iterative path is never certified
-        meth = "subgradient"
+    val, f, degree, conv = _converging_lp(
+        lambda deg: _interpolate(spec, 0j, deg - 1), D0, cap, rel_tol)
+    if spec.is_real:
+        converged = conv and _verify_jets(f, spec) <= _JET_RESIDUAL_TOL
+        method = "lp-exact"
     else:
-        raise ModeError(f"unknown method {method!r}")
-
+        converged = False  # the iterative path is never certified
+        method = "admm"
     return PhiResult(
-        value=float(val),
+        value=abs(spec.eigen_product()) * val,
         degree_used=degree,
         converged=converged,
         lower_bound=phi_lower_bound(spec),
         schaeffer_upper=schaeffer_upper(mm),
-        method=meth,
+        method=method,
     )
 
 
@@ -314,69 +270,6 @@ def admm_basis_pursuit(A, b, tol: float = 1e-5, maxiter: int = 20000, rho: float
             ok = True
             break
     return x, float(np.sum(np.abs(x))), ok
-
-
-def quotient_norm(
-    f: blaschke.CoefficientSeries,
-    spec: SpectrumSpec,
-    D: int | None = None,
-    rel_tol: float = DEFAULT_REL_TOL,
-    cap: int = DEFAULT_DEGREE_CAP,
-) -> float:
-    """Truncated quotient norm of f modulo the spectrum's polynomial:
-    min ||g||_l1 over degree-D polynomials matching the jets of f at the
-    eigenvalues (upper bound on the true quotient norm, nonincreasing in D)."""
-    spec.require_interior()
-    mm = spec.degree
-    D0 = D if D is not None else max(8 * mm, 64)
-    if D0 < mm:
-        raise DomainError(f"degree D={D0} below |m|={mm}")
-    real_data = spec.is_real and bool(np.all(f.coeffs.imag == 0))
-
-    if real_data:
-        def solve_at(deg):
-            prob = TruncatedL1Problem(deg, _jet_rows(spec.points, deg, k_start=0),
-                                      _jet_values(f, spec, dtype=LD))
-            return prob.solve()
-    else:
-        def solve_at(deg):
-            rows = _jet_rows_complex(spec.points, deg, k_start=0)
-            rhs = _jet_values(f, spec, dtype=complex)
-            _, v, ok = admm_basis_pursuit(rows, rhs)
-            return v, ok
-
-    val, _, _, _ = _converging_lp(solve_at, D0, cap, rel_tol)
-    return float(val)
-
-
-def _jet_values(f: blaschke.CoefficientSeries, spec: SpectrumSpec, dtype) -> np.ndarray:
-    """Scaled jets f^{(d)}(lambda)/d! from the stored coefficients of f."""
-    out = []
-    c = f.coeffs
-    for lam, mult in spec.points:
-        for d in range(mult):
-            ks = np.arange(d, c.size)
-            if ks.size == 0:
-                out.append(0.0)
-                continue
-            if dtype is LD:
-                ratios = np.ones(ks.size, dtype=LD)
-                ratios[1:] = (ks[1:].astype(LD) / (ks[1:] - d).astype(LD)) * LD(lam.real)
-                out.append(float(np.cumprod(ratios) @ c[d:].real.astype(LD)))
-            else:
-                ratios = np.ones(ks.size, dtype=complex)
-                ratios[1:] = (ks[1:] / (ks[1:] - d)) * lam
-                out.append(complex(np.cumprod(ratios) @ c[d:]))
-    return np.array(out, dtype=dtype)
-
-
-def remark5_lift(spec: SpectrumSpec) -> blaschke.CoefficientSeries:
-    """Polynomial lift of 1/z over the spectrum: a(z) = (m(0) - m(z))/(z m(0))
-    matches 1/lambda_i (with multiplicity) and has degree |m| - 1."""
-    spec.require_nonzero()
-    m = spec.minimal_poly()
-    a = -m[1:] / m[0]
-    return blaschke.CoefficientSeries(a, blaschke.SeriesOrigin.GENERAL)
 
 
 def phi_lower_bound(spec: SpectrumSpec) -> float:
@@ -421,20 +314,8 @@ def resolvent_interpolation_norm(
 ) -> float:
     """Truncated inf{||f||_W : f matches the jets of 1/(zeta - z) on the
     spectrum}: an upper bound on the true norm, nonincreasing in D.  Scaled
-    by |B(zeta)| in the harness to exhibit resolvent growth.
-
-    f matches the jets exactly when f - h lies in B H^2, where
-    h = (1 - B/B(zeta))/(zeta - z), i.e. when <f, e_j> = <h, e_j> for the
-    Malmquist-Walsh basis e_1..e_N of the model space K_B.  Real data is
-    posed in that form: the rows are the basis's Taylor coefficients
-    (``_malmquist_walsh_rows``) and the right-hand side is the closed form
-    <h, e_j> = sqrt(1-mu_j^2) / ((zeta - mu_j) prod_{i<j} b_{mu_i}(zeta)),
-    normalised to unit sup norm for the solve.  These rows are an invertible
-    triangular transform of the jet rows, so the program is the same, but
-    they stay well conditioned where the jet rows (conditioning ~4^n) run
-    out of long-double precision from n ~ 48.  Complex data keeps the jet
-    rows, whose d-th scaled jet at lambda is (zeta - lambda)^-(d+1), and
-    the ADMM fallback."""
+    by |B(zeta)| in the harness to exhibit resolvent growth.  See
+    ``_interpolate`` for how the program is posed and solved."""
     spec.require_interior()
     zeta = complex(zeta)
     if any(abs(zeta - l) < 1e-14 for l in spec.expanded()):
@@ -443,30 +324,5 @@ def resolvent_interpolation_norm(
     D0 = D if D is not None else max(8 * mm, 64)
     if D0 < mm:
         raise DomainError(f"degree D={D0} below |m|={mm}")
-
-    if spec.is_real and zeta.imag == 0:
-        mus = [lam.real for lam in spec.expanded()]
-        rhs = _malmquist_walsh_resolvent_rhs(mus, zeta.real)
-        # the program is homogeneous in the data: solve at unit scale
-        scale = np.max(np.abs(rhs))
-
-        def solve_at(deg):
-            prob = TruncatedL1Problem(deg, _malmquist_walsh_rows(mus, deg), rhs / scale)
-            val, coeffs = prob.solve()
-            return float(val * scale), coeffs
-    else:
-        def solve_at(deg):
-            rows = _jet_rows_complex(spec.points, deg, k_start=0)
-            rhs = np.array(
-                [
-                    (zeta - lam) ** (-(d + 1))
-                    for lam, mult in spec.points
-                    for d in range(mult)
-                ],
-                dtype=complex,
-            )
-            _, v, ok = admm_basis_pursuit(rows, rhs)
-            return v, ok
-
-    val, _, _, _ = _converging_lp(solve_at, D0, cap, rel_tol)
-    return float(val)
+    val, _, _, _ = _converging_lp(lambda deg: _interpolate(spec, zeta, deg), D0, cap, rel_tol)
+    return val

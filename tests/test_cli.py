@@ -64,6 +64,14 @@ class TestGrowth:
             assert L <= phi <= float(row["sqrt_en"]) + 1e-3
             assert row["phi_converged"] == "true"
 
+    def test_sandwich_holds_past_jet_conditioning(self, tmp_path):
+        # at multiplicity 48 the jet rows are beyond long double; the row
+        # may be uncertified but its value must lie in its proven bracket
+        out = tmp_path / "growth.csv"
+        assert main(["growth", "--lambda", "0.5", "--n", "48", "--out", str(out)]) == 0
+        (row,) = _read_csv(out)
+        assert float(row["L"]) <= float(row["phi_D"]) <= float(row["sqrt_en"])
+
     def test_phi_cutoff(self, tmp_path):
         out = tmp_path / "growth.csv"
         main(["growth", "--lambda", "0.5", "--n", "4,128", "--phi-max-n", "16",

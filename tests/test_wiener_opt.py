@@ -5,23 +5,23 @@ import numpy as np
 import pytest
 
 from schaeffer.blaschke import (
-    CoefficientSeries,
     MoebiusParam,
     blaschke_power_coeffs,
     weighted_coeffs,
 )
 from schaeffer import acceptance
-from schaeffer.errors import DomainError, ModeError
+from schaeffer.errors import DomainError
 from schaeffer.simplex import LD, min_l1_solution
 from schaeffer.spectra import SpectrumSpec
 from schaeffer.wiener_opt import (
+    _interpolate,
     _jet_rows,
     _product_weighted_linf,
+    _to_mpf,
+    _verify_jets,
     admm_basis_pursuit,
     phi_exact_truncated,
     phi_lower_bound,
-    quotient_norm,
-    remark5_lift,
     resolvent_interpolation_norm,
     schaeffer_upper,
 )
@@ -32,6 +32,16 @@ from schaeffer.wiener_opt import (
 PHI_05_MULT2 = Fraction(7, 4)
 PHI_05_MULT8_D96 = Fraction(108594539, 33510400)
 PHI_05_MULT16_D128 = Fraction(84438862041202206351, 19059441479450624000)
+
+
+def _pinned_constant_lp(spec, D):
+    """phi_D posed directly: min sum_{k=1..D} |h_k| subject to the jet rows
+    of h on the spectrum, with h_0 = prod lambda_i moved to the right-hand
+    side (-h_0 on each value row and 0 on each derivative row)."""
+    rhs = np.concatenate([[-spec.eigen_product().real] + [0.0] * (mult - 1)
+                          for _, mult in spec.points])
+    val, _ = min_l1_solution(_jet_rows(spec.points, D, LD)[:, 1:], rhs.astype(LD))
+    return val
 
 
 class TestPhi:
@@ -84,55 +94,69 @@ class TestPhi:
 
     def test_complex_needs_subgradient_mode(self):
         spec = SpectrumSpec([(0.3 + 0.2j, 1), (0.3 - 0.2j, 1)])
-        with pytest.raises(ModeError):
-            phi_exact_truncated(spec)
-        res = phi_exact_truncated(spec, D=16, cap=16, method="subgradient")
-        assert res.method == "subgradient"
+        res = phi_exact_truncated(spec, D=16, cap=16)
+        assert res.method == "admm"
         assert not res.converged  # never certified
         assert res.value >= res.lower_bound - 1e-3
 
     def test_conjugate_spectrum_invariance(self):
         spec = SpectrumSpec([(0.3 + 0.2j, 1), (0.3 - 0.2j, 1)])
-        a = phi_exact_truncated(spec, D=16, cap=16, method="subgradient").value
-        b = phi_exact_truncated(spec.conjugate(), D=16, cap=16, method="subgradient").value
+        a = phi_exact_truncated(spec, D=16, cap=16).value
+        b = phi_exact_truncated(spec.conjugate(), D=16, cap=16).value
         assert a == pytest.approx(b, rel=1e-4)
 
-    def test_json_payload(self):
-        spec = SpectrumSpec.single(0.5, 2)
-        d = phi_exact_truncated(spec).to_json_dict(spec)
-        assert d["n"] == 2 and d["converged"]
-        assert set(d) >= {"phi_truncated", "degree", "lower_bound", "schaeffer_upper"}
-
-
-class TestQuotientNorm:
-    def test_constant_function(self):
-        one = CoefficientSeries(np.array([1.0]))
-        assert quotient_norm(one, SpectrumSpec.single(0.5, 1), D=8) == pytest.approx(1.0, abs=1e-10)
-
-    def test_identity_function(self):
-        zed = CoefficientSeries(np.array([0.0, 1.0]))
-        assert quotient_norm(zed, SpectrumSpec.single(0.5, 1), D=8) == pytest.approx(0.5, abs=1e-10)
-
-    def test_cross_formulation_with_lift(self):
-        # the lift of 1/z and the pinned-constant program encode the same
-        # optimization after the change of variables h = prod(lam) (1 - z f)
-        spec = SpectrumSpec.single(0.5, 3)
-        lift = remark5_lift(spec)
-        q = quotient_norm(lift, spec)
-        phi = phi_exact_truncated(spec).value
-        assert q * 0.5 ** 3 == pytest.approx(phi, abs=1e-6)
+    def test_inside_bracket_where_simplex_hit_iteration_limit(self):
+        # the jet-row program ran out of simplex iterations here
+        spec = SpectrumSpec.single(0.56, 64)
+        res = phi_exact_truncated(spec)
+        assert res.lower_bound <= res.value <= schaeffer_upper(64)
 
 
 class TestRemark5Lift:
-    def test_values_at_spectrum(self):
-        spec = SpectrumSpec([(0.5, 1), (0.25, 1)])
-        a = remark5_lift(spec).coeffs
-        for lam in (0.5, 0.25):
-            val = sum(c * lam ** k for k, c in enumerate(a))
-            assert val == pytest.approx(1 / lam, abs=1e-12)
+    def test_matches_pinned_constant_lp(self):
+        # h = prod(lam) (1 + z f) turns the pinned-constant program into the
+        # zeta = 0 resolvent program of degree D - 1
+        spec = SpectrumSpec.single(0.5, 8)
+        res = phi_exact_truncated(spec, D=96, cap=96)
+        assert res.value == pytest.approx(_pinned_constant_lp(spec, 96), rel=1e-12)
 
-    def test_degree(self):
-        assert remark5_lift(SpectrumSpec.single(0.5, 3)).coeffs.size == 3
+    def test_values_at_spectrum(self):
+        # the zeta = 0 interpolant matches the jets of -1/z, so
+        # h = prod(lam) (1 + z f) vanishes on the spectrum
+        spec = SpectrumSpec([(0.5, 1), (0.25, 1)])
+        _, f = _interpolate(spec, 0j, 8)
+        for lam in (0.5, 0.25):
+            val = sum(float(c) * lam ** k for k, c in enumerate(f))
+            assert val == pytest.approx(-1 / lam, abs=1e-12)
+
+    def test_sparse_jet_check_matches_dense_loop(self):
+        # _verify_jets visits only the nonzero coefficients; the reference
+        # walks every k with the cumulative-ratio recurrence
+        import mpmath as mp
+
+        spec = SpectrumSpec([(0.5, 4), (0.3, 2)])
+        rng = np.random.default_rng(7)
+        f = np.zeros(96, dtype=LD)
+        f[rng.choice(96, size=8, replace=False)] = rng.standard_normal(8)
+        sparse = _verify_jets(f, spec)
+        with mp.workdps(60):
+            a0 = mp.mpf(spec.eigen_product().real)
+            h = [a0 * _to_mpf(c) for c in f]  # h_1..h_96
+            dense = mp.mpf(0)
+            for lam, mult in spec.points:
+                lm = mp.mpf(lam.real)
+                for d in range(mult):
+                    acc = abssum = mp.mpf(0)
+                    term = mp.mpf(1)
+                    for k in range(d, len(h) + 1):
+                        if k >= 1:
+                            acc += term * h[k - 1]
+                            abssum += abs(term * h[k - 1])
+                        term = term * lm * (k + 1) / (k + 1 - d)
+                    resid = abs(acc + a0) / abs(a0) if d == 0 else abs(acc) / abssum
+                    dense = max(dense, resid)
+            assert dense > 1e-3  # a random vector, far from feasible
+            assert abs(sparse - dense) <= 1e-40 * dense
 
 
 class TestPhiLowerBound:
@@ -209,7 +233,7 @@ class TestResolventInterpolation:
             v = resolvent_interpolation_norm(spec, zeta, D=64, cap=64)
             rhs = np.array([(LD(zeta) - LD(lam.real)) ** (-LD(d + 1))
                             for lam, mult in spec.points for d in range(mult)], dtype=LD)
-            jet, _ = min_l1_solution(_jet_rows(spec.points, 64, k_start=0), rhs)
+            jet, _ = min_l1_solution(_jet_rows(spec.points, 64, LD), rhs)
             assert v == pytest.approx(jet, rel=1e-12), (points, zeta)
 
 
@@ -304,46 +328,30 @@ def test_admm_matches_lp_on_real_data():
 
 class TestTruncatedL1Problem:
     def test_real_solve(self):
-        import numpy as np
-        from schaeffer.wiener_opt import TruncatedL1Problem
-        prob = TruncatedL1Problem(2, np.array([[1.0, 0.5, 0.25]]), np.array([1.0]))
-        assert prob.is_real
-        val, coeffs = prob.solve()
+        val, _ = min_l1_solution(np.array([[1.0, 0.5, 0.25]]), np.array([1.0]))
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_complex_solve(self):
-        import numpy as np
-        from schaeffer.wiener_opt import TruncatedL1Problem
-        prob = TruncatedL1Problem(
-            1, np.array([[1.0 + 0j, 1j]]), np.array([1.0 + 1j]))
-        assert not prob.is_real
-        val, coeffs = prob.solve()
+        _, val, _ = admm_basis_pursuit(np.array([[1.0 + 0j, 1j]]), np.array([1.0 + 1j]))
         assert val <= math.sqrt(2) + 1e-3
 
 
 class TestMixedSpectra:
     def test_cross_formulation_mixed_multiplicities(self):
-        # distinct points with multiplicities: the lift-quotient and the
-        # pinned-constant programs still encode the same optimization
+        # distinct points with multiplicities: the zeta = 0 resolvent program
+        # and the pinned-constant program still encode the same optimization
         for points in ([(0.3, 2), (0.6, 1)], [(0.5, 3), (0.25, 2)]):
             spec = SpectrumSpec(points)
-            res = phi_exact_truncated(spec)
-            assert res.converged
-            q = quotient_norm(remark5_lift(spec), spec)
-            assert q * abs(spec.eigen_product()) == pytest.approx(res.value, abs=1e-9)
+            res = phi_exact_truncated(spec, D=64, cap=64)
+            assert res.value == pytest.approx(_pinned_constant_lp(spec, 64), rel=1e-12)
             assert res.lower_bound <= res.value
+            assert phi_exact_truncated(spec).converged
 
 
 class TestDegreeValidation:
     def test_phi_degree_below_constraints(self):
         with pytest.raises(DomainError):
             phi_exact_truncated(SpectrumSpec.single(0.5, 8), D=8)
-
-    def test_quotient_degree_below_constraints(self):
-        import numpy as np
-        one = CoefficientSeries(np.array([1.0]))
-        with pytest.raises(DomainError):
-            quotient_norm(one, SpectrumSpec.single(0.5, 8), D=4)
 
     def test_resolvent_degree_below_constraints(self):
         with pytest.raises(DomainError):
