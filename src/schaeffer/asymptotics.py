@@ -82,27 +82,6 @@ def second_derivative_closed_form(lam: float, a: float, z: complex) -> complex:
     return (1 - lam ** 2) * (1 - z * z) * lam / (z * (z - lam) ** 2 * (1 - lam * z) ** 2)
 
 
-@dataclass(frozen=True)
-class PhaseFunction:
-    """The phase f_a bound to a parameter pair (lambda, a = k/n)."""
-
-    lam: float
-    a: float
-
-    def value(self, z: complex) -> complex:
-        return phase_value(self.lam, self.a, z)
-
-    def derivatives(self, z: complex):
-        return phase_derivatives(self.lam, self.a, z)
-
-    def circle_phase(self, phi: float) -> float:
-        """h(phi) = Im f(e^{i phi}), the real phase along the unit circle."""
-        return float(phase_value(self.lam, self.a, np.exp(1j * phi)).imag)
-
-    def saddles(self) -> "SaddleData":
-        return stationary_points(self.lam, self.a)
-
-
 class SaddleKind(Enum):
     CIRCLE_CONJUGATE_PAIR = "circle-conjugate-pair"
     COALESCED = "coalesced"

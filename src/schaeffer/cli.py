@@ -54,8 +54,16 @@ def _parse_complexes(text):
     return [complex(v) for v in text.split(",") if v != ""]
 
 
+class _Config(dict):
+    """Config-file defaults that record in ``read`` the keys the parser reads."""
+
+    def get(self, key, default=None):
+        self.read = getattr(self, "read", set()) | {key}
+        return super().get(key, default)
+
+
 def _load_config(path):
-    values = {}
+    values = _Config()
     with open(path) as fh:
         for line in fh:
             line = line.strip()
@@ -108,11 +116,11 @@ def cmd_coeffs(opts) -> int:
 
 
 def _growth_task(args):
-    lam, n, phi_max_n, cap = args
+    lam, n, phi_max_n = args
     spec = SpectrumSpec.single(lam, n)
     L = wiener_opt.phi_lower_bound(spec)
     if n <= phi_max_n:
-        res = wiener_opt.phi_exact_truncated(spec, cap=cap)
+        res = wiener_opt.phi_exact_truncated(spec)
         phi, conv = res.value, res.converged
     else:
         phi, conv = None, None
@@ -122,7 +130,7 @@ def _growth_task(args):
 
 
 def cmd_growth(opts) -> int:
-    tasks = [(lam, n, opts.phi_max_n, opts.degree) for lam in opts.lambdas for n in opts.n]
+    tasks = [(lam, n, opts.phi_max_n) for lam in opts.lambdas for n in opts.n]
     rows = _pool_map(_growth_task, tasks, opts.workers)
     header = ["lambda", "n", "L", "phi_D", "phi_converged", "sqrt_en", "L_over_sqrt_n"]
     if opts.format == "csv":
@@ -247,7 +255,7 @@ def _add_common(sub, config):
 
 
 def build_parser(config=None):
-    config = config or {}
+    config = _Config() if config is None else config
     ap = argparse.ArgumentParser(prog="schaeffer",
                                  description="counterexample growth, resolvent "
                                              "bounds and coefficient asymptotics")
@@ -256,14 +264,12 @@ def build_parser(config=None):
     c = sp.add_parser("coeffs", help="coefficient tables and sup norms")
     _add_common(c, config)
     c.add_argument("--n", type=_parse_ints, default=_parse_ints(config.get("n", "")))
-    c.add_argument("--k", dest="kmax", type=int,
-                   default=int(config["k"]) if "k" in config else None)
+    c.add_argument("--k", dest="kmax", type=int, default=config.get("k"))
     c.set_defaults(fn=cmd_coeffs, needs_out=True)
 
     g = sp.add_parser("growth", help="lower-bound and truncated-phi growth study")
     _add_common(g, config)
     g.add_argument("--n", type=_parse_ints, default=_parse_ints(config.get("n", "")))
-    g.add_argument("--degree", type=int, default=int(config.get("degree", "4096")))
     g.add_argument("--phi-max-n", type=int, default=int(config.get("phi_max_n", "64")))
     g.set_defaults(fn=cmd_growth, needs_out=True)
 
@@ -280,10 +286,8 @@ def build_parser(config=None):
     a.add_argument("--n", type=_parse_ints, default=_parse_ints(config.get("n", "")))
     a.add_argument("--k", type=_parse_ints,
                    default=_parse_ints(config.get("k", "")))
-    a.add_argument("--alpha", type=float,
-                   default=float(config["alpha"]) if "alpha" in config else None)
-    a.add_argument("--beta", type=float,
-                   default=float(config["beta"]) if "beta" in config else None)
+    a.add_argument("--alpha", type=float, default=config.get("alpha"))
+    a.add_argument("--beta", type=float, default=config.get("beta"))
     a.set_defaults(fn=cmd_asymptotics, needs_out=True)
 
     v = sp.add_parser("validate", help="run the acceptance suite")
@@ -295,7 +299,7 @@ def build_parser(config=None):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    config = {}
+    config = _Config()
     if "--config" in argv:
         i = argv.index("--config")
         try:
@@ -305,6 +309,10 @@ def main(argv=None) -> int:
             return 2
         del argv[i:i + 2]
     ap = build_parser(config)
+    unknown = sorted(set(config) - config.read)
+    if unknown:
+        print(f"error: unknown config key(s): {', '.join(unknown)}", file=sys.stderr)
+        return 2
     opts = ap.parse_args(argv)
     if opts.needs_out:
         if not getattr(opts, "n", None):

@@ -78,13 +78,6 @@ class MalmquistWalshBasis:
         return E @ E.conj().T / nodes
 
 
-def malmquist_walsh(spec: SpectrumSpec) -> MalmquistWalshBasis:
-    spec.require_interior()
-    basis = MalmquistWalshBasis(tuple(spec.expanded()))
-    _, nodes = _converged_gram(basis)
-    return basis
-
-
 def _converged_gram(basis: MalmquistWalshBasis):
     nodes = 2048
     while True:

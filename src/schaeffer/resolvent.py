@@ -70,15 +70,6 @@ class BoundReport:
     r: float | None = None
     delta_terms: dict = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rule": self.rule.value,
-            "value": self.value,
-            "rho_star": self.rho_star,
-            "r": self.r,
-            "delta_terms": self.delta_terms,
-        }
-
 
 def _exp_or_inf(x: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf

@@ -7,7 +7,8 @@ and the optimal vertex must be exact, not merely within an interior-point
 feasibility tolerance.  The LPs are therefore solved with an explicit
 tableau in numpy longdouble, where basic solutions are exact up to the
 64-bit significand.  Problem sizes stay tiny: at most a few dozen rows by a
-few thousand columns.
+few thousand columns.  Each solve also returns its dual, the certificate
+that ``wiener_opt`` prices over the columns a program leaves out.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ class SimplexError(RuntimeError):
 def dense_simplex(A, b, c, maxiter: int = 200_000):
     """min c @ x  s.t.  A x = b, x >= 0.
 
-    Returns (x, value, iterations).  Dantzig pricing with a largest-pivot
+    Returns (x, value, iterations, y) in long double, y the dual read off the
+    artificial columns' phase-2 reduced costs: y @ A <= c, y @ b = value.
+    Dantzig pricing with a largest-pivot
     tie-break on near-minimal ratios; falls back to Bland's rule when
     progress stalls.  In this package c >= 0 always, so phase 2 cannot be
     unbounded; columns without an acceptable pivot are blocked instead.
@@ -102,14 +105,15 @@ def dense_simplex(A, b, c, maxiter: int = 200_000):
     for i, bi in enumerate(basis):
         if bi < n:
             x[bi] = T[i, -1]
-    return x, float(c @ x), total
+    return x, c @ x, total, -T[m, n:n + m] * sgn
 
 
 def min_l1_solution(rows: np.ndarray, rhs: np.ndarray, maxiter: int = 200_000):
     """min ||x||_1  s.t.  rows @ x = rhs  over real x, via the standard
     positive/negative split.  Rows are equilibrated to unit sup norm first.
 
-    Returns (value, x)."""
+    Returns (value, x, y) in long double; the dual y, equilibration undone,
+    has |y @ rows| <= 1 and y @ rhs = value."""
     rows = np.array(rows, dtype=LD)
     rhs = np.array(rhs, dtype=LD)
     scale = np.max(np.abs(rows), axis=1)
@@ -120,5 +124,11 @@ def min_l1_solution(rows: np.ndarray, rhs: np.ndarray, maxiter: int = 200_000):
     nvar = rows.shape[1]
     A = np.hstack([rows, -rows])
     c = np.ones(2 * nvar, dtype=LD)
-    xpm, val, _ = dense_simplex(A, rhs, c, maxiter=maxiter)
-    return val, np.asarray(xpm[:nvar] - xpm[nvar:], dtype=LD)
+    xpm, val, _, y = dense_simplex(A, rhs, c, maxiter=maxiter)
+    x = xpm[:nvar] - xpm[nvar:]
+    # the tableau's objective row drifts by ~1e-9 over hundreds of pivots;
+    # one refinement step on y @ rows[:, k] = sign(x_k) over the support
+    on = rows[:, x != 0].T
+    y += np.linalg.lstsq(on.astype(float), (np.sign(x[x != 0]) - on @ y).astype(float),
+                         rcond=None)[0]
+    return val, x, y / scale

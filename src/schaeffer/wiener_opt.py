@@ -1,19 +1,22 @@
-"""Truncated l1 interpolation programs.
+"""Certified l1 interpolation programs.
 
-One kernel, ``_interpolate``, computes the truncated resolvent
-interpolation norm N_D(zeta) = min{||f||_1 : deg f <= D, f matches the jets
-of 1/(zeta - z) on the spectrum}; ``_converging_lp`` doubles D until the
-value settles.  phi(lambda_1, ..., lambda_n), the least l1 coefficient norm
-above the pinned constant term over analytic h with h(0) = prod lambda_i and
-an m_i-fold zero at each lambda_i, is the zeta = 0 case: h = a0 (1 + z f)
-with a0 = prod lambda_i gives phi_D = |a0| N_{D-1}(0) (Remark 5).  Both
-values decrease monotonically in the truncation degree.
+The resolvent interpolation norm N(zeta) = min{||f||_1 : f analytic, f
+matches the jets of 1/(zeta - z) on the spectrum} is an infinite linear
+program.  phi(lambda_1, ..., lambda_n), the least l1 coefficient norm above
+the pinned constant term over analytic h with h(0) = prod lambda_i and an
+m_i-fold zero at each lambda_i, is its zeta = 0 case: h = a0 (1 + z f) with
+a0 = prod lambda_i gives phi = |a0| N(0) (Remark 5).
+
+``_interpolate`` solves it over polynomials of one degree;
+``_certified_interpolate`` grows the degree as the simplex dual, priced over
+every coefficient, demands, and brackets N(zeta) to 1e-8 relative.
 
 A real spectrum with real zeta is posed in the Malmquist-Walsh basis of the
 model space and solved exactly by the extended-precision simplex; for phi
 the jets of the reported h are then re-verified at 60 significant digits
 and folded into the converged flag.  Other data falls back to an ADMM
-basis-pursuit iteration on jet rows, flagged non-certified.
+basis-pursuit iteration on jet rows at the starting degree, flagged
+non-certified.
 """
 
 from __future__ import annotations
@@ -28,15 +31,14 @@ from .errors import DomainError
 from .simplex import LD, min_l1_solution
 from .spectra import SpectrumSpec
 
-DEFAULT_REL_TOL = 1e-3
-DEFAULT_DEGREE_CAP = 4096
+_COLUMN_BUDGET = 4096  # most columns an LP may grow to
+_CERT_REL_WIDTH = 1e-8  # widest certified bracket, relative to its upper end
 _JET_RESIDUAL_TOL = 1e-8
 
 
 @dataclass
 class PhiResult:
     value: float
-    degree_used: int
     converged: bool
     lower_bound: float
     schaeffer_upper: float
@@ -155,7 +157,8 @@ def _verify_jets(f, spec: SpectrumSpec):
 
 def _interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     """min ||f||_1 over polynomials f of degree deg matching the jets of
-    1/(zeta - z) on the spectrum.  Returns (value, coefficients f_0..f_deg).
+    1/(zeta - z) on the spectrum.  Returns (value, coefficients f_0..f_deg,
+    dual y), y None for the ADMM path.
 
     f matches the jets exactly when f - h lies in B H^2, where
     h = (1 - B/B(zeta))/(zeta - z), i.e. when <f, e_j> = <h, e_j> for the
@@ -169,77 +172,103 @@ def _interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     ~4^n) run out of long-double precision from n ~ 48.  Other data keeps
     the jet rows, whose d-th scaled jet at lambda is (zeta - lambda)^-(d+1),
     and the non-certified ADMM iteration.  The program is homogeneous in the
-    data, so it is solved at unit sup norm and scaled back.
+    data, so it is solved at unit sup norm and scaled back; y does not
+    depend on that scale.
     """
     if spec.is_real and zeta.imag == 0:
         mus = [lam.real for lam in spec.expanded()]
         rhs = _malmquist_walsh_resolvent_rhs(mus, zeta.real)
         scale = np.max(np.abs(rhs))
-        val, f = min_l1_solution(_malmquist_walsh_rows(mus, deg), rhs / scale)
+        val, f, y = min_l1_solution(_malmquist_walsh_rows(mus, deg), rhs / scale)
     else:
         rhs = np.array([(zeta - lam) ** (-(d + 1))
                         for lam, mult in spec.points for d in range(mult)])
         scale = np.max(np.abs(rhs))
         f, val, _ = admm_basis_pursuit(_jet_rows(spec.points, deg, complex), rhs / scale)
-    return float(val * scale), f * scale
+        y = None
+    return val * scale, f * scale, y
 
 
-def _converging_lp(solve_at, D0: int, cap: int, rel_tol: float):
-    """Double D until the value moves less than rel_tol (relatively).
-    solve_at(D) returns (value, payload).  Returns (value, payload, D, flag)."""
-    D = D0
-    val, payload = solve_at(D)
-    converged = False
-    while 2 * D <= cap:
-        D *= 2
-        new_val, new_payload = solve_at(D)
-        moved = abs(val - new_val)
-        val, payload = new_val, new_payload
-        if moved <= rel_tol * max(1.0, abs(val)):
-            converged = True
-            break
-    return val, payload, D, converged
+def _envelope_logs(mus):
+    """log r on a fixed grid 1 < r < 1/max|mu_j|, and log E_j(r) per row:
+    on |z| = r, |e_j| <= E_j(r) = sqrt(1-mu_j^2)/(1 - |mu_j| r)
+    prod_{i<j} (r + |mu_i|)/(1 - |mu_i| r), so by Cauchy the k-th Taylor
+    coefficient of e_j is at most E_j(r) r^-k."""
+    a = np.abs(np.asarray(mus, dtype=float))[:, None]
+    log_r = -np.linspace(0.05, 0.95, 19) * math.log(max(np.max(a), 1e-3))  # r = rho^-t
+    r = np.exp(log_r)
+    blaschke_max = np.log(r + a) - np.log1p(-a * r)
+    prefix = np.cumsum(blaschke_max, axis=0) - blaschke_max
+    return log_r, 0.5 * np.log1p(-a * a) - np.log1p(-a * r) + prefix
 
 
-def phi_exact_truncated(
-    spec: SpectrumSpec,
-    D: int | None = None,
-    rel_tol: float = DEFAULT_REL_TOL,
-    cap: int = DEFAULT_DEGREE_CAP,
-) -> PhiResult:
-    """Truncated phi: min over degree-D polynomials h of sum_{k>=1} |h_k|
-    subject to h(0) = a0 = prod lambda_i and an m_i-fold zero at each
-    lambda_i.  Upper bound on phi, nonincreasing in D.
+def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
+    """N(zeta) = min ||f||_1 over all analytic f, from degree deg up.
+    Returns (value, f, lower, upper, certified): the optimum at the final
+    degree, its coefficients, and lower <= N(zeta) <= upper.
+
+    With the dual y, g = sum_j y_j e_j gives y . rhs / max(1, sup_k |g_k|)
+    <= N(zeta) (weak duality).  |g_k| <= M(r) r^-k with M(r) = sum_j |y_j|
+    E_j(r), so |g_k| <= 1 past k* = min_r log M(r) / log r and the columns
+    up to max(k*, deg) are priced exactly.  f - sum_j res_j e_j, with the
+    residual res = rows @ f - rhs, is exactly feasible (the e_j are
+    orthonormal), so N(zeta) <= value + sum_j |res_j| ||e_j||_1.  Until the
+    bracket is within _CERT_REL_WIDTH, the degree grows to the last column
+    with |g_k| > 1, up to _COLUMN_BUDGET columns.  Complex data is solved at
+    degree deg and never certified.
+    """
+    value, f, y = _interpolate(spec, zeta, deg)
+    if y is None:
+        return value, f, 0.0, value, False
+    mus = [lam.real for lam in spec.expanded()]
+    rhs = _malmquist_walsh_resolvent_rhs(mus, zeta.real)
+    log_r, log_e = _envelope_logs(mus)
+    # a long-double dot product of N terms is exact to gamma * sum |terms|
+    gamma = len(mus) * np.finfo(LD).eps
+    while True:
+        with np.errstate(divide="ignore"):  # a zero y_j drops out of M
+            terms = np.log(np.abs(y.astype(float)))[:, None] + log_e
+        log_m = np.logaddexp.reduce(terms, axis=0)
+        past = max(deg, min(math.ceil(np.min(log_m / log_r)), _COLUMN_BUDGET)) + 1
+        rows = _malmquist_walsh_rows(mus, past - 1)
+        with np.errstate(over="ignore"):  # an infinite bound certifies nothing
+            tail = np.exp(np.min(log_m - past * log_r))
+            norms = np.sum(np.abs(rows), axis=1) + np.exp(np.min(
+                log_e - past * log_r - np.log1p(-np.exp(-log_r)), axis=1))
+        g = np.abs(y @ rows) + gamma * (np.abs(y) @ np.abs(rows))
+        lower = (y @ rhs - gamma * (np.abs(y) @ np.abs(rhs))) / max(LD(1), np.max(g), LD(tail))
+        upper = value + np.sum(np.abs(rows[:, :deg + 1] @ f - rhs) * norms)
+        certified = lower >= (1 - _CERT_REL_WIDTH) * upper
+        beyond = np.nonzero(g[deg + 1:] > 1)[0]
+        if certified or beyond.size == 0 or deg + 1 >= _COLUMN_BUDGET:
+            return value, f, lower, upper, bool(certified)
+        deg = min(deg + 1 + beyond[-1], _COLUMN_BUDGET - 1)
+        value, f, y = _interpolate(spec, zeta, deg)
+
+
+def phi_exact_truncated(spec: SpectrumSpec) -> PhiResult:
+    """Truncated phi: min over polynomials h of sum_{k>=1} |h_k| subject to
+    h(0) = a0 = prod lambda_i and an m_i-fold zero at each lambda_i, from
+    degree max(8|m|, 64) with the columns its dual prices in.
 
     This is the zeta = 0 resolvent program (Remark 5): h = a0 (1 + z f) is
     feasible exactly when f matches the jets of 1/(0 - z) = -1/z on the
-    spectrum, and then sum_{k>=1} |h_k| = |a0| ||f||_1, so phi_D is |a0|
-    times the interpolation norm at degree D - 1.  For a real spectrum the
-    jets of h are re-verified at 60 digits and folded into the converged
-    flag (method "lp-exact"); complex spectra are never certified ("admm").
+    spectrum, and then sum_{k>=1} |h_k| = |a0| ||f||_1, so phi is |a0|
+    times the interpolation norm.  For a real spectrum the result is
+    converged when the bracket certifies it and the jets of h re-verify at
+    60 digits (method "lp-exact"); complex spectra are never certified
+    ("admm").
     """
     spec.require_nonzero()
     spec.require_interior()
     mm = spec.degree
-    D0 = D if D is not None else max(8 * mm, 64)
-    if D0 < mm + 1:
-        raise DomainError(f"degree D={D0} below |m|+1={mm + 1}")
-
-    val, f, degree, conv = _converging_lp(
-        lambda deg: _interpolate(spec, 0j, deg - 1), D0, cap, rel_tol)
-    if spec.is_real:
-        converged = conv and _verify_jets(f, spec) <= _JET_RESIDUAL_TOL
-        method = "lp-exact"
-    else:
-        converged = False  # the iterative path is never certified
-        method = "admm"
+    _, f, _, _, certified = _certified_interpolate(spec, 0j, max(8 * mm, 64) - 1)
     return PhiResult(
-        value=abs(spec.eigen_product()) * val,
-        degree_used=degree,
-        converged=converged,
+        value=float(LD(abs(spec.eigen_product())) * np.sum(np.abs(f))),
+        converged=certified and _verify_jets(f, spec) <= _JET_RESIDUAL_TOL,
         lower_bound=phi_lower_bound(spec),
         schaeffer_upper=schaeffer_upper(mm),
-        method=method,
+        method="lp-exact" if spec.is_real else "admm",
     )
 
 
@@ -305,24 +334,13 @@ def schaeffer_upper(n: int) -> float:
     return math.sqrt(math.e * n)
 
 
-def resolvent_interpolation_norm(
-    spec: SpectrumSpec,
-    zeta: complex,
-    D: int | None = None,
-    rel_tol: float = DEFAULT_REL_TOL,
-    cap: int = DEFAULT_DEGREE_CAP,
-) -> float:
-    """Truncated inf{||f||_W : f matches the jets of 1/(zeta - z) on the
-    spectrum}: an upper bound on the true norm, nonincreasing in D.  Scaled
-    by |B(zeta)| in the harness to exhibit resolvent growth.  See
-    ``_interpolate`` for how the program is posed and solved."""
+def resolvent_interpolation_norm(spec: SpectrumSpec, zeta: complex) -> float:
+    """inf{||f||_W : f matches the jets of 1/(zeta - z) on the spectrum},
+    from degree max(8|m|, 64) with the columns its dual prices in (see
+    ``_certified_interpolate``).  Scaled by |B(zeta)| in the harness to
+    exhibit resolvent growth."""
     spec.require_interior()
     zeta = complex(zeta)
     if any(abs(zeta - l) < 1e-14 for l in spec.expanded()):
         raise DomainError("zeta coincides with an eigenvalue")
-    mm = spec.degree
-    D0 = D if D is not None else max(8 * mm, 64)
-    if D0 < mm:
-        raise DomainError(f"degree D={D0} below |m|={mm}")
-    val, _, _, _ = _converging_lp(lambda deg: _interpolate(spec, zeta, deg), D0, cap, rel_tol)
-    return val
+    return float(_certified_interpolate(spec, zeta, max(8 * spec.degree, 64))[0])

@@ -318,16 +318,22 @@ class TestRegionEnvelopeShapes:
 
 class TestPhaseFunctionType:
     def test_binds_parameters(self):
-        pf = A.PhaseFunction(0.5, 1.0)
-        z = pf.saddles().z_plus
-        assert abs(pf.derivatives(z)[1]) < 1e-12
-        assert pf.value(z) == A.phase_value(0.5, 1.0, z)
+        # at a saddle of f_a, f' vanishes and f is phase_value's
+        z = A.stationary_points(0.5, 1.0).z_plus
+        f, f1, _, _ = A.phase_derivatives(0.5, 1.0, z)
+        assert abs(f1) < 1e-12
+        assert f == A.phase_value(0.5, 1.0, z)
 
     def test_circle_phase_is_imaginary_part(self):
-        pf = A.PhaseFunction(0.5, 1.2)
-        phi = 0.7
+        # f_a = a log z - log b_lambda, so on the unit circle Im f_a is
+        # a phi minus the Blaschke phase, up to a multiple of 2 pi
+        from schaeffer.blaschke import circle_phase
+
+        size, j = 16, 3
+        phi = 2 * np.pi * j / size
         direct = A.phase_value(0.5, 1.2, np.exp(1j * phi)).imag
-        assert pf.circle_phase(phi) == pytest.approx(direct, abs=1e-15)
+        expect = 1.2 * phi - circle_phase([(0.5, 1)], size)[j]
+        assert math.remainder(direct - expect, 2 * np.pi) == pytest.approx(0, abs=1e-13)
 
 
 class TestDeepTailCrossValidation:

@@ -180,6 +180,23 @@ class TestValidateAndConfig:
         main(["--config", str(cfg), "coeffs", "--lambda", "0.5", "--out", str(out)])
         assert _read_csv(out)[0]["lambda"] == "0.5"
 
+    @pytest.mark.parametrize("key", ["lamda=0.3", "degree=16"])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, key):
+        # a misspelt key would otherwise run the defaults silently; the
+        # truncation degree is no longer a setting
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"n=4\n{key}\n")
+        out = tmp_path / "g.csv"
+        assert main(["--config", str(cfg), "growth", "--out", str(out)]) == 2
+        assert key.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_degree_flag_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["growth", "--lambda", "0.5", "--n", "4", "--degree", "16",
+                  "--out", str(tmp_path / "g.csv")])
+        assert exc.value.code == 2
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])

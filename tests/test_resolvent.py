@@ -231,6 +231,5 @@ def test_query_validation():
 
 def test_report_json_shape():
     rep = optimize_rho(BoundQuery(SpectrumSpec.single(0.5, 2), 0.0, 1.0))
-    d = rep.to_json_dict()
-    assert d["rule"] == "mainlemma-optimized"
-    assert 0 < d["rho_star"] < 1
+    assert rep.rule.value == "mainlemma-optimized"
+    assert 0 < rep.rho_star < 1

@@ -14,6 +14,7 @@ from schaeffer.errors import DomainError
 from schaeffer.simplex import LD, min_l1_solution
 from schaeffer.spectra import SpectrumSpec
 from schaeffer.wiener_opt import (
+    _certified_interpolate,
     _interpolate,
     _jet_rows,
     _product_weighted_linf,
@@ -34,27 +35,34 @@ PHI_05_MULT8_D96 = Fraction(108594539, 33510400)
 PHI_05_MULT16_D128 = Fraction(84438862041202206351, 19059441479450624000)
 
 
+def _phi_at_degree(spec, D):
+    """phi_D = |a0| N_{D-1}(0) at a fixed truncation degree D."""
+    return abs(spec.eigen_product()) * float(_interpolate(spec, 0j, D - 1)[0])
+
+
 def _pinned_constant_lp(spec, D):
     """phi_D posed directly: min sum_{k=1..D} |h_k| subject to the jet rows
     of h on the spectrum, with h_0 = prod lambda_i moved to the right-hand
     side (-h_0 on each value row and 0 on each derivative row)."""
     rhs = np.concatenate([[-spec.eigen_product().real] + [0.0] * (mult - 1)
                           for _, mult in spec.points])
-    val, _ = min_l1_solution(_jet_rows(spec.points, D, LD)[:, 1:], rhs.astype(LD))
-    return val
+    val, _, _ = min_l1_solution(_jet_rows(spec.points, D, LD)[:, 1:], rhs.astype(LD))
+    return float(val)
 
 
 class TestPhi:
     def test_single_point(self):
-        res = phi_exact_truncated(SpectrumSpec.single(0.5, 1), D=8)
-        assert res.value == pytest.approx(1.0, abs=1e-12)
+        # exact to the last bit: the optimum stays in long double until
+        # phi = |a0| sum |f| is formed
+        res = phi_exact_truncated(SpectrumSpec.single(0.5, 1))
+        assert res.value == 1.0
         assert res.converged
 
     def test_exact_rational_values(self):
-        r8 = phi_exact_truncated(SpectrumSpec.single(0.5, 8), D=96, cap=96)
-        assert r8.value == pytest.approx(float(PHI_05_MULT8_D96), rel=1e-10)
-        r16 = phi_exact_truncated(SpectrumSpec.single(0.5, 16), D=128, cap=128)
-        assert r16.value == pytest.approx(float(PHI_05_MULT16_D128), rel=1e-10)
+        r8 = _phi_at_degree(SpectrumSpec.single(0.5, 8), 96)
+        assert r8 == pytest.approx(float(PHI_05_MULT8_D96), rel=1e-10)
+        r16 = _phi_at_degree(SpectrumSpec.single(0.5, 16), 128)
+        assert r16 == pytest.approx(float(PHI_05_MULT16_D128), rel=1e-10)
 
     def test_multiplicity_two_value_and_bracket(self):
         res = phi_exact_truncated(SpectrumSpec.single(0.5, 2))
@@ -66,8 +74,8 @@ class TestPhi:
         assert res.lower_bound <= res.value
 
     def test_monotone_in_degree(self):
-        a = phi_exact_truncated(SpectrumSpec.single(0.5, 8), D=64, cap=64).value
-        b = phi_exact_truncated(SpectrumSpec.single(0.5, 8), D=128, cap=128).value
+        a = _phi_at_degree(SpectrumSpec.single(0.5, 8), 64)
+        b = _phi_at_degree(SpectrumSpec.single(0.5, 8), 128)
         assert b <= a + 1e-9
 
     def test_growth_band(self):
@@ -81,7 +89,7 @@ class TestPhi:
         assert max(vals.values()) / min(vals.values()) < 1.5
 
     def test_uncertifiable_multiplicity_flagged(self):
-        res = phi_exact_truncated(SpectrumSpec.single(0.5, 64), D=512, cap=512)
+        res = phi_exact_truncated(SpectrumSpec.single(0.5, 64))
         assert not res.converged
 
     def test_distinct_points(self):
@@ -94,15 +102,15 @@ class TestPhi:
 
     def test_complex_needs_subgradient_mode(self):
         spec = SpectrumSpec([(0.3 + 0.2j, 1), (0.3 - 0.2j, 1)])
-        res = phi_exact_truncated(spec, D=16, cap=16)
+        res = phi_exact_truncated(spec)
         assert res.method == "admm"
         assert not res.converged  # never certified
         assert res.value >= res.lower_bound - 1e-3
 
     def test_conjugate_spectrum_invariance(self):
         spec = SpectrumSpec([(0.3 + 0.2j, 1), (0.3 - 0.2j, 1)])
-        a = phi_exact_truncated(spec, D=16, cap=16).value
-        b = phi_exact_truncated(spec.conjugate(), D=16, cap=16).value
+        a = phi_exact_truncated(spec).value
+        b = phi_exact_truncated(spec.conjugate()).value
         assert a == pytest.approx(b, rel=1e-4)
 
     def test_inside_bracket_where_simplex_hit_iteration_limit(self):
@@ -117,14 +125,13 @@ class TestRemark5Lift:
         # h = prod(lam) (1 + z f) turns the pinned-constant program into the
         # zeta = 0 resolvent program of degree D - 1
         spec = SpectrumSpec.single(0.5, 8)
-        res = phi_exact_truncated(spec, D=96, cap=96)
-        assert res.value == pytest.approx(_pinned_constant_lp(spec, 96), rel=1e-12)
+        assert _phi_at_degree(spec, 96) == pytest.approx(_pinned_constant_lp(spec, 96), rel=1e-12)
 
     def test_values_at_spectrum(self):
         # the zeta = 0 interpolant matches the jets of -1/z, so
         # h = prod(lam) (1 + z f) vanishes on the spectrum
         spec = SpectrumSpec([(0.5, 1), (0.25, 1)])
-        _, f = _interpolate(spec, 0j, 8)
+        _, f, _ = _interpolate(spec, 0j, 8)
         for lam in (0.5, 0.25):
             val = sum(float(c) * lam ** k for k, c in enumerate(f))
             assert val == pytest.approx(-1 / lam, abs=1e-12)
@@ -200,11 +207,11 @@ class TestSchaefferUpper:
 
 class TestResolventInterpolation:
     def test_constant_interpolant_zeta_zero(self):
-        v = resolvent_interpolation_norm(SpectrumSpec.single(0.5, 1), 0.0, D=16)
+        v = resolvent_interpolation_norm(SpectrumSpec.single(0.5, 1), 0.0)
         assert v == pytest.approx(2.0, abs=1e-12)
 
     def test_constant_interpolant_zeta_two(self):
-        v = resolvent_interpolation_norm(SpectrumSpec.single(0.5, 1), 2.0, D=16)
+        v = resolvent_interpolation_norm(SpectrumSpec.single(0.5, 1), 2.0)
         assert v == pytest.approx(2 / 3, abs=1e-12)
 
     def test_cross_check_against_phi(self):
@@ -220,8 +227,7 @@ class TestResolventInterpolation:
             resolvent_interpolation_norm(SpectrumSpec.single(0.5, 2), 0.5)
 
     def test_complex_zeta_falls_back(self):
-        v = resolvent_interpolation_norm(SpectrumSpec.single(0.5, 2), 0.3 + 0.4j,
-                                         D=24, cap=24)
+        v = resolvent_interpolation_norm(SpectrumSpec.single(0.5, 2), 0.3 + 0.4j)
         assert v > 0
 
     def test_model_space_rows_match_jet_rows(self):
@@ -230,11 +236,11 @@ class TestResolventInterpolation:
         # both are well conditioned at this size
         for points, zeta in (([(0.3, 2), (0.6, 3)], 0.9), ([(0.3, 2), (-0.6, 3)], -0.5)):
             spec = SpectrumSpec(points)
-            v = resolvent_interpolation_norm(spec, zeta, D=64, cap=64)
+            v, _, _ = _interpolate(spec, complex(zeta), 64)
             rhs = np.array([(LD(zeta) - LD(lam.real)) ** (-LD(d + 1))
                             for lam, mult in spec.points for d in range(mult)], dtype=LD)
-            jet, _ = min_l1_solution(_jet_rows(spec.points, 64, LD), rhs)
-            assert v == pytest.approx(jet, rel=1e-12), (points, zeta)
+            jet, _, _ = min_l1_solution(_jet_rows(spec.points, 64, LD), rhs)
+            assert float(v) == pytest.approx(float(jet), rel=1e-12), (points, zeta)
 
 
 def _times_blaschke(p, lam):
@@ -328,7 +334,7 @@ def test_admm_matches_lp_on_real_data():
 
 class TestTruncatedL1Problem:
     def test_real_solve(self):
-        val, _ = min_l1_solution(np.array([[1.0, 0.5, 0.25]]), np.array([1.0]))
+        val, _, _ = min_l1_solution(np.array([[1.0, 0.5, 0.25]]), np.array([1.0]))
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_complex_solve(self):
@@ -342,17 +348,36 @@ class TestMixedSpectra:
         # and the pinned-constant program still encode the same optimization
         for points in ([(0.3, 2), (0.6, 1)], [(0.5, 3), (0.25, 2)]):
             spec = SpectrumSpec(points)
-            res = phi_exact_truncated(spec, D=64, cap=64)
-            assert res.value == pytest.approx(_pinned_constant_lp(spec, 64), rel=1e-12)
+            assert _phi_at_degree(spec, 64) == pytest.approx(_pinned_constant_lp(spec, 64),
+                                                             rel=1e-12)
+            res = phi_exact_truncated(spec)
             assert res.lower_bound <= res.value
-            assert phi_exact_truncated(spec).converged
+            assert res.converged
 
 
-class TestDegreeValidation:
-    def test_phi_degree_below_constraints(self):
-        with pytest.raises(DomainError):
-            phi_exact_truncated(SpectrumSpec.single(0.5, 8), D=8)
+class TestCertificate:
+    @pytest.mark.parametrize("lam", [0.3, 0.5, 0.66])
+    @pytest.mark.parametrize("n", [8, 32, 64])
+    @pytest.mark.parametrize("zeta", [0j, 0.9 + 0j])
+    def test_bracket_is_tight(self, lam, n, zeta):
+        # the dual, priced over every k, and the repaired primal bracket the
+        # untruncated norm
+        value, _, lower, upper, certified = _certified_interpolate(
+            SpectrumSpec.single(lam, n), zeta, 8 * n)
+        assert certified
+        assert lower <= value <= upper
+        assert upper - lower <= 1e-8 * upper
 
-    def test_resolvent_degree_below_constraints(self):
-        with pytest.raises(DomainError):
-            resolvent_interpolation_norm(SpectrumSpec.single(0.5, 8), 0.0, D=4)
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_columns_priced_in_past_the_start(self, n):
+        # at lambda = 0.9 the optimal support runs past the starting degree:
+        # the dual prices in the missing columns, and the certified value is
+        # the one a far longer fixed truncation reaches
+        spec = SpectrumSpec.single(0.9, n)
+        start, _, _ = _interpolate(spec, 0j, 8 * n)
+        value, _, _, _, certified = _certified_interpolate(spec, 0j, 8 * n)
+        far, _, _ = _interpolate(spec, 0j, 2047)
+        assert certified
+        assert float(start) > float(value) * (1 + 1e-3)
+        assert float(value) == pytest.approx(float(far), rel=1e-12)
+        assert phi_exact_truncated(spec).converged
