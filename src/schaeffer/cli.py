@@ -18,6 +18,7 @@ import numpy as np
 
 from . import acceptance, asymptotics, blaschke, resolvent, wiener_opt
 from .errors import ModeError
+from .simplex import SimplexError
 from .spectra import SpectrumSpec
 
 
@@ -118,12 +119,16 @@ def cmd_coeffs(opts) -> int:
 def _growth_task(args):
     lam, n, phi_max_n = args
     spec = SpectrumSpec.single(lam, n)
-    L = wiener_opt.phi_lower_bound(spec)
+    L = phi = conv = None
     if n <= phi_max_n:
-        res = wiener_opt.phi_exact_truncated(spec)
-        phi, conv = res.value, res.converged
-    else:
-        phi, conv = None, None
+        try:
+            res = wiener_opt.phi_exact_truncated(spec)
+            L, phi, conv = res.lower_bound, res.value, res.converged
+        except SimplexError as ex:  # blank phi_D, phi_converged=false; the sweep goes on
+            print(f"growth lambda={lam} n={n}: phi_D not computed: {ex}", file=sys.stderr)
+            conv = False
+    if L is None:
+        L = wiener_opt.phi_lower_bound(spec)
     upper = wiener_opt.schaeffer_upper(n)
     return (lam, n, L, phi, "" if conv is None else str(conv).lower(),
             upper, L / math.sqrt(n))

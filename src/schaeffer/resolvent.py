@@ -7,8 +7,14 @@
               * prod_{j<k} | (1/b_{l_j}(zeta))
                             (1 + (1-rho^2) conj(l_j) zeta/(1-conj(l_j) zeta)) |^2 )
 
-with the |m|-fold products accumulated as sums of log magnitudes, so that
-spectra with hundreds of eigenvalues near the origin do not overflow.
+in log space, one distinct eigenvalue at a time.  Along a run of m equal
+eigenvalues the log-terms are affine in k, a + j s for j = 0..m-1 with
+s = 2 log(|fac|/rho) and |fac| = |1 - rho^2 conj(l) zeta|/|zeta - l|, so the
+run sums in closed form as the geometric series
+max(a, a + (m-1)s) + log(expm1(-m|s|)/expm1(-|s|)), and a final
+log-sum-exp runs over the runs.  One evaluation costs O(#points), not
+O(|m|), and multiplicities in the millions stay finite in log space where
+the bound itself overflows a double.
 ``optimize_rho`` minimizes over rho; the four closed forms are particular
 rho choices plus relaxations, so the optimized value sits below each of
 them wherever their hypotheses hold.
@@ -58,8 +64,14 @@ class BoundQuery:
         object.__setattr__(self, "zeta", complex(self.zeta))
         if self.C < 1:
             raise DomainError("power-bound constant C must be >= 1")
-        if any(abs(self.zeta - l) < 1e-15 for l in self.spec.expanded()):
+        if any(abs(self.zeta - l) < 1e-15 for l in self.lams):
             raise DomainError("zeta lies in the spectrum")
+
+    @property
+    def lams(self) -> list:
+        """The distinct eigenvalues, multiplicities dropped; every closed form
+        takes its minima over these and |m| from ``spec.degree``."""
+        return [lam for lam, _ in self.spec.points]
 
 
 @dataclass
@@ -75,31 +87,50 @@ def _exp_or_inf(x: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf
 
 
+def _one_minus_sq(x: float) -> float:
+    """1 - x^2 without the cancellation of forming x^2 first."""
+    return (1 - x) * (1 + x)
+
+
+def _run_log_sum(a: float, s: float, m: int) -> float:
+    """log sum_{j<m} exp(a + j s), summed as a geometric series."""
+    hi = max(a, a + (m - 1) * s)
+    if s == 0:
+        return hi + math.log(m)
+    ss = -abs(s)
+    return hi + math.log(math.expm1(m * ss) / math.expm1(ss))
+
+
 def mainlemma_log_bound(q: BoundQuery, rho: float) -> float:
-    """log of the rho-parameterized resolvent bound.  All |m|-fold products
-    are accumulated as sums of log magnitudes, so spectra with hundreds of
-    eigenvalues are handled even where the bound itself overflows a double."""
+    """log of the rho-parameterized resolvent bound, summed run by run over
+    the distinct eigenvalues (see the module docstring), so the cost is
+    O(#points) whatever the multiplicities."""
     if not 0 < rho < 1:
         raise DomainError("rho must lie in (0, 1)")
+    rho = float(rho)  # numpy scalars would send the complex arithmetic through numpy
     zeta = q.zeta
-    log_terms = []
-    prefix = 0.0  # 2 * sum_{j<k} log |...|
-    for k, lam in enumerate(q.spec.expanded(), start=1):
-        t = (
-            -(2 * k - 2) * math.log(rho)
-            + math.log(1 - rho ** 2 * abs(lam) ** 2)
-            - 2 * math.log(abs(zeta - lam))
-        )
-        log_terms.append(t + prefix)
-        denom = 1 - np.conj(lam) * zeta
+    log_rho = math.log(rho)
+    offset = 0.0  # -2 (k - 1) log rho + 2 sum_{j<k} log |fac_j| at a run's start
+    runs = []
+    for lam, mult in q.spec.points:
+        c = lam.conjugate() * zeta
+        denom = 1 - c
         if denom == 0:
             raise DomainError("zeta conjugate-reciprocal to an eigenvalue")
-        b = (zeta - lam) / denom
-        fac = (1 + (1 - rho ** 2) * np.conj(lam) * zeta / denom) / b
-        prefix += 2 * math.log(abs(fac))
-    mx = max(log_terms)
-    total = mx + math.log(sum(math.exp(t - mx) for t in log_terms))
-    total -= math.log(1 - rho ** 2)
+        dist = abs(zeta - lam)
+        log_dist = math.log(dist)
+        # fac = (1 + w)/b with w = (1-rho^2) c/denom and b = (zeta - l)/denom;
+        # log|1 + w| by log1p keeps a small slope accurate as it is scaled by m
+        w = _one_minus_sq(rho) * c / denom
+        log_fac = (0.5 * math.log1p(w.real * (2 + w.real) + w.imag * w.imag)
+                   + math.log(abs(denom) / dist))
+        slope = 2 * (log_fac - log_rho)
+        start = offset + math.log(_one_minus_sq(rho * abs(lam))) - 2 * log_dist
+        runs.append(_run_log_sum(start, slope, mult))
+        offset += mult * slope
+    mx = max(runs)
+    total = mx + math.log(sum(math.exp(t - mx) for t in runs))
+    total -= math.log(_one_minus_sq(rho))
     return math.log(q.C) + 0.5 * total
 
 
@@ -144,7 +175,7 @@ def optimize_rho(q: BoundQuery, grid: int = 32) -> BoundReport:
     if log_value > logv[i0]:  # multimodal surprise: fall back to the scan
         rho_star = float(rs[i0])
         log_value = float(logv[i0])
-    lams = q.spec.expanded()
+    lams = q.lams
     mind = min(abs(1 - np.conj(l) * q.zeta) for l in lams)
     report = BoundReport(
         rule=BoundRule.MAIN_LEMMA_OPT,
@@ -162,10 +193,10 @@ def optimize_rho(q: BoundQuery, grid: int = 32) -> BoundReport:
 
 def thm_case1(q: BoundQuery) -> float:
     """All eigenvalues on the unit circle: C sqrt(|m|)/min_i |zeta - l_i|."""
-    lams = q.spec.expanded()
+    lams = q.lams
     if any(abs(abs(l) - 1) > 1e-12 for l in lams):
         raise ModeError("case 1 needs all eigenvalues on the unit circle")
-    return q.C * math.sqrt(len(lams)) / min(abs(q.zeta - l) for l in lams)
+    return q.C * math.sqrt(q.spec.degree) / min(abs(q.zeta - l) for l in lams)
 
 
 def thm_case2(q: BoundQuery) -> float:
@@ -179,22 +210,20 @@ def thm_case2_log(q: BoundQuery) -> float:
     |m| ~ 700 at r = 0.1."""
     if q.zeta != 0:
         raise ModeError("case 2 is the zeta = 0 bound")
-    lams = q.spec.expanded()
-    r = min(abs(l) for l in lams)
+    r = min(abs(l) for l in q.lams)
     if r == 0:
         raise DomainError("case 2 needs an invertible matrix (r > 0)")
-    mm = len(lams)
+    mm = q.spec.degree
     return (math.log(q.C) + 0.5 * (math.log(mm) + math.log(_E - r ** (2 * mm)))
             - mm * math.log(r))
 
 
 def schaeffer_baseline(q: BoundQuery) -> float:
     """C sqrt(e |m|) / r^|m|, the classical bound case 2 refines."""
-    lams = q.spec.expanded()
-    r = min(abs(l) for l in lams)
+    r = min(abs(l) for l in q.lams)
     if r == 0:
         raise DomainError("baseline needs r > 0")
-    mm = len(lams)
+    mm = q.spec.degree
     return _exp_or_inf(math.log(q.C) + 0.5 * math.log(_E * mm) - mm * math.log(r))
 
 
@@ -204,13 +233,13 @@ def thm_case3(q: BoundQuery) -> float:
       * sqrt(1/(1 - r|zeta|) + 1/(2 (1-r^2) |m|))."""
     if abs(q.zeta) >= 1:
         raise ModeError("case 3 needs zeta strictly inside the disk")
-    lams = q.spec.expanded()
+    lams = q.lams
     r = min(pseudo_hyperbolic(q.zeta, l) for l in lams)
     if r == 0:
         raise DomainError("zeta in the spectrum")
     if r >= 1:
         raise ModeError("pseudo-hyperbolic separation must be < 1")
-    mm = len(lams)
+    mm = q.spec.degree
     mind = min(abs(1 - np.conj(l) * q.zeta) for l in lams)
     # delta_max = (1-r^2)/(1-r|zeta|) is the extremal value of
     # (1-|l|^2)/|1-conj(l)|zeta|| over the admissible spectrum; the first
@@ -239,11 +268,11 @@ def thm_case4(q: BoundQuery) -> Case4Bounds:
     Neither is asserted to dominate the other."""
     if abs(abs(q.zeta) - 1) > 1e-12:
         raise ModeError("case 4 needs |zeta| = 1")
-    lams = q.spec.expanded()
+    lams = q.lams
     mind = min(abs(q.zeta - l) for l in lams)
     if mind == 0:
         raise DomainError("zeta in the spectrum closure")
-    mm = len(lams)
+    mm = q.spec.degree
     s = min(abs(1 - np.conj(l) * q.zeta) for l in lams)
     headline = 1.5 * q.C * math.sqrt(_E ** 2 - 1) * mm / mind
     proof = (
@@ -257,7 +286,7 @@ def thm_case4(q: BoundQuery) -> Case4Bounds:
 def applicable_closed_forms(q: BoundQuery) -> dict:
     """Evaluate every closed form whose hypotheses hold for the query."""
     out = {}
-    lams = q.spec.expanded()
+    lams = q.lams
     if all(abs(abs(l) - 1) <= 1e-12 for l in lams):
         out[BoundRule.CASE1] = thm_case1(q)
     if q.zeta == 0 and min(abs(l) for l in lams) > 0:

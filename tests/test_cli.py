@@ -1,12 +1,15 @@
 import csv
 import json
+import math
 
 from collections import Counter
 
 import pytest
 
-from schaeffer import asymptotics, blaschke
+from schaeffer import asymptotics, blaschke, wiener_opt
 from schaeffer.cli import main
+from schaeffer.simplex import SimplexError
+from schaeffer.spectra import SpectrumSpec
 
 
 def _read_csv(path):
@@ -80,6 +83,32 @@ class TestGrowth:
         assert rows[0]["phi_D"] != ""
         assert rows[1]["phi_D"] == ""
 
+    def test_simplex_error_leaves_a_blank_row(self, tmp_path, monkeypatch, capsys):
+        argv = ["growth", "--lambda", "0.5", "--n", "2,3,4"]
+        good = tmp_path / "good.csv"
+        assert main(argv + ["--out", str(good)]) == 0
+        capsys.readouterr()
+        solve = wiener_opt.phi_exact_truncated
+
+        def failing(spec):
+            if spec.degree == 3:
+                raise SimplexError("iteration limit reached")
+            return solve(spec)
+
+        monkeypatch.setattr(wiener_opt, "phi_exact_truncated", failing)
+        out = tmp_path / "growth.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        lines, ref = out.read_text().splitlines(), good.read_text().splitlines()
+        assert lines[0] == ref[0]
+        assert lines[1] == ref[1] and lines[3] == ref[3]
+        row = _read_csv(out)[1]
+        assert row["phi_D"] == "" and row["phi_converged"] == "false"
+        assert row["L"] == _read_csv(good)[1]["L"]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "lambda=0.5" in err[0] and "n=3" in err[0]
+        assert "iteration limit reached" in err[0]
+
 
 class TestBounds:
     def test_rows_and_dominance(self, tmp_path):
@@ -107,6 +136,20 @@ class TestBounds:
         main(["bounds", "--lambda", "0.5", "--n", "1", "--zeta", "0.5",
               "--out", str(out)])
         assert _read_csv(out)[0]["rule"] == "skipped"
+
+    def test_cost_does_not_grow_with_multiplicity(self, tmp_path, monkeypatch):
+        # a million-fold eigenvalue: the rho scan walks the distinct points,
+        # never the expanded spectrum
+        def refuse(self):
+            raise AssertionError("the bounds path expanded the spectrum")
+
+        monkeypatch.setattr(SpectrumSpec, "expanded", refuse)
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--lambda", "0.5", "--n", "1000000", "--zeta", "1.0,1.5",
+                     "--out", str(out)]) == 0
+        opt = [r for r in _read_csv(out) if r["rule"] == "mainlemma-optimized"]
+        assert len(opt) == 2
+        assert all(math.isfinite(float(r["value"])) for r in opt)
 
 
 class TestAsymptotics:

@@ -95,6 +95,42 @@ class TestMainLemma:
         assert math.isfinite(rep.delta_terms["log_value"])
 
 
+def _reference_log_bound(points, zeta, rho, digits=50):
+    """The main-lemma log-bound summed term by term over the eigenvalues, as
+    the lemma states it, in mpmath with the double inputs taken exactly."""
+    import mpmath as mp
+    with mp.workdps(digits):
+        z, r2 = mp.mpc(zeta), mp.mpf(rho) ** 2
+        total, weight = mp.mpf(0), mp.mpf(1)  # weight_k = rho^(2-2k) prod_{j<k} |fac_j|^2
+        for lam, mult in points:
+            lam = mp.mpc(lam)
+            term = (1 - r2 * abs(lam) ** 2) / abs(z - lam) ** 2
+            den = 1 - mp.conj(lam) * z
+            fac = (1 + (1 - r2) * mp.conj(lam) * z / den) * den / (z - lam)
+            step = abs(fac) ** 2 / r2
+            for _ in range(mult):
+                total += weight * term
+                weight *= step
+        return float(mp.log(total / (1 - r2)) / 2)
+
+
+_REFERENCE_SPECTRA = [[(lam, n)] for lam in (0.35, 0.65) for n in (1, 256, 1024)] + [
+    # one point in two separate runs, a complex and a unimodular eigenvalue
+    [(0.35, 3), (0.3 + 0.4j, 2), (-0.6, 5), (0.35, 4), (1j, 1)],
+]
+
+
+@pytest.mark.parametrize("points", _REFERENCE_SPECTRA,
+                         ids=lambda p: "+".join(f"{l}^{m}" for l, m in p))
+def test_log_bound_matches_reference(points):
+    spec = SpectrumSpec(points)
+    for zeta in (0.0, -0.5, 0.9, 1.0, 1.5):
+        q = BoundQuery(spec, zeta, 1.0)
+        for rho in (1e-6, 0.5, 0.99, 1 - 1e-6):
+            ref = _reference_log_bound(points, zeta, rho)
+            assert abs(mainlemma_log_bound(q, rho) - ref) <= 1e-11, (zeta, rho)
+
+
 class TestOptimizeRho:
     def test_below_given_rho_point(self):
         q = BoundQuery(SpectrumSpec.single(0.5, 1), 0.0, 1.0)
