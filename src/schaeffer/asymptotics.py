@@ -75,13 +75,6 @@ def phase_derivatives(lam: float, a: float, z: complex):
     return f, f1, f2, f3
 
 
-def second_derivative_closed_form(lam: float, a: float, z: complex) -> complex:
-    """f'' at a stationary point: (1-lambda^2)(1-z^2) lambda
-    / (z (z-lambda)^2 (1-lambda z)^2)."""
-    z = complex(z)
-    return (1 - lam ** 2) * (1 - z * z) * lam / (z * (z - lam) ** 2 * (1 - lam * z) ** 2)
-
-
 class SaddleKind(Enum):
     CIRCLE_CONJUGATE_PAIR = "circle-conjugate-pair"
     COALESCED = "coalesced"
@@ -100,18 +93,16 @@ def _midpoint(lam: float, a: float) -> float:
     return (a * (1 + lam ** 2) - (1 - lam ** 2)) / (2 * lam * a)
 
 
-def stationary_points(lam: float, a: float, lam_range=(0.0, 1.0)) -> SaddleData:
+def stationary_points(lam: float, a: float) -> SaddleData:
     """Both roots of f' = 0 with their configuration.
 
     The trichotomy is decided by a against [alpha0, 1/alpha0]: conjugate
     circle pair inside, coalesced double point at the ends (z0 = -1 left,
     z0 = +1 right), reciprocal real pair outside.
     """
-    if not lam_range[0] < lam < lam_range[1]:
-        raise DomainError("lambda must lie in (0, 1)")
+    a0 = alpha0(lam)  # rejects lambda outside (0, 1)
     if a <= 0:
         raise DomainError("index ratio a must be positive")
-    a0 = alpha0(lam)
     tol = 1e-12
     if abs(a - a0) <= tol * a0:
         z0 = -1.0 + 0j
@@ -245,37 +236,6 @@ def _zprime_seed(mu: float, ac: float) -> complex:
     ang = np.angle(target)
     roots = [mag * np.exp(1j * (ang + 2 * math.pi * i) / 3) for i in range(3)]
     return min(roots, key=lambda r: abs(r.imag))
-
-
-def gamma_cubed(lam: float, a: float) -> float:
-    """Signed cube s = (3/2) f(z_plus) on the decaying side of the right
-    coalescence, encoded so that gamma^2 = sign(s) |s|^(2/3): positive for
-    a >= 1/alpha0, negative (oscillatory side) for a < 1/alpha0."""
-    if not 0 < lam < 1:
-        raise DomainError("lambda must lie in (0, 1)")
-    ac = _coalescence_ratio(lam)
-    if abs(a - ac) > 0.5 * ac:
-        raise ModeError("a outside the coalescence neighborhood; use the "
-                        "stationary-phase path")
-    if abs(a - ac) <= 1e-12 * ac:
-        return 0.0
-    zp, _ = _pick_saddles(lam, a)
-    fv = phase_value(lam, a, zp)
-    if a >= ac:
-        return 1.5 * float(fv.real)
-    return -1.5 * abs(float(fv.imag))
-
-
-def gamma_squared(lam: float, a: float) -> float:
-    s = gamma_cubed(lam, a)
-    return math.copysign(abs(s) ** (2 / 3), s)
-
-
-def gamma_squared_leading_order(lam: float, a: float) -> float:
-    """First-order expansion of gamma^2 about the right coalescence:
-    (a - 1/alpha0)(1 - lambda)/(lambda (1 + lambda))^(1/3)."""
-    ac = _coalescence_ratio(lam)
-    return (a - ac) * (1 - lam) / (lam * (1 + lam)) ** (1 / 3)
 
 
 def _psi(z: complex) -> complex:
@@ -463,6 +423,7 @@ class FitResult:
 
 
 _POWER_REGIONS = {Region.III, Region.IV, Region.V}
+_FIT_WINDOW = 3  # half-width of the index window each fitted value maximizes over
 
 
 def _default_k(region: Region, lam: float, n: int, alpha: float) -> int:
@@ -480,8 +441,7 @@ def _default_k(region: Region, lam: float, n: int, alpha: float) -> int:
 
 
 def decay_exponent_fit(lam: float, region: Region, n_list,
-                       alpha: float | None = None,
-                       k_of_n=None, window: int = 3) -> FitResult:
+                       alpha: float | None = None) -> FitResult:
     """Least-squares decay rate of the coefficient magnitude at a
     representative index per region, across a geometric n grid.
 
@@ -499,14 +459,14 @@ def decay_exponent_fit(lam: float, region: Region, n_list,
     ks = []
     logs = []
     for n in n_list:
-        k = k_of_n(n) if k_of_n is not None else _default_k(region, lam, n, alpha_eff)
+        k = _default_k(region, lam, n, alpha_eff)
         ks.append(k)
         if region in _POWER_REGIONS:
-            js = np.arange(max(0, k - window), k + window + 1)
+            js = np.arange(max(0, k - _FIT_WINDOW), k + _FIT_WINDOW + 1)
             peak = float(np.max(np.abs(weighted_truth(lam, n, js))))
             logs.append(math.log(max(peak, 1e-300)))
         else:
-            lw = blaschke.log_weighted_coeff_magnitude(lam, n, k, window=window)
+            lw = blaschke.log_weighted_coeff_magnitude(lam, n, k, window=_FIT_WINDOW)
             logs.append(float(np.max(lw)))
     y = np.array(logs)
     if region in _POWER_REGIONS:

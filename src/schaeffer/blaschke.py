@@ -19,8 +19,7 @@ maximum matches the coefficient size and only log-magnitudes are formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,12 +27,6 @@ from .errors import DomainError, ResourceError
 
 ALIAS_TOL = 1e-12
 MAX_FFT_SIZE = 1 << 26
-
-
-class SeriesOrigin(Enum):
-    BLASCHKE_POWER = "blaschke_power"
-    WEIGHTED_BLASCHKE_POWER = "weighted_blaschke_power"
-    GENERAL = "general"
 
 
 @dataclass(frozen=True)
@@ -58,12 +51,11 @@ class MoebiusParam:
 
 @dataclass
 class CoefficientSeries:
-    """Finite coefficient vector c[0..K] with cached sequence norms."""
+    """Finite coefficient vector c[0..K]; ``param`` names the Blaschke power
+    it was extracted from, if any."""
 
     coeffs: np.ndarray
-    origin: SeriesOrigin = SeriesOrigin.GENERAL
     param: MoebiusParam | None = None
-    _norms: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -74,35 +66,13 @@ class CoefficientSeries:
     def max_index(self) -> int:
         return self.coeffs.size - 1
 
-    def _norm(self, key, fn):
-        if key not in self._norms:
-            self._norms[key] = fn(self.coeffs)
-        return self._norms[key]
-
-    @property
-    def l1(self) -> float:
-        return self._norm("l1", lambda c: float(np.sum(np.abs(c))))
-
     @property
     def l2(self) -> float:
-        return self._norm("l2", lambda c: float(np.sqrt(np.sum(np.abs(c) ** 2))))
+        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
 
     @property
     def linf(self) -> float:
-        return self._norm("linf", lambda c: float(np.max(np.abs(c))))
-
-
-def moebius_coeff(lam: complex, k: int) -> complex:
-    """k-th Taylor coefficient of b_lambda: -lambda at k=0, (1-|lambda|^2)
-    conj(lambda)^(k-1) for k >= 1 (geometric expansion of the denominator)."""
-    lam = complex(lam)
-    if abs(lam) >= 1:
-        raise DomainError("|lambda| must be < 1")
-    if k < 0:
-        raise DomainError("index k must be >= 0")
-    if k == 0:
-        return -lam
-    return (1 - abs(lam) ** 2) * np.conj(lam) ** (k - 1)
+        return float(np.max(np.abs(self.coeffs)))
 
 
 def default_coeff_count(p: MoebiusParam) -> int:
@@ -144,7 +114,7 @@ def blaschke_power_coeffs(p: MoebiusParam, K: int) -> CoefficientSeries:
     if K < 1:
         raise DomainError("K must be >= 1")
     c = circle_fft([(p.lam, p.n)], K, max(K + 1, default_coeff_count(p)))
-    return CoefficientSeries(c, SeriesOrigin.BLASCHKE_POWER, p)
+    return CoefficientSeries(c, p)
 
 
 def weighted_coeffs(p: MoebiusParam, K: int) -> CoefficientSeries:
@@ -160,17 +130,17 @@ def weight_series(base: CoefficientSeries) -> CoefficientSeries:
     c = base.coeffs
     w = c.copy()
     w[2:] = c[2:] - c[:-2]
-    return CoefficientSeries(w, SeriesOrigin.WEIGHTED_BLASCHKE_POWER, base.param)
+    return CoefficientSeries(w, base.param)
 
 
 def linf_A_norm(s: CoefficientSeries) -> float:
     """sup_k |c(k)| over the stored range.
 
-    For Blaschke-derived series the stored range must reach past the
-    dominant region, K >= ceil(n/alpha0); otherwise the sup would be read
-    off a truncation that can miss the slowest-decaying coefficient.
+    For a series extracted from a Blaschke power the stored range must reach
+    past the dominant region, K >= ceil(n/alpha0); otherwise the sup would be
+    read off a truncation that can miss the slowest-decaying coefficient.
     """
-    if s.param is not None and s.origin is not SeriesOrigin.GENERAL:
+    if s.param is not None:
         needed = int(np.ceil(s.param.n / s.param.alpha0))
         if s.max_index < needed:
             raise DomainError(

@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import acceptance, asymptotics, blaschke, resolvent, wiener_opt
-from .errors import ModeError
+from .errors import DomainError, ModeError
 from .simplex import SimplexError
 from .spectra import SpectrumSpec
 
@@ -149,7 +149,7 @@ def _bounds_task(args):
     lam, n, zeta, C = args
     try:
         q = resolvent.BoundQuery(SpectrumSpec.single(lam, n), zeta, C)
-    except Exception as ex:  # domain errors logged as skipped rows
+    except DomainError as ex:  # logged as a skipped row
         return [(lam, n, zeta.real, zeta.imag, C, "skipped", float("nan"), None,
                  str(ex).replace(",", ";"))]
     opt = resolvent.optimize_rho(q)

@@ -10,7 +10,6 @@ circle-quadrature inner products for any finite spectrum.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -134,37 +133,3 @@ def minimal_poly_check(T: ToeplitzMatrix):
             f"nilpotency index {degree} below the matrix dimension {T.n}"
         )
     return degree, residual
-
-
-def det_times_inverse(T: ToeplitzMatrix) -> np.ndarray:
-    """det(T) * T^{-1} via column-by-column forward substitution (the matrix
-    is lower triangular), then scaling by det(T) = lambda^n."""
-    if T.lam == 0:
-        raise DomainError("singular matrix")
-    n = T.n
-    A = T.entries
-    det = T.lam ** n
-    out = np.zeros((n, n), dtype=complex)
-    for col in range(n):
-        x = np.zeros(n, dtype=complex)
-        x[col] = det
-        for i in range(col, n):
-            s = x[i] - A[i, col:i] @ x[col:i]
-            x[i] = s / A[i, i]
-        # entries above the diagonal stay zero
-        out[:, col] = x
-        out[:col, col] = 0
-    return out
-
-
-def matrix_to_csv(M: np.ndarray) -> str:
-    """Row-major CSV with each entry written as a re,im pair."""
-    M = np.asarray(M, dtype=complex)
-    buf = io.StringIO()
-    for row in M:
-        cells = []
-        for v in row:
-            cells.append(format(v.real, ".17g"))
-            cells.append(format(v.imag, ".17g"))
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()

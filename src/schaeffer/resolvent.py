@@ -66,6 +66,8 @@ class BoundQuery:
             raise DomainError("power-bound constant C must be >= 1")
         if any(abs(self.zeta - l) < 1e-15 for l in self.lams):
             raise DomainError("zeta lies in the spectrum")
+        if any(1 - l.conjugate() * self.zeta == 0 for l in self.lams):
+            raise DomainError("zeta conjugate-reciprocal to an eigenvalue")
 
     @property
     def lams(self) -> list:
@@ -79,7 +81,6 @@ class BoundReport:
     rule: BoundRule
     value: float
     rho_star: float | None = None
-    r: float | None = None
     delta_terms: dict = field(default_factory=dict)
 
 
@@ -114,9 +115,7 @@ def mainlemma_log_bound(q: BoundQuery, rho: float) -> float:
     runs = []
     for lam, mult in q.spec.points:
         c = lam.conjugate() * zeta
-        denom = 1 - c
-        if denom == 0:
-            raise DomainError("zeta conjugate-reciprocal to an eigenvalue")
+        denom = 1 - c  # nonzero: BoundQuery rejects a conjugate-reciprocal zeta
         dist = abs(zeta - lam)
         log_dist = math.log(dist)
         # fac = (1 + w)/b with w = (1-rho^2) c/denom and b = (zeta - l)/denom;
@@ -141,27 +140,31 @@ def mainlemma_bound(q: BoundQuery, rho: float) -> float:
 
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
+_SCAN_POINTS = 32
 
 
-def optimize_rho(q: BoundQuery, grid: int = 32) -> BoundReport:
-    """Minimize the lemma bound over rho in (0, 1): a 32-point pre-scan
-    guards against multiple local minima, then golden-section refinement on
-    log(bound) to |drho| < 1e-8.  The result is clipped by the grid minimum,
-    so it never exceeds any scanned value."""
-    lo, hi = 1e-6, 1 - 1e-6
-    rs = np.linspace(lo, hi, grid)
+def optimize_rho(q: BoundQuery) -> BoundReport:
+    """Minimize the lemma bound over rho in (0, 1): a _SCAN_POINTS pre-scan
+    of [1e-6, 1 - edge] guards against multiple local minima, then
+    golden-section refinement on log(bound) narrows the bracket to edge/100,
+    with edge = min(1e-6, 0.01/|m|).  The minimizer approaches 1 like 1/|m|
+    (about 1 - 0.27/|m| at lambda = 0.5, zeta = 1), so the edge follows |m|.
+    The result is clipped by the scan minimum, so it never exceeds any
+    scanned value."""
+    edge = min(1e-6, 0.01 / q.spec.degree)
+    rs = np.linspace(1e-6, 1 - edge, _SCAN_POINTS)
     logv = np.array([mainlemma_log_bound(q, r) for r in rs])
     i0 = int(np.argmin(logv))
     interior_minima = [
-        i for i in range(1, grid - 1) if logv[i] < logv[i - 1] and logv[i] < logv[i + 1]
+        i for i in range(1, _SCAN_POINTS - 1) if logv[i] < logv[i - 1] and logv[i] < logv[i + 1]
     ]
     a = rs[max(0, i0 - 1)]
-    b = rs[min(grid - 1, i0 + 1)]
+    b = rs[min(_SCAN_POINTS - 1, i0 + 1)]
     f = lambda r: mainlemma_log_bound(q, r)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > 1e-8:
+    while b - a > 1e-2 * edge:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -175,20 +178,15 @@ def optimize_rho(q: BoundQuery, grid: int = 32) -> BoundReport:
     if log_value > logv[i0]:  # multimodal surprise: fall back to the scan
         rho_star = float(rs[i0])
         log_value = float(logv[i0])
-    lams = q.lams
-    mind = min(abs(1 - np.conj(l) * q.zeta) for l in lams)
-    report = BoundReport(
+    return BoundReport(
         rule=BoundRule.MAIN_LEMMA_OPT,
         value=_exp_or_inf(log_value),
         rho_star=float(rho_star),
-        r=min(pseudo_hyperbolic(q.zeta, l) for l in lams) if abs(q.zeta) <= 1 else None,
         delta_terms={
-            "min_abs_one_minus_lam_zeta": mind,
             "interior_minima_in_scan": len(interior_minima),
             "log_value": log_value,
         },
     )
-    return report
 
 
 def thm_case1(q: BoundQuery) -> float:

@@ -18,20 +18,22 @@ import numpy as np
 LD = np.longdouble
 
 _RC_TOL = LD(1e-11)
+_MAX_PIVOTS = 200_000
 
 
 class SimplexError(RuntimeError):
     pass
 
 
-def dense_simplex(A, b, c, maxiter: int = 200_000):
+def dense_simplex(A, b, c):
     """min c @ x  s.t.  A x = b, x >= 0.
 
     Returns (x, value, iterations, y) in long double, y the dual read off the
     artificial columns' phase-2 reduced costs: y @ A <= c, y @ b = value.
     Dantzig pricing with a largest-pivot
     tie-break on near-minimal ratios; falls back to Bland's rule when
-    progress stalls.  In this package c >= 0 always, so phase 2 cannot be
+    progress stalls, and gives up with ``SimplexError`` after _MAX_PIVOTS
+    pivots.  In this package c >= 0 always, so phase 2 cannot be
     unbounded; columns without an acceptable pivot are blocked instead.
     """
     A = np.array(A, dtype=LD)
@@ -59,7 +61,7 @@ def dense_simplex(A, b, c, maxiter: int = 200_000):
         while True:
             it += 1
             total += 1
-            if total > maxiter:
+            if total > _MAX_PIVOTS:
                 raise SimplexError("iteration limit reached")
             red = T[m, :active_n]
             cand = np.where((red < -_RC_TOL) & ~blocked)[0]
@@ -108,7 +110,7 @@ def dense_simplex(A, b, c, maxiter: int = 200_000):
     return x, c @ x, total, -T[m, n:n + m] * sgn
 
 
-def min_l1_solution(rows: np.ndarray, rhs: np.ndarray, maxiter: int = 200_000):
+def min_l1_solution(rows: np.ndarray, rhs: np.ndarray):
     """min ||x||_1  s.t.  rows @ x = rhs  over real x, via the standard
     positive/negative split.  Rows are equilibrated to unit sup norm first.
 
@@ -124,7 +126,7 @@ def min_l1_solution(rows: np.ndarray, rhs: np.ndarray, maxiter: int = 200_000):
     nvar = rows.shape[1]
     A = np.hstack([rows, -rows])
     c = np.ones(2 * nvar, dtype=LD)
-    xpm, val, _, y = dense_simplex(A, rhs, c, maxiter=maxiter)
+    xpm, val, _, y = dense_simplex(A, rhs, c)
     x = xpm[:nvar] - xpm[nvar:]
     # the tableau's objective row drifts by ~1e-9 over hundreds of pivots;
     # one refinement step on y @ rows[:, k] = sign(x_k) over the support

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 
 
@@ -54,9 +52,6 @@ class SpectrumSpec:
         for lam, mult in self.points:
             out.extend([lam] * mult)
         return out
-
-    def conjugate(self) -> "SpectrumSpec":
-        return SpectrumSpec([(np.conj(l), m) for l, m in self.points])
 
     def eigen_product(self) -> complex:
         p = 1.0 + 0j

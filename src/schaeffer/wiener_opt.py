@@ -11,12 +11,11 @@ a0 = prod lambda_i gives phi = |a0| N(0) (Remark 5).
 ``_certified_interpolate`` grows the degree as the simplex dual, priced over
 every coefficient, demands, and brackets N(zeta) to 1e-8 relative.
 
-A real spectrum with real zeta is posed in the Malmquist-Walsh basis of the
-model space and solved exactly by the extended-precision simplex; for phi
-the jets of the reported h are then re-verified at 60 significant digits
-and folded into the converged flag.  Other data falls back to an ADMM
-basis-pursuit iteration on jet rows at the starting degree, flagged
-non-certified.
+The program is posed for a real spectrum and real zeta, in the
+Malmquist-Walsh basis of the model space, and solved exactly by the
+extended-precision simplex; for phi the jets of the reported h are then
+re-verified at 60 significant digits and folded into the converged flag.
+A non-real spectrum or zeta is a ``DomainError``.
 """
 
 from __future__ import annotations
@@ -42,29 +41,6 @@ class PhiResult:
     converged: bool
     lower_bound: float
     schaeffer_upper: float
-    method: str
-
-
-def _jet_rows(points, D: int, dtype) -> np.ndarray:
-    """Rows of the scaled jet map a -> a^{(d)}(lambda)/d! over coefficients
-    a_0..a_D, one row per (lambda_i, d < mult_i), in ``dtype`` (complex, or
-    LD for a real spectrum).
-
-    Entry (d; k) is binom(k, d) lambda^(k-d), built by a cumulative-ratio
-    recurrence.
-    """
-    rows = np.zeros((sum(mult for _, mult in points), D + 1), dtype=dtype)
-    r = 0
-    for lam, mult in points:
-        lam = dtype(lam if np.dtype(dtype).kind == "c" else lam.real)
-        for d in range(mult):
-            ks = np.arange(d, D + 1).astype(LD)
-            ratios = np.ones(ks.size, dtype=dtype)
-            # binom(k+1,d)/binom(k,d) * lambda = (k+1)/(k+1-d) * lambda
-            ratios[1:] = ks[1:] / (ks[1:] - d) * lam
-            rows[r, d:] = np.cumprod(ratios)
-            r += 1
-    return rows
 
 
 def _first_order_scan(r: np.ndarray, mu) -> np.ndarray:
@@ -157,35 +133,27 @@ def _verify_jets(f, spec: SpectrumSpec):
 
 def _interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     """min ||f||_1 over polynomials f of degree deg matching the jets of
-    1/(zeta - z) on the spectrum.  Returns (value, coefficients f_0..f_deg,
-    dual y), y None for the ADMM path.
+    1/(zeta - z) on the real spectrum, for real zeta.  Returns (value,
+    coefficients f_0..f_deg, dual y).
 
     f matches the jets exactly when f - h lies in B H^2, where
     h = (1 - B/B(zeta))/(zeta - z), i.e. when <f, e_j> = <h, e_j> for the
-    Malmquist-Walsh basis e_1..e_N of the model space K_B.  A real spectrum
-    with real zeta is posed in that form: the rows are the basis's Taylor
-    coefficients (``_malmquist_walsh_rows``), the right-hand side is the
-    closed form <h, e_j> (``_malmquist_walsh_resolvent_rhs``), and the
-    extended-precision simplex solves it exactly.  These rows are an
-    invertible triangular transform of the jet rows, so the program is the
-    same, but they stay well conditioned where the jet rows (conditioning
-    ~4^n) run out of long-double precision from n ~ 48.  Other data keeps
-    the jet rows, whose d-th scaled jet at lambda is (zeta - lambda)^-(d+1),
-    and the non-certified ADMM iteration.  The program is homogeneous in the
-    data, so it is solved at unit sup norm and scaled back; y does not
-    depend on that scale.
+    Malmquist-Walsh basis e_1..e_N of the model space K_B.  The rows are the
+    basis's Taylor coefficients (``_malmquist_walsh_rows``), the right-hand
+    side is the closed form <h, e_j> (``_malmquist_walsh_resolvent_rhs``),
+    and the extended-precision simplex solves it exactly.  These rows are an
+    invertible triangular transform of the confluent-Vandermonde jet rows,
+    so the program is the same, but they stay well conditioned where the jet
+    rows (conditioning ~4^n) run out of long-double precision from n ~ 48.
+    The program is homogeneous in the data, so it is solved at unit sup norm
+    and scaled back; y does not depend on that scale.
     """
-    if spec.is_real and zeta.imag == 0:
-        mus = [lam.real for lam in spec.expanded()]
-        rhs = _malmquist_walsh_resolvent_rhs(mus, zeta.real)
-        scale = np.max(np.abs(rhs))
-        val, f, y = min_l1_solution(_malmquist_walsh_rows(mus, deg), rhs / scale)
-    else:
-        rhs = np.array([(zeta - lam) ** (-(d + 1))
-                        for lam, mult in spec.points for d in range(mult)])
-        scale = np.max(np.abs(rhs))
-        f, val, _ = admm_basis_pursuit(_jet_rows(spec.points, deg, complex), rhs / scale)
-        y = None
+    if not spec.is_real or zeta.imag != 0:
+        raise DomainError("the l1 program needs a real spectrum and a real zeta")
+    mus = [lam.real for lam in spec.expanded()]
+    rhs = _malmquist_walsh_resolvent_rhs(mus, zeta.real)
+    scale = np.max(np.abs(rhs))
+    val, f, y = min_l1_solution(_malmquist_walsh_rows(mus, deg), rhs / scale)
     return val * scale, f * scale, y
 
 
@@ -214,12 +182,9 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     residual res = rows @ f - rhs, is exactly feasible (the e_j are
     orthonormal), so N(zeta) <= value + sum_j |res_j| ||e_j||_1.  Until the
     bracket is within _CERT_REL_WIDTH, the degree grows to the last column
-    with |g_k| > 1, up to _COLUMN_BUDGET columns.  Complex data is solved at
-    degree deg and never certified.
+    with |g_k| > 1, up to _COLUMN_BUDGET columns.
     """
     value, f, y = _interpolate(spec, zeta, deg)
-    if y is None:
-        return value, f, 0.0, value, False
     mus = [lam.real for lam in spec.expanded()]
     rhs = _malmquist_walsh_resolvent_rhs(mus, zeta.real)
     log_r, log_e = _envelope_logs(mus)
@@ -254,10 +219,9 @@ def phi_exact_truncated(spec: SpectrumSpec) -> PhiResult:
     This is the zeta = 0 resolvent program (Remark 5): h = a0 (1 + z f) is
     feasible exactly when f matches the jets of 1/(0 - z) = -1/z on the
     spectrum, and then sum_{k>=1} |h_k| = |a0| ||f||_1, so phi is |a0|
-    times the interpolation norm.  For a real spectrum the result is
-    converged when the bracket certifies it and the jets of h re-verify at
-    60 digits (method "lp-exact"); complex spectra are never certified
-    ("admm").
+    times the interpolation norm.  The result is converged when the bracket
+    certifies it and the jets of h re-verify at 60 digits.  A non-real
+    spectrum is a ``DomainError``.
     """
     spec.require_nonzero()
     spec.require_interior()
@@ -268,37 +232,7 @@ def phi_exact_truncated(spec: SpectrumSpec) -> PhiResult:
         converged=certified and _verify_jets(f, spec) <= _JET_RESIDUAL_TOL,
         lower_bound=phi_lower_bound(spec),
         schaeffer_upper=schaeffer_upper(mm),
-        method="lp-exact" if spec.is_real else "admm",
     )
-
-
-def admm_basis_pursuit(A, b, tol: float = 1e-5, maxiter: int = 20000, rho: float = 1.0):
-    """min ||x||_1 s.t. A x = b over complex x (scaled ADMM with modulus
-    soft-thresholding).  Returns (x, value, converged); every iterate x is
-    feasible via the pseudo-inverse projection."""
-    A = np.asarray(A, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    Ap = np.linalg.pinv(A)
-    q = Ap @ b
-    n = A.shape[1]
-    P = np.eye(n, dtype=complex) - Ap @ A
-    x = q.copy()
-    z = x.copy()
-    u = np.zeros(n, dtype=complex)
-    kappa = 1.0 / rho
-    ok = False
-    for _ in range(maxiter):
-        x = P @ (z - u) + q
-        w = x + u
-        mags = np.maximum(np.abs(w), 1e-300)
-        z_new = w * np.maximum(1 - kappa / mags, 0.0)
-        du = np.max(np.abs(z_new - z))
-        z = z_new
-        u = u + x - z
-        if np.max(np.abs(x - z)) < tol and du < tol:
-            ok = True
-            break
-    return x, float(np.sum(np.abs(x))), ok
 
 
 def phi_lower_bound(spec: SpectrumSpec) -> float:
@@ -338,7 +272,8 @@ def resolvent_interpolation_norm(spec: SpectrumSpec, zeta: complex) -> float:
     """inf{||f||_W : f matches the jets of 1/(zeta - z) on the spectrum},
     from degree max(8|m|, 64) with the columns its dual prices in (see
     ``_certified_interpolate``).  Scaled by |B(zeta)| in the harness to
-    exhibit resolvent growth."""
+    exhibit resolvent growth.  A non-real spectrum or zeta is a
+    ``DomainError``."""
     spec.require_interior()
     zeta = complex(zeta)
     if any(abs(zeta - l) < 1e-14 for l in spec.expanded()):

@@ -1,0 +1,41 @@
+"""Every public top-level function and class of the package is reached from
+outside its own definition: from another top-level statement of
+``src/schaeffer`` or from the benchmark harness in ``perfbench/``.  Tests do
+not count, so a name that only a test calls fails here; a test that needs an
+independent reference keeps it in the test file."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "schaeffer"
+
+
+def _mentioned(node) -> set:
+    """Names and attribute names used anywhere inside ``node``."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+    return out
+
+
+def _public_api_unreached() -> list:
+    statements = []  # (path, top-level statement)
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        statements += [(path, stmt) for stmt in ast.parse(path.read_text()).body]
+    mentions = [_mentioned(stmt) for _, stmt in statements]
+    unreached = []
+    for i, (path, stmt) in enumerate(statements):
+        if (path.parent == PACKAGE
+                and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and not stmt.name.startswith("_")
+                and not any(stmt.name in m for j, m in enumerate(mentions) if j != i)):
+            unreached.append(f"{path.name}:{stmt.lineno} {stmt.name}")
+    return unreached
+
+
+def test_every_public_name_is_reached():
+    assert _public_api_unreached() == []

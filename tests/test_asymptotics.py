@@ -61,8 +61,10 @@ class TestPhaseDerivatives:
             sd = A.stationary_points(lam, a)
             if sd.kind is A.SaddleKind.COALESCED:
                 continue
-            direct = A.phase_derivatives(lam, a, sd.z_plus)[2]
-            closed = A.second_derivative_closed_form(lam, a, sd.z_plus)
+            z = sd.z_plus
+            direct = A.phase_derivatives(lam, a, z)[2]
+            # f'' at a stationary point, with a eliminated through f' = 0
+            closed = (1 - lam ** 2) * (1 - z * z) * lam / (z * (z - lam) ** 2 * (1 - lam * z) ** 2)
             assert direct == pytest.approx(closed, rel=1e-8)
 
     def test_second_derivative_vs_numerical(self):
@@ -112,28 +114,39 @@ class TestRegions:
         assert A.alpha0(1e-9) == pytest.approx(1.0, abs=1e-8)
 
 
+def _gamma_sq(lam, a, n=1024):
+    """gamma^2 as the uniform Airy estimate computes it at k = a n."""
+    return A.uniform_airy_estimate(lam, n, a * n, compute_truth=False).gamma_sq
+
+
+def _gamma_sq_leading_order(lam, a):
+    """First-order expansion of gamma^2 about the right coalescence:
+    (a - 1/alpha0)(1 - lambda)/(lambda (1 + lambda))^(1/3)."""
+    return (a - 1 / A.alpha0(lam)) * (1 - lam) / (lam * (1 + lam)) ** (1 / 3)
+
+
 class TestGamma:
     def test_zero_at_coalescence(self):
-        assert A.gamma_cubed(0.5, 3.0) == 0.0
+        assert _gamma_sq(0.5, 3.0) == 0.0
 
     def test_right_side_positive_and_leading_order(self):
-        g2 = A.gamma_squared(0.5, 3.1)
-        lead = A.gamma_squared_leading_order(0.5, 3.1)
+        g2 = _gamma_sq(0.5, 3.1)
+        lead = _gamma_sq_leading_order(0.5, 3.1)
         assert g2 > 0
         assert 0.8 <= g2 / lead <= 1.2
 
     def test_left_side_negative(self):
-        assert A.gamma_squared(0.5, 2.9) < 0
+        assert _gamma_sq(0.5, 2.9) < 0
 
     def test_leading_order_ratio_tends_to_one(self):
-        r1 = A.gamma_squared(0.5, 3.01) / A.gamma_squared_leading_order(0.5, 3.01)
-        r2 = A.gamma_squared(0.5, 3.001) / A.gamma_squared_leading_order(0.5, 3.001)
+        r1 = _gamma_sq(0.5, 3.01) / _gamma_sq_leading_order(0.5, 3.01)
+        r2 = _gamma_sq(0.5, 3.001) / _gamma_sq_leading_order(0.5, 3.001)
         assert abs(r2 - 1) < abs(r1 - 1)
         assert abs(r2 - 1) < 2e-3
 
     def test_mode_error_outside_neighborhood(self):
         with pytest.raises(ModeError):
-            A.gamma_cubed(0.5, 1.0)
+            _gamma_sq(0.5, 1.0)
 
 
 class TestUniformAiry:

@@ -9,39 +9,47 @@ from schaeffer import blaschke
 from schaeffer.blaschke import (
     CoefficientSeries,
     MoebiusParam,
-    SeriesOrigin,
     blaschke_power_coeffs,
     default_coeff_count,
     linf_A_norm,
     log_weighted_coeff_magnitude,
-    moebius_coeff,
     parseval_defect,
     weighted_coeffs,
 )
 from schaeffer.errors import DomainError, ResourceError
 
 
+def _moebius_coeff(lam, k):
+    """k-th Taylor coefficient of b_lambda: -lambda at k = 0, (1-|lambda|^2)
+    conj(lambda)^(k-1) for k >= 1 (geometric expansion of the denominator)."""
+    return -lam if k == 0 else (1 - abs(lam) ** 2) * np.conj(lam) ** (k - 1)
+
+
 class TestMoebiusCoeff:
+    """The extracted coefficients of b_lambda against the closed form."""
+
     def test_constant_term(self):
-        assert moebius_coeff(0.5, 0) == -0.5
+        assert blaschke_power_coeffs(MoebiusParam(0.5, 1), 2).coeffs[0] == pytest.approx(
+            -0.5, abs=1e-15)
 
     def test_first_terms(self):
         # geometric expansion: c(1) = 1 - lambda^2, c(2) = (1 - lambda^2) lambda
-        assert abs(moebius_coeff(0.5, 1) - 0.75) < 1e-15
-        assert abs(moebius_coeff(0.5, 2) - 0.375) < 1e-15
+        c = blaschke_power_coeffs(MoebiusParam(0.5, 1), 40).coeffs
+        assert np.allclose(c, [_moebius_coeff(0.5, k) for k in range(41)], rtol=0, atol=1e-15)
 
     def test_complex_conjugation(self):
         lam = 0.3 + 0.4j
-        for k in range(6):
-            assert moebius_coeff(np.conj(lam), k) == pytest.approx(
-                np.conj(moebius_coeff(lam, k))
-            )
+        a = blaschke_power_coeffs(MoebiusParam(lam, 1), 30).coeffs
+        b = blaschke_power_coeffs(MoebiusParam(np.conj(lam), 1), 30).coeffs
+        closed = np.array([_moebius_coeff(lam, k) for k in range(31)])
+        assert np.allclose(a, closed, rtol=0, atol=1e-15)
+        assert np.allclose(b, np.conj(closed), rtol=0, atol=1e-15)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            moebius_coeff(1.0, 0)
+            MoebiusParam(1.0, 1)
         with pytest.raises(DomainError):
-            moebius_coeff(0.5, -1)
+            blaschke_power_coeffs(MoebiusParam(0.5, 1), 0)
 
 
 class TestPowerCoeffs:
@@ -131,8 +139,7 @@ class TestLinfNorm:
 
     def test_zero_padding_invariant(self):
         s = weighted_coeffs(MoebiusParam(0.5, 4), 40)
-        padded = CoefficientSeries(np.concatenate([s.coeffs, np.zeros(50)]),
-                                   s.origin, s.param)
+        padded = CoefficientSeries(np.concatenate([s.coeffs, np.zeros(50)]), s.param)
         assert linf_A_norm(padded) == linf_A_norm(s)
 
     def test_truncation_before_dominant_region_rejected(self):
@@ -193,7 +200,6 @@ class TestExponentialRegions:
 class TestSeriesContainer:
     def test_norm_caching_and_values(self):
         s = CoefficientSeries(np.array([3.0, -4.0]))
-        assert s.l1 == 7.0
         assert s.l2 == 5.0
         assert s.linf == 4.0
 
@@ -207,7 +213,7 @@ class TestSeriesContainer:
     def test_padding_never_changes_norms(self, vals, extra):
         s = CoefficientSeries(np.array(vals, dtype=float))
         p = CoefficientSeries(np.concatenate([s.coeffs, np.zeros(extra)]))
-        assert p.l1 == pytest.approx(s.l1)
+        assert p.l2 == pytest.approx(s.l2)
         assert p.linf == pytest.approx(s.linf)
 
     @given(st.floats(min_value=-0.85, max_value=0.85).filter(lambda x: abs(x) > 1e-3),
@@ -223,9 +229,12 @@ class TestSeriesContainer:
 
 
 def test_origin_tags():
+    # the Blaschke power a series came from rides along through the weighting;
+    # linf_A_norm's truncation check reads it
     p = MoebiusParam(0.5, 2)
-    assert blaschke_power_coeffs(p, 8).origin is SeriesOrigin.BLASCHKE_POWER
-    assert weighted_coeffs(p, 8).origin is SeriesOrigin.WEIGHTED_BLASCHKE_POWER
+    assert blaschke_power_coeffs(p, 8).param is p
+    assert weighted_coeffs(p, 8).param is p
+    assert CoefficientSeries(np.ones(3)).param is None
 
 
 def test_moebius_param_validation():

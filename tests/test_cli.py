@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from schaeffer import asymptotics, blaschke, wiener_opt
+from schaeffer import asymptotics, blaschke, resolvent, wiener_opt
 from schaeffer.cli import main
 from schaeffer.simplex import SimplexError
 from schaeffer.spectra import SpectrumSpec
@@ -136,6 +136,26 @@ class TestBounds:
         main(["bounds", "--lambda", "0.5", "--n", "1", "--zeta", "0.5",
               "--out", str(out)])
         assert _read_csv(out)[0]["rule"] == "skipped"
+
+    def test_conjugate_reciprocal_zeta_is_a_skipped_row(self, tmp_path):
+        # zeta = 1/lambda makes the lemma's factor 1 - lambda zeta vanish
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--lambda", "0.5", "--n", "4", "--zeta", "2,0",
+                     "--out", str(out)]) == 0
+        rules = [r["rule"] for r in _read_csv(out)]
+        assert rules[0] == "skipped"
+        assert "mainlemma-optimized" in rules[1:]
+
+    def test_programming_error_is_not_a_skipped_row(self, tmp_path, monkeypatch):
+        # only a DomainError becomes a skipped row; any other exception fails
+        # the command
+        def broken(*args, **kwargs):
+            raise AssertionError("broken query")
+
+        monkeypatch.setattr(resolvent, "BoundQuery", broken)
+        with pytest.raises(AssertionError, match="broken query"):
+            main(["bounds", "--lambda", "0.5", "--n", "4", "--zeta", "0",
+                  "--out", str(tmp_path / "bounds.csv")])
 
     def test_cost_does_not_grow_with_multiplicity(self, tmp_path, monkeypatch):
         # a million-fold eigenvalue: the rho scan walks the distinct points,

@@ -5,8 +5,6 @@ from schaeffer.errors import ConsistencyError, DomainError
 from schaeffer.modelspace import (
     MalmquistWalshBasis,
     build_toeplitz,
-    det_times_inverse,
-    matrix_to_csv,
     minimal_poly_check,
     model_matrix,
 )
@@ -118,26 +116,34 @@ class TestMinimalPoly:
         assert resid <= 1e-8
 
 
+def _det_times_inverse(lam, n):
+    """det(T) T^{-1} in closed form.  T is (lambda + z)/(1 + lambda z) at the
+    n x n lower shift, so det(T) T^{-1} is lambda^n (1 + lambda z)/(lambda + z)
+    at the shift: lower-triangular Toeplitz with diagonal lambda^(n-1) and
+    d-th subdiagonal (-1)^(d-1) (lambda^2 - 1) lambda^(n-1-d)."""
+    out = lam ** (n - 1) * np.eye(n)
+    for d in range(1, n):
+        out += (-1) ** (d - 1) * (lam ** 2 - 1) * lam ** (n - 1 - d) * np.eye(n, k=-d)
+    return out
+
+
 class TestDetTimesInverse:
+    """build_toeplitz against the closed form of det(T) T^{-1}."""
+
     def test_scalar(self):
-        out = det_times_inverse(build_toeplitz(0.5, 1))
-        assert np.allclose(out, [[1.0]], atol=1e-15)
+        T = build_toeplitz(0.5, 1).entries
+        assert np.allclose(np.linalg.det(T) * np.linalg.inv(T), [[1.0]], atol=1e-15)
+        assert np.allclose(_det_times_inverse(0.5, 1), [[1.0]], atol=0)
 
     def test_two_by_two_hand_inverse(self):
-        out = det_times_inverse(build_toeplitz(0.5, 2))
-        assert np.allclose(out, [[0.5, 0.0], [-0.75, 0.5]], atol=1e-14)
+        T = build_toeplitz(0.5, 2).entries
+        hand = [[0.5, 0.0], [-0.75, 0.5]]
+        assert np.allclose(np.linalg.det(T) * np.linalg.inv(T), hand, atol=1e-14)
+        assert np.allclose(_det_times_inverse(0.5, 2), hand, atol=1e-15)
 
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_defining_identity(self, n):
         T = build_toeplitz(0.5, n)
-        out = det_times_inverse(T)
-        resid = T.entries @ out - 0.5 ** n * np.eye(n)
-        assert np.max(np.abs(resid)) < 1e-10 * 0.5 ** n * np.linalg.cond(T.entries)
-
-
-def test_csv_export_roundtrip():
-    T = build_toeplitz(0.5, 3).entries
-    text = matrix_to_csv(T)
-    rows = [list(map(float, line.split(","))) for line in text.strip().splitlines()]
-    back = np.array([[complex(r[2 * i], r[2 * i + 1]) for i in range(3)] for r in rows])
-    assert np.array_equal(back, T)
+        resid = T.entries @ _det_times_inverse(0.5, n) - 0.5 ** n * np.eye(n)
+        # lambda = 1/2 is dyadic, so both factors are exact in double
+        assert np.max(np.abs(resid)) <= 1e-13 * 0.5 ** n

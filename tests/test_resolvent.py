@@ -247,6 +247,17 @@ def test_dominance_spot_grid():
                     assert opt <= form + 1e-9, (lam, n, zeta, rule)
 
 
+@pytest.mark.parametrize("mult", [10 ** 6, 10 ** 7])
+def test_optimized_below_case4_at_large_multiplicity(mult):
+    # the minimizer sits near rho = 1 - 0.27/|m|; a scan stopping at a fixed
+    # 1 - 1e-6 reports a value above both case-4 forms from |m| ~ 1e6 on
+    q = BoundQuery(SpectrumSpec.single(0.5, mult), 1.0, 1.0)
+    rep = optimize_rho(q)
+    case4 = thm_case4(q)
+    assert rep.value <= min(case4.headline, case4.proof_form)
+    assert 1 - rep.rho_star < 1e-6
+
+
 def test_interpolation_norm_sits_under_case3():
     for lam in (0.3, 0.5):
         for n in (1, 2, 4, 8):

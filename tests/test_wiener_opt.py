@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -16,11 +15,9 @@ from schaeffer.spectra import SpectrumSpec
 from schaeffer.wiener_opt import (
     _certified_interpolate,
     _interpolate,
-    _jet_rows,
     _product_weighted_linf,
     _to_mpf,
     _verify_jets,
-    admm_basis_pursuit,
     phi_exact_truncated,
     phi_lower_bound,
     resolvent_interpolation_norm,
@@ -35,6 +32,25 @@ PHI_05_MULT8_D96 = Fraction(108594539, 33510400)
 PHI_05_MULT16_D128 = Fraction(84438862041202206351, 19059441479450624000)
 
 
+def _jet_rows(points, D):
+    """Rows of the scaled jet map a -> a^{(d)}(lambda)/d! over coefficients
+    a_0..a_D, one row per (lambda_i, d < mult_i), in long double: entry
+    (d; k) is binom(k, d) lambda^(k-d), built by a cumulative-ratio
+    recurrence.  These confluent-Vandermonde rows pose the l1 programs
+    independently of the Malmquist-Walsh rows the package uses."""
+    rows = np.zeros((sum(mult for _, mult in points), D + 1), dtype=LD)
+    r = 0
+    for lam, mult in points:
+        for d in range(mult):
+            ks = np.arange(d, D + 1).astype(LD)
+            ratios = np.ones(ks.size, dtype=LD)
+            # binom(k+1,d)/binom(k,d) * lambda = (k+1)/(k+1-d) * lambda
+            ratios[1:] = ks[1:] / (ks[1:] - d) * LD(lam.real)
+            rows[r, d:] = np.cumprod(ratios)
+            r += 1
+    return rows
+
+
 def _phi_at_degree(spec, D):
     """phi_D = |a0| N_{D-1}(0) at a fixed truncation degree D."""
     return abs(spec.eigen_product()) * float(_interpolate(spec, 0j, D - 1)[0])
@@ -46,7 +62,7 @@ def _pinned_constant_lp(spec, D):
     side (-h_0 on each value row and 0 on each derivative row)."""
     rhs = np.concatenate([[-spec.eigen_product().real] + [0.0] * (mult - 1)
                           for _, mult in spec.points])
-    val, _, _ = min_l1_solution(_jet_rows(spec.points, D, LD)[:, 1:], rhs.astype(LD))
+    val, _, _ = min_l1_solution(_jet_rows(spec.points, D)[:, 1:], rhs.astype(LD))
     return float(val)
 
 
@@ -100,18 +116,13 @@ class TestPhi:
         with pytest.raises(DomainError):
             phi_exact_truncated(SpectrumSpec.single(0.0, 2))
 
-    def test_complex_needs_subgradient_mode(self):
+    def test_complex_spectrum_rejected(self):
+        # the l1 program is posed for real data only
         spec = SpectrumSpec([(0.3 + 0.2j, 1), (0.3 - 0.2j, 1)])
-        res = phi_exact_truncated(spec)
-        assert res.method == "admm"
-        assert not res.converged  # never certified
-        assert res.value >= res.lower_bound - 1e-3
-
-    def test_conjugate_spectrum_invariance(self):
-        spec = SpectrumSpec([(0.3 + 0.2j, 1), (0.3 - 0.2j, 1)])
-        a = phi_exact_truncated(spec).value
-        b = phi_exact_truncated(spec.conjugate()).value
-        assert a == pytest.approx(b, rel=1e-4)
+        with pytest.raises(DomainError):
+            phi_exact_truncated(spec)
+        with pytest.raises(DomainError):
+            resolvent_interpolation_norm(spec, 0.9)
 
     def test_inside_bracket_where_simplex_hit_iteration_limit(self):
         # the jet-row program ran out of simplex iterations here
@@ -226,9 +237,9 @@ class TestResolventInterpolation:
         with pytest.raises(DomainError):
             resolvent_interpolation_norm(SpectrumSpec.single(0.5, 2), 0.5)
 
-    def test_complex_zeta_falls_back(self):
-        v = resolvent_interpolation_norm(SpectrumSpec.single(0.5, 2), 0.3 + 0.4j)
-        assert v > 0
+    def test_complex_zeta_rejected(self):
+        with pytest.raises(DomainError):
+            resolvent_interpolation_norm(SpectrumSpec.single(0.5, 2), 0.3 + 0.4j)
 
     def test_model_space_rows_match_jet_rows(self):
         # the Malmquist-Walsh rows and their closed-form right-hand side pose
@@ -239,7 +250,7 @@ class TestResolventInterpolation:
             v, _, _ = _interpolate(spec, complex(zeta), 64)
             rhs = np.array([(LD(zeta) - LD(lam.real)) ** (-LD(d + 1))
                             for lam, mult in spec.points for d in range(mult)], dtype=LD)
-            jet, _, _ = min_l1_solution(_jet_rows(spec.points, 64, LD), rhs)
+            jet, _, _ = min_l1_solution(_jet_rows(spec.points, 64), rhs)
             assert float(v) == pytest.approx(float(jet), rel=1e-12), (points, zeta)
 
 
@@ -324,22 +335,10 @@ def test_resolvent_norm_inside_certified_bracket():
             assert lo * (1 - 1e-8) <= pinned <= hi * (1 + 1e-8), (n, lo, pinned, hi)
 
 
-def test_admm_matches_lp_on_real_data():
-    rows = np.array([[1.0, 0.5, 0.25]])
-    rhs = np.array([1.0])
-    x, val, ok = admm_basis_pursuit(rows.astype(complex), rhs.astype(complex))
-    assert ok
-    assert val == pytest.approx(1.0, abs=1e-4)
-
-
 class TestTruncatedL1Problem:
     def test_real_solve(self):
         val, _, _ = min_l1_solution(np.array([[1.0, 0.5, 0.25]]), np.array([1.0]))
         assert val == pytest.approx(1.0, abs=1e-12)
-
-    def test_complex_solve(self):
-        _, val, _ = admm_basis_pursuit(np.array([[1.0 + 0j, 1j]]), np.array([1.0 + 1j]))
-        assert val <= math.sqrt(2) + 1e-3
 
 
 class TestMixedSpectra:
