@@ -53,15 +53,27 @@ def alpha0(lam: float) -> float:
     return (1 - lam) / (1 + lam)
 
 
-def _check_pole(lam: float, z: complex):
-    if z == 0 or abs(z - lam) < 1e-300 or (lam != 0 and abs(z - 1 / lam) < 1e-300):
-        raise DomainError(f"z = {z} is a singular point of the phase")
+def _check_pole(lam: float, z):
+    bad = (z == 0) | (abs(z - lam) < 1e-300)
+    if lam != 0:
+        bad = bad | (abs(z - 1 / lam) < 1e-300)
+    if np.ndim(z) == 0:
+        if bad:
+            raise DomainError(f"z = {z} is a singular point of the phase")
+    elif bad.any():
+        raise DomainError(f"z = {z[bad][0]} is a singular point of the phase")
 
 
-def phase_value(lam: float, a: float, z: complex) -> complex:
+def phase_value(lam: float, a, z):
+    """f_a(z); elementwise for arrays a and z."""
     _check_pole(lam, z)
-    z = complex(z)
+    z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
     return a * np.log(z) + np.log(1 - lam * z) - np.log(z - lam)
+
+
+def _phase_f2(lam: float, a, z):
+    """f''(z) without the pole check; elementwise for arrays a and z."""
+    return 1 / (z - lam) ** 2 - a / z ** 2 - lam ** 2 / (1 - lam * z) ** 2
 
 
 def phase_derivatives(lam: float, a: float, z: complex):
@@ -70,7 +82,7 @@ def phase_derivatives(lam: float, a: float, z: complex):
     z = complex(z)
     f = a * np.log(z) + np.log(1 - lam * z) - np.log(z - lam)
     f1 = -1 / (z - lam) + a / z - lam / (1 - lam * z)
-    f2 = 1 / (z - lam) ** 2 - a / z ** 2 - lam ** 2 / (1 - lam * z) ** 2
+    f2 = _phase_f2(lam, a, z)
     f3 = -2 / (z - lam) ** 3 + 2 * a / z ** 3 - 2 * lam ** 3 / (1 - lam * z) ** 3
     return f, f1, f2, f3
 
@@ -219,12 +231,28 @@ def _pick_saddles(mu: float, a: float):
     return c2, c1
 
 
-def _real_gamma2_root(g3: complex) -> complex:
-    """The cube root gamma of g3 for which gamma^2 is real."""
+def _pick_saddles_along(mu: float, a: np.ndarray):
+    """``_pick_saddles`` at each ratio of the array a, as two complex arrays.
+    The ratio a of the estimate itself keeps the scalar version, whose
+    Python complex results the amplitudes are computed from."""
+    M = _midpoint(mu, a)
+    circle = M * M <= 1
+    s = np.sqrt(np.abs(1 - M * M))
+    # Re f at the real candidate M + s; on the circle at a stand-in off every pole
+    c1_first = phase_value(mu, a, np.where(circle, 1j, M + s)).real >= 0
+    zp = np.where(circle, M + 1j * s, np.where(c1_first, M + s, M - s))
+    zm = np.where(circle, M - 1j * s, np.where(c1_first, M - s, M + s))
+    return zp, zm
+
+
+def _real_gamma2_root(g3):
+    """The cube root gamma of g3 for which gamma^2 is real; elementwise for
+    an array g3."""
     mag = abs(g3) ** (1 / 3)
     ang = np.angle(g3)
     roots = [mag * np.exp(1j * (ang + 2 * math.pi * i) / 3) for i in range(3)]
-    return min(roots, key=lambda r: abs((r * r).imag))
+    pick = np.argmin(np.abs([(r * r).imag for r in roots]), axis=0)
+    return np.choose(pick, roots)[()]
 
 
 def _zprime_seed(mu: float, ac: float) -> complex:
@@ -240,6 +268,23 @@ def _zprime_seed(mu: float, ac: float) -> complex:
 
 def _psi(z: complex) -> complex:
     return (1 - z ** -2) / z
+
+
+def _continue_signs(seed: complex, w: np.ndarray):
+    """Signs for the values w = z'(t) along the tracking path, each chosen
+    nearer its signed predecessor (seed before the first).  Returns the
+    signed last value and each step's move relative to its predecessor.
+
+    Taking the nearer sign flips the running sign exactly at the steps where
+    the unsigned w is nearer to minus its unsigned predecessor, and the move
+    is then the smaller of the two distances, so no step needs the signs of
+    the steps before it.  (An exact tie, w orthogonal to its predecessor,
+    keeps the running sign; such a step moves by more than the jump limit.)"""
+    prev = np.append(seed, w[:-1])
+    same, flipped = np.abs(w - prev), np.abs(w + prev)
+    jump = np.minimum(same, flipped) / np.maximum(np.abs(prev), 1e-30)
+    last = w[-1]
+    return (-last if np.count_nonzero(same > flipped) % 2 else last), jump
 
 
 def _airy_core(mu: float, n: float, a: float):
@@ -266,30 +311,23 @@ def _airy_core(mu: float, n: float, a: float):
     gam = _real_gamma2_root(1.5 * phase_value(mu, a, zp))
     g2 = float((gam * gam).real)
 
-    # branch tracking from the coalesced limit along a straight path in a
-    wp_prev = seed
-    wm_prev = seed
-    branch_ok = True
-    for s in range(1, _BRANCH_STEPS + 1):
-        asub = ac + (a - ac) * s / _BRANCH_STEPS
-        zps, zms = _pick_saddles(mu, asub)
-        gs = _real_gamma2_root(1.5 * phase_value(mu, asub, zps))
-        f2p = phase_derivatives(mu, asub, zps)[2]
-        f2m = phase_derivatives(mu, asub, zms)[2]
-        wp = np.sqrt(-2 * gs / f2p)
-        wm = np.sqrt(2 * gs / f2m)
-        if abs(wp - wp_prev) > abs(-wp - wp_prev):
-            wp = -wp
-        if abs(wm - wm_prev) > abs(-wm - wm_prev):
-            wm = -wm
-        jump = max(abs(wp - wp_prev) / max(abs(wp_prev), 1e-30),
-                   abs(wm - wm_prev) / max(abs(wm_prev), 1e-30))
-        if jump > _BRANCH_JUMP_LIMIT and s > 1:
-            branch_ok = False
-        wp_prev, wm_prev = wp, wm
+    # branch tracking from the coalesced limit along a straight path in a:
+    # z'(t_pm) up to sign at the inner steps at once and at a itself, then
+    # the signs by continuity
+    path = ac + (a - ac) * np.arange(1, _BRANCH_STEPS) / _BRANCH_STEPS
+    zps, zms = _pick_saddles_along(mu, path)
+    _check_pole(mu, zms)  # phase_value checks zps
+    gs = _real_gamma2_root(1.5 * phase_value(mu, path, zps))
+    wp, jump_p = _continue_signs(seed, np.append(
+        np.sqrt(-2 * gs / _phase_f2(mu, path, zps)),
+        np.sqrt(-2 * gam / phase_derivatives(mu, a, zp)[2])))
+    wm, jump_m = _continue_signs(seed, np.append(
+        np.sqrt(2 * gs / _phase_f2(mu, path, zms)),
+        np.sqrt(2 * gam / phase_derivatives(mu, a, zm)[2])))
+    branch_ok = not np.any(np.maximum(jump_p, jump_m)[1:] > _BRANCH_JUMP_LIMIT)
 
-    G0p = _psi(zp) * wp_prev
-    G0m = _psi(zm) * wm_prev
+    G0p = _psi(zp) * wp
+    G0m = _psi(zm) * wm
     A0 = (G0p + G0m) / 2
     if abs(gam) > 1e-7:
         A1 = (G0p - G0m) / (2 * gam)

@@ -4,6 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from schaeffer import airy
 from schaeffer.airy import airy_ai, airy_ai_prime
 
 
@@ -53,12 +54,74 @@ def test_large_negative_oscillatory_form():
     assert abs(airy_ai(-x) - lead) < 0.02 * (math.pi ** -0.5 * x ** -0.25)
 
 
+def _ulp_neighbours(xs):
+    return np.concatenate([np.nextafter(xs, -np.inf), xs, np.nextafter(xs, np.inf)])
+
+
+def test_dense_accuracy_on_the_taylor_range():
+    # 2001 points, each node and its 1-ulp neighbours, and each midpoint,
+    # where the nearest node changes
+    nodes = airy._NODES
+    xs = np.concatenate([np.linspace(-9, 9, 2001), _ulp_neighbours(nodes),
+                         (nodes[:-1] + nodes[1:]) / 2])
+    got, gotp = airy_ai(xs), airy_ai_prime(xs)
+    worst = 0.0
+    with mp.workdps(40):
+        for x, v, vp in zip(xs.tolist(), got.tolist(), gotp.tolist()):
+            ora = float(mp.airyai(mp.mpf(x)))
+            orap = float(mp.airyai(mp.mpf(x), 1))
+            worst = max(worst, abs(v - ora) / abs(ora), abs(vp - orap) / abs(orap))
+    assert worst <= 1e-12
+
+
+def test_array_matches_scalar_bitwise():
+    nodes = airy._NODES
+    xs = np.concatenate([np.linspace(-20, 20, 801), _ulp_neighbours(nodes),
+                         _ulp_neighbours((nodes[:-1] + nodes[1:]) / 2)])
+    for fn in (airy_ai, airy_ai_prime):
+        arr = fn(xs)
+        assert isinstance(fn(1.5), float)
+        assert np.array_equal(arr, [fn(x) for x in xs.tolist()])
+        assert np.array_equal(fn(xs.reshape(3, -1)), arr.reshape(3, -1))
+
+
 def test_seam_continuity():
-    # the series/asymptotic handover must be far below the target accuracy
-    for x0 in (9.0, -9.0):
-        lo = airy_ai(math.nextafter(x0, 0.0))
-        hi = airy_ai(math.nextafter(x0, 2 * x0))
-        assert lo == pytest.approx(hi, rel=1e-11)
+    # every piece boundary: the midpoints between Taylor nodes, where the
+    # node changes, and the Taylor/asymptotic handover at +-9.  The jump is
+    # measured against |Ai| + |Ai'|, the size of the solution there: plain
+    # relative jumps are meaningless at seams next to a zero of Ai or Ai'
+    # (-9.02 and -8.49), where the function itself moves by 3e-13 of its
+    # value across the two ulps between the sides.
+    nodes = airy._NODES
+    seams = np.concatenate([(nodes[:-1] + nodes[1:]) / 2, [-9.0, 9.0]])
+    lo, hi = np.nextafter(seams, -np.inf), np.nextafter(seams, np.inf)
+    size = np.abs(airy_ai(seams)) + np.abs(airy_ai_prime(seams))
+    for fn in (airy_ai, airy_ai_prime):
+        assert np.all(np.abs(fn(lo) - fn(hi)) <= 1e-13 * size)
+
+
+def test_series_runs_only_to_build_the_node_table(monkeypatch):
+    calls = []
+    series = airy._series
+
+    def counted(x, derivative):
+        calls.append(x)
+        return series(x, derivative)
+
+    monkeypatch.setattr(airy, "_series", counted)
+    airy._taylor_tables.cache_clear()
+    limit = 2 * len(airy._NODES)
+    try:
+        xs = np.linspace(-9, 9, 10_000)
+        airy_ai(xs)
+        airy_ai_prime(xs)
+        assert len(calls) <= limit
+        for x in xs.tolist():
+            airy_ai(x)
+            airy_ai_prime(x)
+            assert len(calls) <= limit
+    finally:
+        airy._taylor_tables.cache_clear()
 
 
 def test_ode_residual_second_difference():

@@ -198,6 +198,80 @@ class TestUniformAiry:
         assert A.uniform_airy_estimate(0.5, 1024, 2950).gamma_sq < 0
 
 
+def _scalar_airy_core(mu, n, a):
+    """Reference for ``A._airy_core`` off the coalescence: the saddles, gamma
+    and z'(t_pm) computed one tracking step at a time with scalar
+    arithmetic.  Returns (value, gamma_sq, branch_ok)."""
+    from schaeffer.airy import airy_ai, airy_ai_prime
+
+    def saddles(asub):
+        M = A._midpoint(mu, asub)
+        if M * M <= 1:
+            zp = complex(M, math.sqrt(1 - M * M))
+            return zp, np.conj(zp)
+        s = math.sqrt(M * M - 1)
+        c1, c2 = complex(M + s), complex(M - s)
+        return (c1, c2) if A.phase_value(mu, asub, c1).real >= 0 else (c2, c1)
+
+    def gamma(asub, zp):
+        g3 = 1.5 * A.phase_value(mu, asub, zp)
+        roots = [abs(g3) ** (1 / 3) * np.exp(1j * (np.angle(g3) + 2 * math.pi * i) / 3)
+                 for i in range(3)]
+        return min(roots, key=lambda r: abs((r * r).imag))
+
+    ac = A._coalescence_ratio(mu)
+    seed = A._zprime_seed(mu, ac)
+    zp, zm = saddles(a)
+    gam = gamma(a, zp)
+    g2 = float((gam * gam).real)
+    wp_prev = wm_prev = seed
+    ok = True
+    for s in range(1, A._BRANCH_STEPS + 1):
+        asub = ac + (a - ac) * s / A._BRANCH_STEPS
+        zps, zms = saddles(asub)
+        gs = gamma(asub, zps)
+        wp = np.sqrt(-2 * gs / A.phase_derivatives(mu, asub, zps)[2])
+        wm = np.sqrt(2 * gs / A.phase_derivatives(mu, asub, zms)[2])
+        if abs(wp - wp_prev) > abs(-wp - wp_prev):
+            wp = -wp
+        if abs(wm - wm_prev) > abs(-wm - wm_prev):
+            wm = -wm
+        jump = max(abs(wp - wp_prev) / max(abs(wp_prev), 1e-30),
+                   abs(wm - wm_prev) / max(abs(wm_prev), 1e-30))
+        if jump > A._BRANCH_JUMP_LIMIT and s > 1:
+            ok = False
+        wp_prev, wm_prev = wp, wm
+    G0p, G0m = A._psi(zp) * wp_prev, A._psi(zm) * wm_prev
+    A0 = (G0p + G0m) / 2
+    A1 = (G0p - G0m) / (2 * gam)
+    x = n ** (2 / 3) * g2
+    sigma = 1.0 if seed.real > 0 else -1.0
+    value = sigma * (A0 / n ** (1 / 3) * airy_ai(x) + A1 / n ** (2 / 3) * airy_ai_prime(x))
+    return complex(value), g2, ok
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.2, 0.5, 0.9])
+def test_vectorised_branch_tracking_matches_scalar_steps(lam):
+    # both coalescences (mu = lam at a = 1/alpha0, the mirrored mu = -lam at
+    # alpha0), dense on either side; at lambda = 0.1 the far paths cross
+    # from the circle onto the real axis and tracking fails there
+    a0 = A.alpha0(lam)
+    r = np.geomspace(1e-5, 0.5, 40)
+    for mu, ac in ((lam, 1 / a0), (-lam, a0)):
+        for a in (ac * np.concatenate([1 - r, 1 + r])).tolist():
+            for n in (256, 2048):
+                value, g2, _, _, ok = A._airy_core(mu, n, a)
+                ref_value, ref_g2, ref_ok = _scalar_airy_core(mu, n, a)
+                assert ok == ref_ok
+                assert g2 == ref_g2
+                assert abs(value - ref_value) <= 1e-13 * abs(ref_value)
+
+
+def test_pole_rejected_inside_an_array():
+    with pytest.raises(DomainError):
+        A.phase_value(0.5, np.array([1.0, 1.0]), np.array([1j, 0.5]))
+
+
 class TestStationaryPhase:
     @pytest.mark.parametrize("n", [1024, 2048])
     def test_center_accuracy(self, n):
