@@ -98,7 +98,6 @@ class SaddleData:
     z_plus: complex
     z_minus: complex
     kind: SaddleKind
-    f2_plus: complex
 
 
 def _midpoint(lam: float, a: float) -> float:
@@ -118,10 +117,10 @@ def stationary_points(lam: float, a: float) -> SaddleData:
     tol = 1e-12
     if abs(a - a0) <= tol * a0:
         z0 = -1.0 + 0j
-        return SaddleData(z0, z0, SaddleKind.COALESCED, 0j)
+        return SaddleData(z0, z0, SaddleKind.COALESCED)
     if abs(a - 1 / a0) <= tol / a0:
         z0 = 1.0 + 0j
-        return SaddleData(z0, z0, SaddleKind.COALESCED, 0j)
+        return SaddleData(z0, z0, SaddleKind.COALESCED)
     M = _midpoint(lam, a)
     if a0 < a < 1 / a0:
         s = math.sqrt(max(0.0, 1 - M * M))
@@ -133,8 +132,7 @@ def stationary_points(lam: float, a: float) -> SaddleData:
         zp = complex(M + s)
         zm = complex(M - s)
         kind = SaddleKind.REAL_RECIPROCAL_PAIR
-    f2 = phase_derivatives(lam, a, zp)[2]
-    return SaddleData(zp, zm, kind, f2)
+    return SaddleData(zp, zm, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +289,7 @@ def _airy_core(mu: float, n: float, a: float):
     """Two-term uniform Airy value for coefficient ratio a of the problem
     with parameter mu, anchored at the z = 1 coalescence (a_c = (1+mu)/(1-mu)).
 
-    Returns (value, gamma_sq, A0, A1, branch_ok).  The orientation sign
+    Returns (value, gamma_sq, branch_ok).  The orientation sign
     flips when z'(0) < 0 (the image of the positively traversed circle then
     runs backwards along the Airy contour).
     """
@@ -301,11 +299,10 @@ def _airy_core(mu: float, n: float, a: float):
 
     if abs(a - ac) <= 1e-9 * ac:
         g2 = (a - ac) * (1 - mu) / math.copysign(abs(mu * (1 + mu)) ** (1 / 3), mu)
-        A0 = 0j
-        A1 = complex(2.0 * seed ** 2)
+        A1 = complex(2.0 * seed ** 2)  # A0 = 0 at the coalescence
         x = float(n) ** (2 / 3) * g2
         val = sigma * (A1 / float(n) ** (2 / 3) * airy_ai_prime(x))
-        return complex(val), float(g2), A0, A1, True
+        return complex(val), float(g2), True
 
     zp, zm = _pick_saddles(mu, a)
     gam = _real_gamma2_root(1.5 * phase_value(mu, a, zp))
@@ -336,19 +333,14 @@ def _airy_core(mu: float, n: float, a: float):
     x = float(n) ** (2 / 3) * g2
     val = sigma * (A0 / float(n) ** (1 / 3) * airy_ai(x)
                    + A1 / float(n) ** (2 / 3) * airy_ai_prime(x))
-    return complex(val), g2, complex(A0), complex(A1), branch_ok
+    return complex(val), g2, branch_ok
 
 
 @dataclass
 class AiryEstimate:
-    gamma_sq: float
-    A0: complex
-    A1: complex
     value: complex
-    fft_truth: complex | None
-    rel_error: float | None
-    region: Region | None = None
-    branch_ok: bool = True
+    gamma_sq: float
+    branch_ok: bool
 
 
 # cached FFT ground truth, one weighted-coefficient array per (lambda, n)
@@ -372,36 +364,32 @@ def clear_truth_cache():
     _truth_cache.clear()
 
 
-def uniform_airy_estimate(lam: float, n: int, k: float,
-                          compute_truth: bool = True) -> AiryEstimate:
-    """Uniform two-term Airy estimate of the coefficient at index k, valid
-    near either coalescence.  Near k/n = alpha0 the mirrored problem with
-    parameter -lambda is used and the result carries the parity phase
+def uniform_airy_estimate(lam: float, n: int, k: float) -> AiryEstimate:
+    """Uniform two-term Airy estimate of the coefficient at index k, for
+    k/n within 50% of either coalescence ratio, alpha0 or 1/alpha0; where
+    the two windows overlap (lambda <= 0.268) the relatively nearer one
+    anchors it.  Near k/n = alpha0 the mirrored problem with parameter
+    -lambda is used and the result carries the parity phase
     exp(i pi (k - n))."""
     if not 0 < lam < 1:
         raise DomainError("lambda must lie in (0, 1)")
     a = k / n
     a0 = alpha0(lam)
     ac_right = 1 / a0
-    if abs(a - ac_right) <= 0.5 * ac_right:
-        val, g2, A0, A1, ok = _airy_core(lam, n, a)
-    elif abs(a - a0) <= 0.5 * a0:
-        val, g2, A0, A1, ok = _airy_core(-lam, n, a)
+    right = abs(a - ac_right) <= 0.5 * ac_right
+    left = abs(a - a0) <= 0.5 * a0
+    if right and left:
+        # tracking from the farther coalescence would cross the nearer one
+        right = abs(a - ac_right) / ac_right <= abs(a - a0) / a0
+    if right:
+        val, g2, ok = _airy_core(lam, n, a)
+    elif left:
+        val, g2, ok = _airy_core(-lam, n, a)
         val = val * np.exp(1j * math.pi * (k - n))
     else:
         raise ModeError("k/n is outside both coalescence neighborhoods; "
                         "use stationary_phase_estimate")
-    truth = None
-    rel = None
-    if compute_truth and float(k).is_integer() and k >= 0:
-        truth = weighted_truth(lam, n, int(k))
-        rel = abs(val - truth) / max(abs(truth), TRUTH_FLOOR)
-    return AiryEstimate(
-        gamma_sq=g2, A0=A0, A1=A1, value=val,
-        fft_truth=truth, rel_error=rel,
-        region=classify_region(lam, n, k) if k >= 0 else None,
-        branch_ok=ok,
-    )
+    return AiryEstimate(value=val, gamma_sq=g2, branch_ok=ok)
 
 
 # ---------------------------------------------------------------------------
@@ -452,12 +440,8 @@ def stationary_phase_envelope(lam: float, n: int, k: float) -> float:
 
 @dataclass
 class FitResult:
-    region: Region
     slope: float
     mode: str  # "power" (log n) or "exponential" (n)
-    n_list: tuple
-    k_list: tuple
-    log_values: tuple
 
 
 _POWER_REGIONS = {Region.III, Region.IV, Region.V}
@@ -494,11 +478,9 @@ def decay_exponent_fit(lam: float, region: Region, n_list,
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError("n grid must be strictly increasing")
     alpha_eff, _ = _resolve_alpha_beta(lam, alpha, None)
-    ks = []
     logs = []
     for n in n_list:
         k = _default_k(region, lam, n, alpha_eff)
-        ks.append(k)
         if region in _POWER_REGIONS:
             js = np.arange(max(0, k - _FIT_WINDOW), k + _FIT_WINDOW + 1)
             peak = float(np.max(np.abs(weighted_truth(lam, n, js))))
@@ -515,11 +497,5 @@ def decay_exponent_fit(lam: float, region: Region, n_list,
         raise DomainError("degenerate fit: zero variance")
     A = np.vstack([x, np.ones_like(x)]).T
     slope = float(np.linalg.lstsq(A, y, rcond=None)[0][0])
-    return FitResult(
-        region=region,
-        slope=slope,
-        mode="power" if region in _POWER_REGIONS else "exponential",
-        n_list=tuple(n_list),
-        k_list=tuple(ks),
-        log_values=tuple(float(v) for v in y),
-    )
+    return FitResult(slope=slope,
+                     mode="power" if region in _POWER_REGIONS else "exponential")

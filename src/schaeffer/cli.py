@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import acceptance, asymptotics, blaschke, resolvent, wiener_opt
-from .errors import DomainError, ModeError
+from .errors import ConfigError, DomainError, ModeError
 from .simplex import SimplexError
 from .spectra import SpectrumSpec
 
@@ -98,6 +98,12 @@ def _coeff_task(args):
     return rows, (lam, n, series.max_index, norm, defect)
 
 
+def _check_coeffs(opts):
+    for lam in opts.lambdas:
+        for n in opts.n:
+            blaschke.MoebiusParam(lam, n)
+
+
 def cmd_coeffs(opts) -> int:
     tasks = [(lam, n, opts.kmax) for lam in opts.lambdas for n in opts.n]
     results = _pool_map(_coeff_task, tasks, opts.workers)
@@ -119,19 +125,26 @@ def cmd_coeffs(opts) -> int:
 def _growth_task(args):
     lam, n, phi_max_n = args
     spec = SpectrumSpec.single(lam, n)
-    L = phi = conv = None
+    L = wiener_opt.phi_lower_bound(spec)
+    phi = conv = None
     if n <= phi_max_n:
         try:
             res = wiener_opt.phi_exact_truncated(spec)
-            L, phi, conv = res.lower_bound, res.value, res.converged
+            phi, conv = res.value, res.converged
         except SimplexError as ex:  # blank phi_D, phi_converged=false; the sweep goes on
             print(f"growth lambda={lam} n={n}: phi_D not computed: {ex}", file=sys.stderr)
             conv = False
-    if L is None:
-        L = wiener_opt.phi_lower_bound(spec)
     upper = wiener_opt.schaeffer_upper(n)
     return (lam, n, L, phi, "" if conv is None else str(conv).lower(),
             upper, L / math.sqrt(n))
+
+
+def _check_growth(opts):
+    for lam in opts.lambdas:
+        for n in opts.n:
+            spec = SpectrumSpec.single(lam, n)
+            spec.require_nonzero()
+            spec.require_interior()
 
 
 def cmd_growth(opts) -> int:
@@ -162,6 +175,16 @@ def _bounds_task(args):
     return rows
 
 
+def _check_bounds(opts):
+    """The whole sweep's arguments; a zeta that meets the spectrum only
+    skips its rows."""
+    if opts.C < 1:
+        raise DomainError(f"power-bound constant C = {opts.C} must be >= 1")
+    for lam in opts.lambdas:
+        for n in opts.n:
+            SpectrumSpec.single(lam, n)
+
+
 def cmd_bounds(opts) -> int:
     tasks = [(lam, n, z, opts.C)
              for lam in opts.lambdas for n in opts.n for z in opts.zetas]
@@ -186,7 +209,7 @@ def _asym_task(args):
         g2 = None
         flag = ""
         try:
-            ae = asymptotics.uniform_airy_estimate(lam, n, k, compute_truth=False)
+            ae = asymptotics.uniform_airy_estimate(lam, n, k)
             est, g2 = ae.value.real, ae.gamma_sq
             if not ae.branch_ok:
                 flag = "branch-tracking"
@@ -205,6 +228,14 @@ def _default_k_grid(lam, n):
     a0 = asymptotics.alpha0(lam)
     ratios = np.linspace(0.9 * a0, 1.1 / a0, 41)
     return sorted({max(2, int(round(a * n))) for a in ratios})
+
+
+def _check_asymptotics(opts):
+    for lam in opts.lambdas:
+        for n in opts.n:
+            blaschke.MoebiusParam(lam, n)
+            for k in opts.k or [0]:  # k = 0 still checks lambda, alpha, beta
+                asymptotics.classify_region(lam, n, k, opts.alpha, opts.beta)
 
 
 def cmd_asymptotics(opts) -> int:
@@ -270,13 +301,13 @@ def build_parser(config=None):
     _add_common(c, config)
     c.add_argument("--n", type=_parse_ints, default=_parse_ints(config.get("n", "")))
     c.add_argument("--k", dest="kmax", type=int, default=config.get("k"))
-    c.set_defaults(fn=cmd_coeffs, needs_out=True)
+    c.set_defaults(fn=cmd_coeffs, check=_check_coeffs, needs_out=True)
 
     g = sp.add_parser("growth", help="lower-bound and truncated-phi growth study")
     _add_common(g, config)
     g.add_argument("--n", type=_parse_ints, default=_parse_ints(config.get("n", "")))
     g.add_argument("--phi-max-n", type=int, default=int(config.get("phi_max_n", "64")))
-    g.set_defaults(fn=cmd_growth, needs_out=True)
+    g.set_defaults(fn=cmd_growth, check=_check_growth, needs_out=True)
 
     b = sp.add_parser("bounds", help="resolvent bound sweep")
     _add_common(b, config)
@@ -284,7 +315,7 @@ def build_parser(config=None):
     b.add_argument("--zeta", dest="zetas", type=_parse_complexes,
                    default=_parse_complexes(config.get("zeta", "0")))
     b.add_argument("--C", type=float, default=float(config.get("C", "1")))
-    b.set_defaults(fn=cmd_bounds, needs_out=True)
+    b.set_defaults(fn=cmd_bounds, check=_check_bounds, needs_out=True)
 
     a = sp.add_parser("asymptotics", help="estimate-vs-truth sweep and decay fits")
     _add_common(a, config)
@@ -293,7 +324,7 @@ def build_parser(config=None):
                    default=_parse_ints(config.get("k", "")))
     a.add_argument("--alpha", type=float, default=config.get("alpha"))
     a.add_argument("--beta", type=float, default=config.get("beta"))
-    a.set_defaults(fn=cmd_asymptotics, needs_out=True)
+    a.set_defaults(fn=cmd_asymptotics, check=_check_asymptotics, needs_out=True)
 
     v = sp.add_parser("validate", help="run the acceptance suite")
     v.add_argument("--criteria", type=_parse_ints, default=None)
@@ -328,6 +359,11 @@ def main(argv=None) -> int:
             return 2
         if not opts.lambdas:
             print("error: empty lambda list", file=sys.stderr)
+            return 2
+        try:
+            opts.check(opts)
+        except (ConfigError, DomainError) as ex:
+            print(f"error: {opts.command}: {ex}", file=sys.stderr)
             return 2
     try:
         return opts.fn(opts)

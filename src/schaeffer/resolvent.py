@@ -23,9 +23,8 @@ them wherever their hypotheses hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -81,7 +80,6 @@ class BoundReport:
     rule: BoundRule
     value: float
     rho_star: float | None = None
-    delta_terms: dict = field(default_factory=dict)
 
 
 def _exp_or_inf(x: float) -> float:
@@ -155,9 +153,6 @@ def optimize_rho(q: BoundQuery) -> BoundReport:
     rs = np.linspace(1e-6, 1 - edge, _SCAN_POINTS)
     logv = np.array([mainlemma_log_bound(q, r) for r in rs])
     i0 = int(np.argmin(logv))
-    interior_minima = [
-        i for i in range(1, _SCAN_POINTS - 1) if logv[i] < logv[i - 1] and logv[i] < logv[i + 1]
-    ]
     a = rs[max(0, i0 - 1)]
     b = rs[min(_SCAN_POINTS - 1, i0 + 1)]
     f = lambda r: mainlemma_log_bound(q, r)
@@ -182,10 +177,6 @@ def optimize_rho(q: BoundQuery) -> BoundReport:
         rule=BoundRule.MAIN_LEMMA_OPT,
         value=_exp_or_inf(log_value),
         rho_star=float(rho_star),
-        delta_terms={
-            "interior_minima_in_scan": len(interior_minima),
-            "log_value": log_value,
-        },
     )
 
 
@@ -253,32 +244,15 @@ def thm_case3(q: BoundQuery) -> float:
     return _exp_or_inf(math.log(q.C) + log_val)
 
 
-class Case4Bounds(NamedTuple):
-    headline: float
-    proof_form: float
-
-
-def thm_case4(q: BoundQuery) -> Case4Bounds:
-    """zeta on the unit circle.  Returns both published forms:
-    headline (3/2) C sqrt(e^2 - 1) |m| / min_i |zeta - l_i| and the
-    proof-form 2 C (|m|/min_i |zeta - l_i|) sqrt(2 + 1/(2|m|))
-    sqrt((e^(1+s/2) - 1)/(s + 2)) with s = min_i |1 - conj(l_i) zeta|.
-    Neither is asserted to dominate the other."""
+def thm_case4(q: BoundQuery) -> float:
+    """zeta on the unit circle: the headline form
+    (3/2) C sqrt(e^2 - 1) |m| / min_i |zeta - l_i|."""
     if abs(abs(q.zeta) - 1) > 1e-12:
         raise ModeError("case 4 needs |zeta| = 1")
-    lams = q.lams
-    mind = min(abs(q.zeta - l) for l in lams)
+    mind = min(abs(q.zeta - l) for l in q.lams)
     if mind == 0:
         raise DomainError("zeta in the spectrum closure")
-    mm = q.spec.degree
-    s = min(abs(1 - np.conj(l) * q.zeta) for l in lams)
-    headline = 1.5 * q.C * math.sqrt(_E ** 2 - 1) * mm / mind
-    proof = (
-        2 * q.C * mm / mind
-        * math.sqrt(2 + 1 / (2 * mm))
-        * math.sqrt((math.exp(1 + s / 2) - 1) / (s + 2))
-    )
-    return Case4Bounds(headline, proof)
+    return 1.5 * q.C * math.sqrt(_E ** 2 - 1) * q.spec.degree / mind
 
 
 def applicable_closed_forms(q: BoundQuery) -> dict:
@@ -295,5 +269,5 @@ def applicable_closed_forms(q: BoundQuery) -> dict:
         if 0 < r < 1:
             out[BoundRule.CASE3] = thm_case3(q)
     if abs(abs(q.zeta) - 1) <= 1e-12:
-        out[BoundRule.CASE4] = thm_case4(q).headline
+        out[BoundRule.CASE4] = thm_case4(q)
     return out

@@ -39,8 +39,6 @@ _JET_RESIDUAL_TOL = 1e-8
 class PhiResult:
     value: float
     converged: bool
-    lower_bound: float
-    schaeffer_upper: float
 
 
 def _first_order_scan(r: np.ndarray, mu) -> np.ndarray:
@@ -211,10 +209,15 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
         value, f, y = _interpolate(spec, zeta, deg)
 
 
+def _start_degree(spec: SpectrumSpec) -> int:
+    """Degree the certified programs start from: max(8|m|, 64) columns."""
+    return max(8 * spec.degree, 64) - 1
+
+
 def phi_exact_truncated(spec: SpectrumSpec) -> PhiResult:
     """Truncated phi: min over polynomials h of sum_{k>=1} |h_k| subject to
     h(0) = a0 = prod lambda_i and an m_i-fold zero at each lambda_i, from
-    degree max(8|m|, 64) with the columns its dual prices in.
+    max(8|m|, 64) columns with those its dual prices in.
 
     This is the zeta = 0 resolvent program (Remark 5): h = a0 (1 + z f) is
     feasible exactly when f matches the jets of 1/(0 - z) = -1/z on the
@@ -225,13 +228,10 @@ def phi_exact_truncated(spec: SpectrumSpec) -> PhiResult:
     """
     spec.require_nonzero()
     spec.require_interior()
-    mm = spec.degree
-    _, f, _, _, certified = _certified_interpolate(spec, 0j, max(8 * mm, 64) - 1)
+    _, f, _, _, certified = _certified_interpolate(spec, 0j, _start_degree(spec))
     return PhiResult(
         value=float(LD(abs(spec.eigen_product())) * np.sum(np.abs(f))),
         converged=certified and _verify_jets(f, spec) <= _JET_RESIDUAL_TOL,
-        lower_bound=phi_lower_bound(spec),
-        schaeffer_upper=schaeffer_upper(mm),
     )
 
 
@@ -270,7 +270,7 @@ def schaeffer_upper(n: int) -> float:
 
 def resolvent_interpolation_norm(spec: SpectrumSpec, zeta: complex) -> float:
     """inf{||f||_W : f matches the jets of 1/(zeta - z) on the spectrum},
-    from degree max(8|m|, 64) with the columns its dual prices in (see
+    from max(8|m|, 64) columns with those its dual prices in (see
     ``_certified_interpolate``).  Scaled by |B(zeta)| in the harness to
     exhibit resolvent growth.  A non-real spectrum or zeta is a
     ``DomainError``."""
@@ -278,4 +278,4 @@ def resolvent_interpolation_norm(spec: SpectrumSpec, zeta: complex) -> float:
     zeta = complex(zeta)
     if any(abs(zeta - l) < 1e-14 for l in spec.expanded()):
         raise DomainError("zeta coincides with an eigenvalue")
-    return float(_certified_interpolate(spec, zeta, max(8 * spec.degree, 64))[0])
+    return float(_certified_interpolate(spec, zeta, _start_degree(spec))[0])

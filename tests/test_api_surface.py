@@ -2,7 +2,8 @@
 outside its own definition: from another top-level statement of
 ``src/schaeffer`` or from the benchmark harness in ``perfbench/``.  Tests do
 not count, so a name that only a test calls fails here; a test that needs an
-independent reference keeps it in the test file."""
+independent reference keeps it in the test file.  Likewise every field of a
+record class is read somewhere in ``src/schaeffer`` or ``perfbench/``."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,32 @@ def _public_api_unreached() -> list:
 
 def test_every_public_name_is_reached():
     assert _public_api_unreached() == []
+
+
+def _is_record(cls) -> bool:
+    """A ``@dataclass`` or ``NamedTuple`` class."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return any(getattr(m, "id", getattr(m, "attr", None)) in ("dataclass", "NamedTuple")
+               for m in marks + cls.bases)
+
+
+def _fields_unread() -> list:
+    """Fields of the package's record classes that no attribute read in
+    ``src/schaeffer`` or ``perfbench/`` names."""
+    read = set()
+    records = []  # (path, class)
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+        if path.parent == PACKAGE:
+            records += [(path, c) for c in ast.walk(tree)
+                        if isinstance(c, ast.ClassDef) and _is_record(c)]
+    return [f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}"
+            for path, cls in records for stmt in cls.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+            and stmt.target.id not in read]
+
+
+def test_every_record_field_is_read():
+    assert _fields_unread() == []

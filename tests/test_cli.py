@@ -264,3 +264,19 @@ class TestValidateAndConfig:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["growth", "--lambda", "1.5"],
+        ["growth", "--lambda", "0"],
+        ["coeffs", "--lambda", "1.0"],
+        ["asymptotics", "--alpha", "0.9"],
+        ["asymptotics", "--beta", "0.1"],
+        ["bounds", "--C", "0.5"],
+    ], ids=" ".join)
+    def test_out_of_domain_argument_is_usage_error(self, tmp_path, capsys, argv):
+        # one stderr line before any work, not a traceback or a file of
+        # skipped rows
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--n", "4", "--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
