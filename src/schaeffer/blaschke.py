@@ -75,10 +75,21 @@ class CoefficientSeries:
         return float(np.max(np.abs(self.coeffs)))
 
 
+def support_estimate(points) -> int:
+    """Smallest K covering the dominant coefficient region of
+    prod_i b_{lambda_i}^{m_i}, for points [(lambda_i, m_i)], with an
+    Airy-width margin: ceil(|m|/alpha0) + 8*ceil(|m|^(1/3)), where
+    |m| = sum_i m_i and alpha0 = (1-rho)/(1+rho) for rho = max_i |lambda_i|.
+    Past it the coefficients decay geometrically."""
+    degree = sum(m for _, m in points)
+    rho = max(abs(lam) for lam, _ in points)
+    alpha0 = (1 - rho) / (1 + rho)
+    return int(np.ceil(degree / alpha0)) + 8 * int(np.ceil(degree ** (1 / 3)))
+
+
 def default_coeff_count(p: MoebiusParam) -> int:
-    """Smallest K covering the dominant region with an Airy-width margin:
-    ceil(n/alpha0) + 8*ceil(n^(1/3))."""
-    return int(np.ceil(p.n / p.alpha0)) + 8 * int(np.ceil(p.n ** (1 / 3)))
+    """``support_estimate`` of b_lambda^n: ceil(n/alpha0) + 8*ceil(n^(1/3))."""
+    return support_estimate([(p.lam, p.n)])
 
 
 def circle_phase(points, size: int) -> np.ndarray:

@@ -90,7 +90,7 @@ def _coeff_task(args):
     lam, n, kmax = args
     p = blaschke.MoebiusParam(lam, n)
     K = kmax if kmax is not None else blaschke.default_coeff_count(p)
-    base = blaschke.blaschke_power_coeffs(p, max(K, 2))
+    base = blaschke.blaschke_power_coeffs(p, K)
     series = blaschke.weight_series(base)
     rows = [(lam, n, k, c.real, c.imag) for k, c in enumerate(series.coeffs)]
     norm = blaschke.linf_A_norm(series) if kmax is None else series.linf
@@ -99,6 +99,8 @@ def _coeff_task(args):
 
 
 def _check_coeffs(opts):
+    if opts.kmax is not None and opts.kmax < 2:
+        raise DomainError(f"--k {opts.kmax} must be >= 2")
     for lam in opts.lambdas:
         for n in opts.n:
             blaschke.MoebiusParam(lam, n)
@@ -359,6 +361,9 @@ def main(argv=None) -> int:
             return 2
         if not opts.lambdas:
             print("error: empty lambda list", file=sys.stderr)
+            return 2
+        if opts.workers < 1:
+            print(f"error: --workers {opts.workers} must be >= 1", file=sys.stderr)
             return 2
         try:
             opts.check(opts)

@@ -210,14 +210,17 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
 
 
 def _start_degree(spec: SpectrumSpec) -> int:
-    """Degree the certified programs start from: max(8|m|, 64) columns."""
-    return max(8 * spec.degree, 64) - 1
+    """Degree the certified programs start from: the coefficient support
+    ``blaschke.support_estimate``, ~|m|/alpha0, with at least 64 and at most
+    _COLUMN_BUDGET columns.  The dual prices in any column it leaves out."""
+    return min(max(blaschke.support_estimate(spec.points), 64), _COLUMN_BUDGET) - 1
 
 
 def phi_exact_truncated(spec: SpectrumSpec) -> PhiResult:
     """Truncated phi: min over polynomials h of sum_{k>=1} |h_k| subject to
     h(0) = a0 = prod lambda_i and an m_i-fold zero at each lambda_i, from
-    max(8|m|, 64) columns with those its dual prices in.
+    the coefficient support (``_start_degree``) with the columns its dual
+    prices in.
 
     This is the zeta = 0 resolvent program (Remark 5): h = a0 (1 + z f) is
     feasible exactly when f matches the jets of 1/(0 - z) = -1/z on the
@@ -253,10 +256,7 @@ def phi_lower_bound(spec: SpectrumSpec) -> float:
 
 def _product_weighted_linf(spec: SpectrumSpec) -> float:
     """sup |coefficients of (1-z^2) prod_i b_{lambda_i}^{mult_i}| by FFT."""
-    mm = spec.degree
-    rmax = max(abs(l) for l, _ in spec.points)
-    alpha0 = (1 - rmax) / (1 + rmax)
-    K = int(np.ceil(mm / alpha0)) + 8 * int(np.ceil(mm ** (1 / 3))) + 2
+    K = blaschke.support_estimate(spec.points) + 2
     c = blaschke.circle_fft(spec.points, K, K + 1)
     return blaschke.weight_series(blaschke.CoefficientSeries(c)).linf
 
@@ -270,9 +270,9 @@ def schaeffer_upper(n: int) -> float:
 
 def resolvent_interpolation_norm(spec: SpectrumSpec, zeta: complex) -> float:
     """inf{||f||_W : f matches the jets of 1/(zeta - z) on the spectrum},
-    from max(8|m|, 64) columns with those its dual prices in (see
-    ``_certified_interpolate``).  Scaled by |B(zeta)| in the harness to
-    exhibit resolvent growth.  A non-real spectrum or zeta is a
+    from the coefficient support (``_start_degree``) with the columns its dual
+    prices in (see ``_certified_interpolate``).  Scaled by |B(zeta)| in the
+    harness to exhibit resolvent growth.  A non-real spectrum or zeta is a
     ``DomainError``."""
     spec.require_interior()
     zeta = complex(zeta)

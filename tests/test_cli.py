@@ -272,6 +272,11 @@ class TestValidateAndConfig:
         ["asymptotics", "--alpha", "0.9"],
         ["asymptotics", "--beta", "0.1"],
         ["bounds", "--C", "0.5"],
+        ["coeffs", "--k", "-1"],
+        ["coeffs", "--k", "0"],
+        ["coeffs", "--k", "1"],
+        ["growth", "--workers", "0"],
+        ["bounds", "--workers", "-1"],
     ], ids=" ".join)
     def test_out_of_domain_argument_is_usage_error(self, tmp_path, capsys, argv):
         # one stderr line before any work, not a traceback or a file of

@@ -1,20 +1,24 @@
 import numpy as np
 import pytest
 
+from schaeffer import simplex
 from schaeffer.simplex import SimplexError, dense_simplex, min_l1_solution
+from schaeffer.spectra import SpectrumSpec
+from schaeffer.wiener_opt import phi_exact_truncated
 
 
 def test_small_equality_lp():
-    # min x1 + x2 s.t. x1 + 2 x2 = 3, x >= 0  ->  x = (0, 1.5)
-    x, val, _, _ = dense_simplex(np.array([[1.0, 2.0]]), np.array([3.0]), np.array([1.0, 1.0]))
+    # min |x1| + |x2| s.t. x1 + 2 x2 = 3  ->  x = (0, 1.5)
+    x, val, _, _ = dense_simplex(np.array([[1.0, 2.0]]), np.array([3.0]))
     assert val == pytest.approx(1.5, abs=1e-12)
     assert np.allclose(np.asarray(x, dtype=float), [0.0, 1.5], atol=1e-12)
 
 
 def test_infeasible_detected():
+    # x = 1 and x = 2 at once
     A = np.array([[1.0], [1.0]])
     with pytest.raises(SimplexError):
-        dense_simplex(A, np.array([1.0, 2.0]), np.array([1.0]))
+        dense_simplex(A, np.array([1.0, 2.0]))
 
 
 def test_min_l1_single_row():
@@ -54,3 +58,44 @@ def test_dual_certifies_optimum():
     assert np.max(np.abs(y @ rows)) <= 1 + 1e-15
     assert float(y @ rhs) == pytest.approx(float(val), rel=1e-15)
     assert np.allclose(np.asarray(rows @ x, dtype=float), rhs, atol=1e-15)
+
+
+def _random_program(seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 6))
+    n = int(rng.integers(m, 13))
+    return rng.standard_normal((m, n)), rng.standard_normal(m)
+
+
+def _linprog_l1(rows, rhs):
+    """min ||x||_1 s.t. rows @ x = rhs by HiGHS, over x = u - v, u, v >= 0."""
+    from scipy.optimize import linprog
+
+    n = rows.shape[1]
+    res = linprog(np.ones(2 * n), A_eq=np.hstack([rows, -rows]), b_eq=rhs,
+                  bounds=[(0, None)] * (2 * n), method="highs-ds")
+    assert res.status == 0, res.message
+    return res.fun
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_matches_linprog_on_random_programs(seed):
+    pytest.importorskip("scipy")
+    rows, rhs = _random_program(seed)
+    val, x, y = min_l1_solution(rows, rhs)
+    assert float(val) == pytest.approx(_linprog_l1(rows, rhs), rel=1e-12)
+    assert float(np.sum(np.abs(x))) == pytest.approx(float(val), rel=1e-15)
+    assert np.max(np.abs(y @ rows)) <= 1 + 1e-15
+    assert float(y @ rhs) == pytest.approx(float(val), rel=1e-15)
+
+
+def test_bland_rule_from_the_first_pivot_reaches_the_same_optimum(monkeypatch):
+    # lowest index both to enter and to leave: finite (Bland 1977), and the
+    # same optimal value as Dantzig pricing
+    programs = [_random_program(seed) for seed in range(4)]
+    dantzig = [float(min_l1_solution(rows, rhs)[0]) for rows, rhs in programs]
+    phi = phi_exact_truncated(SpectrumSpec.single(0.5, 16)).value
+    monkeypatch.setattr(simplex, "_BLAND_AFTER", 0)
+    for (rows, rhs), ref in zip(programs, dantzig):
+        assert float(min_l1_solution(rows, rhs)[0]) == pytest.approx(ref, rel=1e-13)
+    assert phi_exact_truncated(SpectrumSpec.single(0.5, 16)).value == pytest.approx(phi, rel=1e-13)

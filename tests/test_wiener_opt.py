@@ -8,7 +8,7 @@ from schaeffer.blaschke import (
     blaschke_power_coeffs,
     weighted_coeffs,
 )
-from schaeffer import acceptance
+from schaeffer import acceptance, wiener_opt
 from schaeffer.errors import DomainError
 from schaeffer.simplex import LD, min_l1_solution
 from schaeffer.spectra import SpectrumSpec
@@ -125,6 +125,32 @@ class TestPhi:
             phi_exact_truncated(spec)
         with pytest.raises(DomainError):
             resolvent_interpolation_norm(spec, 0.9)
+
+    def test_growth_values_pinned(self):
+        # phi_D and phi_converged of `growth --lambda 0.5 --n 8,16,24,32,48,64`
+        # as the CSV prints them (17 significant digits); the two largest
+        # rows fail only the 60-digit jet check
+        pinned = {8: ("3.2406219860103134", True), 16: ("4.4302904747886718", True),
+                  24: ("5.2930049308975908", True), 32: ("5.8536096849791344", True),
+                  48: ("7.1410261096866048", False), 64: ("7.9015564360118127", False)}
+        for n, (value, converged) in pinned.items():
+            res = phi_exact_truncated(SpectrumSpec.single(0.5, n))
+            assert (format(res.value, ".17g"), res.converged) == (value, converged), n
+
+    def test_one_program_from_the_coefficient_support(self, monkeypatch):
+        # started at the coefficient support, ~|m|/alpha0 = 2134 columns,
+        # the program needs no second solve
+        calls = []
+        solve = wiener_opt.min_l1_solution
+
+        def counted(rows, rhs):
+            calls.append(rows.shape)
+            return solve(rows, rhs)
+
+        monkeypatch.setattr(wiener_opt, "min_l1_solution", counted)
+        res = phi_exact_truncated(SpectrumSpec.single(0.97, 32))
+        assert np.isfinite(res.value)
+        assert len(calls) == 1
 
     def test_inside_bracket_where_simplex_hit_iteration_limit(self):
         # the jet-row program ran out of simplex iterations here
