@@ -113,23 +113,16 @@ def minimal_poly_check(T: ToeplitzMatrix):
     N = T.entries - T.lam * np.eye(T.n)
     norm1 = float(np.linalg.norm(N))
     if norm1 == 0:
-        return (1, 0.0) if T.n == 1 else (1, 0.0)
+        return (1, 0.0)
     P = np.eye(T.n, dtype=complex)
     prev = math.sqrt(T.n)
-    degree = None
-    residual = None
     for p in range(1, T.n + 1):
         P = P @ N
         cur = float(np.linalg.norm(P))
         drop = cur / (prev * norm1)
         if drop <= 1e-8:
-            degree, residual = p, drop
-            break
+            if p < T.n:
+                raise ConsistencyError(f"nilpotency index {p} below the matrix dimension {T.n}")
+            return p, drop
         prev = cur
-    if degree is None:
-        raise ConsistencyError("(T - lambda I)^n does not vanish; construction bug")
-    if degree < T.n:
-        raise ConsistencyError(
-            f"nilpotency index {degree} below the matrix dimension {T.n}"
-        )
-    return degree, residual
+    raise ConsistencyError("(T - lambda I)^n does not vanish; construction bug")

@@ -45,7 +45,8 @@ def dense_simplex(R, b):
     rule takes over: the lowest entering index, and the lowest basic index
     among the minimal ratios.  ``SimplexError`` after _MAX_PIVOTS pivots.
     Every cost is 1, so phase 2 cannot be unbounded; columns without an
-    acceptable pivot are blocked instead.
+    acceptable pivot are blocked until the next pivot instead, and a phase
+    whose only improving columns are blocked has stalled: ``SimplexError``.
     """
     R = np.array(R, dtype=LD)
     b = np.array(b, dtype=LD)
@@ -85,10 +86,10 @@ def dense_simplex(R, b):
                 red = np.concatenate([1 + z, 1 - z])
             cand = np.where((red < -_RC_TOL) & ~blocked)[0]
             if cand.size == 0:
-                stuck = np.where((red < LD(-1e-7)) & blocked)[0]
-                if stuck.size:
-                    blocked[stuck] = False
-                    continue
+                stuck = np.count_nonzero((red < LD(-1e-7)) & blocked)
+                if stuck:
+                    raise SimplexError(f"stalled: {stuck} column(s) with reduced cost below "
+                                       f"-1e-7 and no acceptable pivot")
                 return
             bland = it > _BLAND_AFTER
             k = cand[0] if bland else cand[np.argmin(red[cand])]

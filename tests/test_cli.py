@@ -1,11 +1,15 @@
 import csv
 import json
 import math
-
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import schaeffer
 from schaeffer import asymptotics, blaschke, resolvent, wiener_opt
 from schaeffer.cli import main
 from schaeffer.simplex import SimplexError
@@ -68,12 +72,29 @@ class TestGrowth:
             assert row["phi_converged"] == "true"
 
     def test_sandwich_holds_past_jet_conditioning(self, tmp_path):
-        # at multiplicity 48 the jet rows are beyond long double; the row
-        # may be uncertified but its value must lie in its proven bracket
+        # at multiplicity 48 the jet rows are beyond long double; the
+        # Malmquist-Walsh program still certifies the value
         out = tmp_path / "growth.csv"
         assert main(["growth", "--lambda", "0.5", "--n", "48", "--out", str(out)]) == 0
         (row,) = _read_csv(out)
         assert float(row["L"]) <= float(row["phi_D"]) <= float(row["sqrt_en"])
+        assert row["phi_converged"] == "true"
+
+    def test_growth_imports_no_mpmath(self, tmp_path):
+        # phi is certified in long double; mpmath stays off the growth path
+        out = tmp_path / "growth.csv"
+        code = ("import sys\n"
+                "from schaeffer.cli import main\n"
+                f"assert main(['growth', '--lambda', '0.5', '--n', '8,64', '--workers', '1', "
+                f"'--out', {str(out)!r}]) == 0\n"
+                "print('mpmath' in sys.modules)\n")
+        paths = [str(Path(schaeffer.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+        assert [r["phi_converged"] for r in _read_csv(out)] == ["true", "true"]
 
     def test_phi_cutoff(self, tmp_path):
         out = tmp_path / "growth.csv"

@@ -1,10 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 from schaeffer import simplex
 from schaeffer.simplex import SimplexError, dense_simplex, min_l1_solution
 from schaeffer.spectra import SpectrumSpec
-from schaeffer.wiener_opt import phi_exact_truncated
+from schaeffer.wiener_opt import _interpolate, phi_exact_truncated
 
 
 def test_small_equality_lp():
@@ -99,3 +101,14 @@ def test_bland_rule_from_the_first_pivot_reaches_the_same_optimum(monkeypatch):
     for (rows, rhs), ref in zip(programs, dantzig):
         assert float(min_l1_solution(rows, rhs)[0]) == pytest.approx(ref, rel=1e-13)
     assert phi_exact_truncated(SpectrumSpec.single(0.5, 16)).value == pytest.approx(phi, rel=1e-13)
+
+
+def test_stall_raises_at_once():
+    # posed on 256 columns, lambda = 0.97, n = 32 reaches a tableau whose
+    # only improving columns have no acceptable pivot; without a pivot the
+    # tableau cannot change, so the phase ends here instead of cycling to
+    # the iteration limit
+    t0 = time.perf_counter()
+    with pytest.raises(SimplexError, match="stalled: 1 column"):
+        _interpolate(SpectrumSpec.single(0.97, 32), 0j, 255)
+    assert time.perf_counter() - t0 < 0.5

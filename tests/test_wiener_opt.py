@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +16,10 @@ from schaeffer.spectra import SpectrumSpec
 from schaeffer.wiener_opt import (
     _certified_interpolate,
     _interpolate,
+    _malmquist_walsh_rows,
     _product_weighted_linf,
-    _to_mpf,
-    _verify_jets,
+    _row_error_bound,
+    _start_degree,
     phi_exact_truncated,
     phi_lower_bound,
     resolvent_interpolation_norm,
@@ -96,8 +98,6 @@ class TestPhi:
         assert b <= a + 1e-9
 
     def test_growth_band(self):
-        # certifiable range; the multiplicity-64 program exceeds the
-        # extended-precision conditioning ceiling and must flag itself
         vals = {}
         for n in (8, 16, 32):
             res = phi_exact_truncated(SpectrumSpec.single(0.5, n))
@@ -105,9 +105,13 @@ class TestPhi:
             vals[n] = res.value / np.sqrt(n)
         assert max(vals.values()) / min(vals.values()) < 1.5
 
-    def test_uncertifiable_multiplicity_flagged(self):
-        res = phi_exact_truncated(SpectrumSpec.single(0.5, 64))
-        assert not res.converged
+    def test_budget_bound_programs_flagged(self):
+        # the dual's Cauchy index runs past the column budget, so the lower
+        # end collapses and the bracket is 1.0 wide
+        for lam, n in ((0.97, 32), (0.95, 64)):
+            res = phi_exact_truncated(SpectrumSpec.single(lam, n))
+            assert np.isfinite(res.value)
+            assert not res.converged, (lam, n)
 
     def test_distinct_points(self):
         spec = SpectrumSpec([(0.3, 1), (0.6, 1)])
@@ -128,11 +132,10 @@ class TestPhi:
 
     def test_growth_values_pinned(self):
         # phi_D and phi_converged of `growth --lambda 0.5 --n 8,16,24,32,48,64`
-        # as the CSV prints them (17 significant digits); the two largest
-        # rows fail only the 60-digit jet check
+        # as the CSV prints them (17 significant digits)
         pinned = {8: ("3.2406219860103134", True), 16: ("4.4302904747886718", True),
                   24: ("5.2930049308975908", True), 32: ("5.8536096849791344", True),
-                  48: ("7.1410261096866048", False), 64: ("7.9015564360118127", False)}
+                  48: ("7.1410261096866048", True), 64: ("7.9015564360118127", True)}
         for n, (value, converged) in pinned.items():
             res = phi_exact_truncated(SpectrumSpec.single(0.5, n))
             assert (format(res.value, ".17g"), res.converged) == (value, converged), n
@@ -151,6 +154,14 @@ class TestPhi:
         res = phi_exact_truncated(SpectrumSpec.single(0.97, 32))
         assert np.isfinite(res.value)
         assert len(calls) == 1
+
+    def test_not_monotone_in_lambda(self):
+        # phi dips at lambda = 0.5 between 0.49 and 0.51 (HiGHS on the dual
+        # gives 7.901556 and 8.160073 at 0.50 and 0.51)
+        res = {lam: phi_exact_truncated(SpectrumSpec.single(lam, 64)) for lam in (0.49, 0.5, 0.51)}
+        assert all(r.converged for r in res.values())
+        assert [round(r.value, 6) for r in res.values()] == [8.057037, 7.901556, 8.160073]
+        assert res[0.5].value < min(res[0.49].value, res[0.51].value)
 
     def test_inside_bracket_where_simplex_hit_iteration_limit(self):
         # the jet-row program ran out of simplex iterations here
@@ -174,35 +185,6 @@ class TestRemark5Lift:
         for lam in (0.5, 0.25):
             val = sum(float(c) * lam ** k for k, c in enumerate(f))
             assert val == pytest.approx(-1 / lam, abs=1e-12)
-
-    def test_sparse_jet_check_matches_dense_loop(self):
-        # _verify_jets visits only the nonzero coefficients; the reference
-        # walks every k with the cumulative-ratio recurrence
-        import mpmath as mp
-
-        spec = SpectrumSpec([(0.5, 4), (0.3, 2)])
-        rng = np.random.default_rng(7)
-        f = np.zeros(96, dtype=LD)
-        f[rng.choice(96, size=8, replace=False)] = rng.standard_normal(8)
-        sparse = _verify_jets(f, spec)
-        with mp.workdps(60):
-            a0 = mp.mpf(spec.eigen_product().real)
-            h = [a0 * _to_mpf(c) for c in f]  # h_1..h_96
-            dense = mp.mpf(0)
-            for lam, mult in spec.points:
-                lm = mp.mpf(lam.real)
-                for d in range(mult):
-                    acc = abssum = mp.mpf(0)
-                    term = mp.mpf(1)
-                    for k in range(d, len(h) + 1):
-                        if k >= 1:
-                            acc += term * h[k - 1]
-                            abssum += abs(term * h[k - 1])
-                        term = term * lm * (k + 1) / (k + 1 - d)
-                    resid = abs(acc + a0) / abs(a0) if d == 0 else abs(acc) / abssum
-                    dense = max(dense, resid)
-            assert dense > 1e-3  # a random vector, far from feasible
-            assert abs(sparse - dense) <= 1e-40 * dense
 
 
 class TestPhiLowerBound:
@@ -253,6 +235,12 @@ class TestResolventInterpolation:
         v = resolvent_interpolation_norm(SpectrumSpec.single(0.5, 1), 2.0)
         assert v == pytest.approx(2 / 3, abs=1e-12)
 
+    def test_zeta_at_reciprocal_eigenvalue_certified(self):
+        # 1 - lambda zeta = 0 exactly, so the right-hand side past the first
+        # row is exactly 0 and its rounding bound must not void the bracket
+        v = resolvent_interpolation_norm(SpectrumSpec.single(0.5, 2), 2.0)
+        assert v == pytest.approx(8 / 9, rel=1e-12)
+
     def test_cross_check_against_phi(self):
         # at zeta = 0 the jets of 1/(0 - z) are minus those of 1/z, so the
         # program matches the pinned-constant one up to the factor lam^n
@@ -268,6 +256,10 @@ class TestResolventInterpolation:
     def test_complex_zeta_rejected(self):
         with pytest.raises(DomainError):
             resolvent_interpolation_norm(SpectrumSpec.single(0.5, 2), 0.3 + 0.4j)
+
+    def test_uncertified_norm_is_nan(self):
+        # budget-bound: the bracket is 1.0 wide, so no value is returned
+        assert math.isnan(resolvent_interpolation_norm(SpectrumSpec.single(0.97, 32), 0.0))
 
     def test_model_space_rows_match_jet_rows(self):
         # the Malmquist-Walsh rows and their closed-form right-hand side pose
@@ -408,3 +400,70 @@ class TestCertificate:
         assert float(start) > float(value) * (1 + 1e-3)
         assert float(value) == pytest.approx(float(far), rel=1e-12)
         assert phi_exact_truncated(spec).converged
+
+
+def _planted(monkeypatch, rel):
+    """Make every solve return its witness f with its largest coefficient
+    scaled by 1 + rel, the dual untouched."""
+    solve = wiener_opt._interpolate
+
+    def planted(spec, zeta, deg):
+        value, f, y = solve(spec, zeta, deg)
+        f = f.copy()
+        f[np.argmax(np.abs(f))] *= 1 + rel
+        return value, f, y
+
+    monkeypatch.setattr(wiener_opt, "_interpolate", planted)
+
+
+class TestVerifiedBracket:
+    @pytest.mark.parametrize("rel", [1e-6, 1e-7])
+    def test_planted_witness_defect_rejected(self, monkeypatch, rel):
+        # a witness that moves phi by 1e-8 relative or more is not certified
+        spec = SpectrumSpec.single(0.5, 16)
+        exact = phi_exact_truncated(spec).value
+        _planted(monkeypatch, rel)
+        res = phi_exact_truncated(spec)
+        assert abs(res.value / exact - 1) >= 1e-8
+        assert not res.converged
+
+    def test_small_witness_defect_stays_inside_the_bracket(self, monkeypatch):
+        # a 1e-9 change of one coefficient moves phi by ~1e-9 and widens the
+        # bracket to ~6e-10: the printed value is still certified to 1e-8
+        spec = SpectrumSpec.single(0.5, 16)
+        _planted(monkeypatch, 1e-9)
+        value, _, lower, upper, certified = _certified_interpolate(spec, 0j, _start_degree(spec))
+        assert certified
+        assert lower <= value <= upper
+        assert 1e-10 <= (upper - lower) / upper <= 1e-9
+
+    @pytest.mark.parametrize("points, D", [([(0.5, 64)], 400), ([(0.9, 24)], 1200),
+                                           ([(0.3, 3), (-0.7, 5), (0.6, 4)], 300)])
+    def test_row_error_bound_holds_at_60_digits(self, points, D):
+        # the rows recomputed by the plain first-order recurrences at 60
+        # digits; the bound is rigorous and within 1e4 of the true error
+        import mpmath as mp
+
+        mus = [lam.real for lam in SpectrumSpec(points).expanded()]
+        rows = _malmquist_walsh_rows(mus, D)
+        bound = _row_error_bound(mus, D)
+        err = []
+        with mp.workdps(60):
+            prefix = [mp.mpf(1)] + [mp.mpf(0)] * D
+            for j, mu in enumerate(mus):
+                mu = mp.mpf(mu)
+                row, acc = [], mp.mpf(0)
+                for p in prefix:
+                    acc = mu * acc + p
+                    row.append(acc * mp.sqrt(1 - mu * mu))
+                err.append(float(mp.sqrt(mp.fsum(
+                    (mp.mpf(float(r)) + mp.mpf(float(r - LD(float(r)))) - e) ** 2
+                    for r, e in zip(rows[j], row)))))
+                shifted = [-mu * p + q for p, q in zip(prefix, [0] + prefix[:-1])]
+                acc, prefix = mp.mpf(0), []
+                for c in shifted:
+                    acc = mu * acc + c
+                    prefix.append(acc)
+        err = np.array(err)
+        assert np.all(err <= bound)
+        assert np.max(bound) <= 1e4 * np.max(err)
