@@ -343,21 +343,30 @@ class AiryEstimate:
     branch_ok: bool
 
 
-# cached FFT ground truth, one weighted-coefficient array per (lambda, n)
+# cached FFT ground truth, one weighted-coefficient series per (lambda, n)
 _truth_cache: dict = {}
+
+
+def _truth_series(lam: float, n: int, kmax: int):
+    key = (float(lam), int(n))
+    series = _truth_cache.get(key)
+    if series is None or series.max_index < kmax:
+        p = blaschke.MoebiusParam(lam, n)
+        K = max(kmax + 8, blaschke.default_coeff_count(p))
+        series = _truth_cache[key] = blaschke.weighted_coeffs(p, K)
+    return series
 
 
 def weighted_truth(lam: float, n: int, k):
     """FFT coefficient of (1-z^2) b_lambda^n at integer k, or at each k of an
     integer array (cached per (lambda, n); one extraction covers max(k))."""
-    key = (float(lam), int(n))
-    arr = _truth_cache.get(key)
-    if arr is None or arr.size <= np.max(k):
-        p = blaschke.MoebiusParam(lam, n)
-        K = max(int(np.max(k)) + 8, blaschke.default_coeff_count(p))
-        arr = blaschke.weighted_coeffs(p, K).coeffs.real
-        _truth_cache[key] = arr
+    arr = _truth_series(lam, n, int(np.max(k))).coeffs.real
     return arr[k] if np.ndim(k) else float(arr[k])
+
+
+def truth_error(lam: float, n: int) -> float:
+    """Bound on the error of every ``weighted_truth`` value at (lambda, n)."""
+    return _truth_series(lam, n, 0).error
 
 
 def clear_truth_cache():

@@ -5,10 +5,13 @@ so on the unit circle |b_lambda| = 1 and the coefficient sequence of
 b_lambda^n has unit l2 norm (Parseval).  Coefficients are computed by an
 FFT of samples on the circle.  Only the phase is sampled, arg b_lambda(e^{it})
 = t - 2 arg(1 - conj(lambda) e^{it}), so b^n = exp(i n arg b) is unimodular to
-rounding and far cheaper than the complex power.  ``circle_fft`` doubles
-the transform size until two successive coefficient vectors agree to
-ALIAS_TOL in sup norm; aliasing of a function analytic in |z| < 1/|lambda|
-dies off geometrically, so the doubling test is a cheap certified stop.
+rounding and far cheaper than the complex power.  ``circle_fft`` runs one
+transform, sized in advance: b^n is analytic in |z| < 1/|lambda| and
+bounded there by ``log_max_modulus``, so the aliasing of an N-point
+transform is at most min_r M(r) r^-N / (1 - r^-N) (Trefethen & Weideman,
+SIAM Rev. 2014; Bornemann, Found. Comput. Math. 2011), and the size is the
+smallest power of two past K at which that is <= ALIAS_TOL.  It returns a
+stated error bound with the coefficients.
 
 For coefficients far outside the dominant index range [alpha0*n, n/alpha0]
 (alpha0 = (1-lambda)/(1+lambda)) the values underflow double precision.
@@ -52,10 +55,12 @@ class MoebiusParam:
 @dataclass
 class CoefficientSeries:
     """Finite coefficient vector c[0..K]; ``param`` names the Blaschke power
-    it was extracted from, if any."""
+    it was extracted from, if any, and ``error`` bounds the error of every
+    stored coefficient (0 for given data)."""
 
     coeffs: np.ndarray
     param: MoebiusParam | None = None
+    error: float = 0.0
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -104,28 +109,80 @@ def circle_phase(points, size: int) -> np.ndarray:
     return phase
 
 
-def circle_fft(points, K: int, need: int) -> np.ndarray:
-    """Coefficients c[0..K] of prod_i b_{lambda_i}^{m_i} from its phase samples,
-    by circle FFTs doubled from size >= 4 need until two agree to ALIAS_TOL."""
-    size = 1 << int(np.ceil(np.log2(4 * need)))
-    prev = None
-    while True:
-        if size > MAX_FFT_SIZE:
-            raise ResourceError(f"FFT size {size} exceeds budget {MAX_FFT_SIZE}")
-        c = np.fft.fft(np.exp(1j * circle_phase(points, size))) / size
-        cur = c[: K + 1].copy()
-        if prev is not None and np.max(np.abs(cur - prev)) < ALIAS_TOL:
-            return cur
-        prev = cur
+def log_max_modulus(points, r):
+    """Bound on log max_{|z|=r} |prod_i b_{lambda_i}^{m_i}(z)| for each radius
+    1 <= r < 1/max|lambda_i|: sum_i m_i log((r - |lambda_i|)/(1 - |lambda_i| r)).
+
+    max |b_mu| on |z| = r is (r - |mu|)/(1 - |mu| r), reached at
+    z = r mu/|mu|: |b_mu(r e^{it})|^2 = 1 + (r^2-1)(1-|mu|^2)/|1 - conj(mu) z|^2
+    grows as |1 - conj(mu) z| shrinks.  Exact for a single factor, and for
+    factors on one ray; a sum of maxima otherwise.  A lambda_i may be an
+    array, broadcast against r."""
+    r = np.asarray(r, dtype=float)
+    return sum(m * (np.log(r - abs(lam)) - np.log1p(-abs(lam) * r)) for lam, m in points)
+
+
+def _alias_bound(points, K: int):
+    """(size, bound): the smallest power of two size >= K+1 at which
+    min_r M(r) r^-size / (1 - r^-size), M(r) = exp(log_max_modulus(points, r)),
+    is <= ALIAS_TOL, over radii 1 < r < 1/max(rho, 1e-3).  By Cauchy
+    |c_k| <= M(r) r^-k, and an FFT of that size adds c_{k+j size}, j >= 1,
+    to c_k, so the bound caps the aliasing of every coefficient."""
+    rho = max(max(abs(lam) for lam, _ in points), 1e-3)
+    log_r = -np.log(rho) * np.geomspace(1e-4, 0.999, 256)
+    log_m = log_max_modulus(points, np.exp(log_r))
+    size = 1 << int(K).bit_length()
+    while size <= MAX_FFT_SIZE:
+        log_bound = np.min(log_m - size * log_r - np.log(-np.expm1(-size * log_r)))
+        if log_bound <= np.log(ALIAS_TOL):
+            return size, float(np.exp(log_bound))
         size *= 2
+    raise ResourceError(f"no FFT size up to {MAX_FFT_SIZE} holds K = {K} within ALIAS_TOL")
+
+
+def circle_fft(points, K: int):
+    """Coefficients c[0..K] of B = prod_i b_{lambda_i}^{m_i} from its phase
+    samples by one FFT, for points [(lambda_i, m_i)], and a bound err on
+    |c_k - exact c_k| for every k.  The size is the smallest power of two
+    >= K+1 whose alias bound (``_alias_bound``) is <= ALIAS_TOL.
+
+    err adds three terms, with eps = 2^-52, |m| = sum_i m_i and P points:
+    * the alias bound;
+    * the sample error, to first order in eps: each phase is off by at most
+      eps (P pi (|m|+2) + 16 sum_i m_i/(1 - |lambda_i|) + 8).  The winding
+      term is off by 2 pi eps, and the running phase stays below
+      pi (|m|+2), so each of its P sums rounds by pi (|m|+2) eps / 2.  The
+      angle of z_j is off by 2 pi eps, which 2 m_i arg(1 - conj(lambda_i) z)
+      amplifies by at most 2 m_i |lambda_i|/(1 - |lambda_i|); forming
+      1 - conj(lambda_i) z_j, its argument and the product by 2 m_i add
+      (4.2 + 3.3 |lambda_i|/(1 - |lambda_i|)) m_i eps, so each point costs
+      below 16 m_i eps/(1 - |lambda_i|); exp adds one eps.  A unimodular
+      sample is off by at most its phase error, and the DFT, an average,
+      keeps that bound on every coefficient;
+    * the FFT's rounding, log2(size) eta with eta = 7u = 3.5 eps: the
+      normwise bound Higham proves for radix-2 Cooley-Tukey with accurate
+      twiddles (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      sec. 24.1), which numpy's power-of-two transform is taken to meet.
+      The samples' l2 norm is sqrt(size), so after the exact division by
+      size that bound holds for each coefficient.
+    A K + 1 or a chosen size past MAX_FFT_SIZE is a ResourceError, raised
+    before any sample is formed."""
+    size, alias = _alias_bound(points, K)
+    c = np.fft.fft(np.exp(1j * circle_phase(points, size)))[: K + 1] / size
+    eps = np.finfo(float).eps
+    degree = sum(m for _, m in points)
+    sample = eps * (len(points) * np.pi * (degree + 2)
+                    + 16 * sum(m / (1 - abs(lam)) for lam, m in points) + 8)
+    return c, alias + sample + 3.5 * eps * np.log2(size)
 
 
 def blaschke_power_coeffs(p: MoebiusParam, K: int) -> CoefficientSeries:
-    """Coefficients c[0..K] of b_lambda^n by adaptive-size circle FFT."""
+    """Coefficients c[0..K] of b_lambda^n by one circle FFT, with
+    ``circle_fft``'s bound on their error."""
     if K < 1:
         raise DomainError("K must be >= 1")
-    c = circle_fft([(p.lam, p.n)], K, max(K + 1, default_coeff_count(p)))
-    return CoefficientSeries(c, p)
+    c, err = circle_fft([(p.lam, p.n)], K)
+    return CoefficientSeries(c, p, err)
 
 
 def weighted_coeffs(p: MoebiusParam, K: int) -> CoefficientSeries:
@@ -137,11 +194,13 @@ def weighted_coeffs(p: MoebiusParam, K: int) -> CoefficientSeries:
 
 def weight_series(base: CoefficientSeries) -> CoefficientSeries:
     """(1-z^2) times a stored series, by the split c_w(k) = c(k) - c(k-2)
-    for k >= 2, c_w(k) = c(k) for k < 2 (same length)."""
+    for k >= 2, c_w(k) = c(k) for k < 2 (same length).  The error bound
+    doubles, plus the difference's rounding (|c(k)| <= 1 for an inner
+    function's coefficients)."""
     c = base.coeffs
     w = c.copy()
     w[2:] = c[2:] - c[:-2]
-    return CoefficientSeries(w, base.param)
+    return CoefficientSeries(w, base.param, 2 * base.error + np.finfo(float).eps)
 
 
 def linf_A_norm(s: CoefficientSeries) -> float:
@@ -195,13 +254,15 @@ def log_weighted_coeff_magnitude(lam: float, n: int, k: int, window: int = 0) ->
     size = 1 << int(np.ceil(np.log2(8 * (k + 16))))
     if size > MAX_FFT_SIZE:
         raise ResourceError("FFT size exceeds budget")
-    th = 2 * np.pi * np.arange(size) / size
-    z = r * np.exp(1j * th)
+    z = r * np.exp(1j * (2 * np.pi * np.arange(size) / size))
     log_mod = n * (np.log(np.abs(z - lam)) - np.log(np.abs(1 - lam * z)))
     scale = log_mod.max()
     phase = n * (np.angle(z - lam) - np.angle(1 - lam * z))
     vals = (1 - z * z) * np.exp(log_mod - scale + 1j * phase)
-    c = np.fft.fft(vals) / size
+    del z, log_mod, phase  # the transform below sets this function's peak memory
+    c = np.fft.fft(vals)
+    del vals
+    c /= size
     js = np.arange(max(0, k - window), k + window + 1)
     mags = np.maximum(np.abs(c[js]), 1e-300)
     return np.log(mags) + scale - js * np.log(r)

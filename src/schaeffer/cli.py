@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from itertools import repeat
 
 import numpy as np
 
@@ -22,19 +23,23 @@ from .simplex import SimplexError
 from .spectra import SpectrumSpec
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return format(x, ".17g")
+def _row_template(types) -> str:
+    """One %-template for a row whose cells have these types: strings as
+    they are, None blank, numbers (nan and inf included) as '%.17g'."""
+    cells = ("" if t is type(None) else "%s" if issubclass(t, str) else "%.17g" for t in types)
+    return ",".join(cells) + "\n"
 
 
 def _write_csv(path, header, rows):
+    templates = {}  # cell types -> (template, whether a cell is None)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else _fmt(v) for v in row) + "\n")
+            types = tuple(map(type, row))
+            if types not in templates:
+                templates[types] = (_row_template(types), type(None) in types)
+            template, blanks = templates[types]
+            fh.write(template % (tuple(v for v in row if v is not None) if blanks else tuple(row)))
 
 
 def _write_json(path, payload):
@@ -92,7 +97,8 @@ def _coeff_task(args):
     K = kmax if kmax is not None else blaschke.default_coeff_count(p)
     base = blaschke.blaschke_power_coeffs(p, K)
     series = blaschke.weight_series(base)
-    rows = [(lam, n, k, c.real, c.imag) for k, c in enumerate(series.coeffs)]
+    c = series.coeffs
+    rows = list(zip(repeat(lam), repeat(n), range(c.size), c.real.tolist(), c.imag.tolist()))
     norm = blaschke.linf_A_norm(series) if kmax is None else series.linf
     defect = blaschke.parseval_defect(base)
     return rows, (lam, n, series.max_index, norm, defect)
@@ -205,6 +211,7 @@ def _asym_task(args):
     lam, n, ks, alpha, beta = args
     out = []
     truths = asymptotics.weighted_truth(lam, n, np.array(ks))
+    floor = asymptotics.truth_error(lam, n)  # no rel_error for a truth within its error
     for k, truth in zip(ks, truths.tolist()):
         region = asymptotics.classify_region(lam, n, k, alpha, beta)
         est = None
@@ -220,8 +227,7 @@ def _asym_task(args):
                 est = asymptotics.stationary_phase_estimate(lam, n, k, beta)
             except ModeError:
                 est = None
-        rel = (abs(est - truth) / max(abs(truth), asymptotics.TRUTH_FLOOR)
-               if est is not None else None)
+        rel = abs(est - truth) / abs(truth) if est is not None and abs(truth) > floor else None
         out.append((lam, n, k, region.value, est, truth, rel, g2, flag))
     return out
 

@@ -118,8 +118,8 @@ def _malmquist_walsh_resolvent_rhs(mus, zeta: float) -> np.ndarray:
 
 def _interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     """min ||f||_1 over polynomials f of degree deg matching the jets of
-    1/(zeta - z) on the real spectrum, for real zeta.  Returns (value,
-    coefficients f_0..f_deg, dual y).
+    1/(zeta - z) on the real spectrum, for real zeta.  Returns (coefficients
+    f_0..f_deg, dual y); the optimum is sum |f_k|.
 
     f matches the jets exactly when f - h lies in B H^2, where
     h = (1 - B/B(zeta))/(zeta - z), i.e. when <f, e_j> = <h, e_j> for the
@@ -138,21 +138,8 @@ def _interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     mus = [lam.real for lam in spec.expanded()]
     rhs = _malmquist_walsh_resolvent_rhs(mus, zeta.real)
     scale = np.max(np.abs(rhs))
-    val, f, y = min_l1_solution(_malmquist_walsh_rows(mus, deg), rhs / scale)
-    return val * scale, f * scale, y
-
-
-def _envelope_logs(mus):
-    """log r on a fixed grid 1 < r < 1/max|mu_j|, and log E_j(r) per row:
-    on |z| = r, |e_j| <= E_j(r) = sqrt(1-mu_j^2)/(1 - |mu_j| r)
-    prod_{i<j} (r + |mu_i|)/(1 - |mu_i| r), so by Cauchy the k-th Taylor
-    coefficient of e_j is at most E_j(r) r^-k."""
-    a = np.abs(np.asarray(mus, dtype=float))[:, None]
-    log_r = -np.linspace(0.05, 0.95, 19) * math.log(max(np.max(a), 1e-3))  # r = rho^-t
-    r = np.exp(log_r)
-    blaschke_max = np.log(r + a) - np.log1p(-a * r)
-    prefix = np.cumsum(blaschke_max, axis=0) - blaschke_max
-    return log_r, 0.5 * np.log1p(-a * a) - np.log1p(-a * r) + prefix
+    _, f, y = min_l1_solution(_malmquist_walsh_rows(mus, deg), rhs / scale)
+    return f * scale, y
 
 
 def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
@@ -163,8 +150,11 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     lower <= value and the bracket is within _CERT_REL_WIDTH.
 
     With the dual y, g = sum_j y_j e_j gives y . rhs / max(1, sup_k |g_k|)
-    <= N(zeta) (weak duality).  |g_k| <= M(r) r^-k with M(r) = sum_j |y_j|
-    E_j(r), so |g_k| <= 1 past k* = min_r log M(r) / log r and the columns
+    <= N(zeta) (weak duality).  On |z| = r, 1 < r < 1/max|mu_j|, |e_j| <=
+    E_j(r) = sqrt(1-mu_j^2)/(1 - |mu_j| r) prod_{i<j} max |b_{mu_i}|, the
+    maxima from ``blaschke.log_max_modulus``; by Cauchy |g_k| <= M(r) r^-k
+    with M(r) = sum_j |y_j| E_j(r), so |g_k| <= 1 past
+    k* = min_r log M(r) / log r, on a grid r = rho^-t, and the columns
     up to max(k*, deg) are priced exactly.  f - sum_j res_j e_j, with the
     residual res = rows @ f - rhs, is exactly feasible (the e_j are
     orthonormal), so N(zeta) <= ||f||_1 + sum_j |res_j| ||e_j||_1.  Until
@@ -178,7 +168,7 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     float64 envelope gains _F64_MARGIN, as its logs (at most N + 3 terms
     below 20 N each, N <= _COLUMN_BUDGET for a solvable program) err < 1e-7.
     """
-    _, f, y = _interpolate(spec, zeta, deg)
+    f, y = _interpolate(spec, zeta, deg)
     mus = [lam.real for lam in spec.expanded()]
     rhs = _malmquist_walsh_resolvent_rhs(mus, zeta.real)
     eps, mu, z = np.finfo(LD).eps, np.asarray(mus, dtype=LD), LD(zeta.real)
@@ -186,7 +176,12 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
         exact = [Fraction(m) * Fraction(zeta.real) == 1 for m in mus]
         q = np.where(exact, 0, abs(mu * z / (1 - mu * z)))
         rhs_err = eps * (3 + 1 / (1 - mu * mu) + np.cumsum(np.r_[0, 3 + q][:-1])) * np.abs(rhs)
-    log_r, log_e = _envelope_logs(mus)
+    a = np.abs(np.asarray(mus, dtype=float))
+    log_r = -np.linspace(0.05, 0.95, 19) * math.log(max(np.max(a), 1e-3))  # r = rho^-t
+    r = np.exp(log_r)
+    blaschke_max = blaschke.log_max_modulus([(a[:, None], 1)], r)  # one row per mu_j
+    log_e = (0.5 * np.log1p(-a * a)[:, None] - np.log1p(-np.outer(a, r))
+             + np.cumsum(blaschke_max, axis=0) - blaschke_max)
     while True:
         with np.errstate(divide="ignore"):  # a zero y_j drops out of M
             terms = np.log(np.abs(y.astype(float)))[:, None] + log_e
@@ -211,7 +206,7 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
         if certified or beyond.size == 0 or deg + 1 >= _COLUMN_BUDGET:
             return value, f, lower, upper, bool(certified)
         deg = min(deg + 1 + beyond[-1], _COLUMN_BUDGET - 1)
-        _, f, y = _interpolate(spec, zeta, deg)
+        f, y = _interpolate(spec, zeta, deg)
 
 
 def _start_degree(spec: SpectrumSpec) -> int:
@@ -260,7 +255,7 @@ def phi_lower_bound(spec: SpectrumSpec) -> float:
 def _product_weighted_linf(spec: SpectrumSpec) -> float:
     """sup |coefficients of (1-z^2) prod_i b_{lambda_i}^{mult_i}| by FFT."""
     K = blaschke.support_estimate(spec.points) + 2
-    c = blaschke.circle_fft(spec.points, K, K + 1)
+    c, _ = blaschke.circle_fft(spec.points, K)
     return blaschke.weight_series(blaschke.CoefficientSeries(c)).linf
 
 

@@ -88,9 +88,17 @@ class TestPowerCoeffs:
         b = blaschke_power_coeffs(MoebiusParam(np.conj(lam), 5), 40).coeffs
         assert np.max(np.abs(a - np.conj(b))) < 1e-12
 
-    def test_resource_budget(self):
+    def test_resource_budget(self, monkeypatch):
+        # raised before any sample is formed, for a K past the budget and for
+        # a support (~2e9 coefficients) whose alias bound needs a longer FFT
+        def no_samples(points, size):
+            raise AssertionError(f"{size} samples formed")
+
+        monkeypatch.setattr(blaschke, "circle_phase", no_samples)
         with pytest.raises(ResourceError):
-            blaschke_power_coeffs(MoebiusParam(0.5, 2), 1 << 25)
+            blaschke_power_coeffs(MoebiusParam(0.5, 2), blaschke.MAX_FFT_SIZE)
+        with pytest.raises(ResourceError):
+            blaschke_power_coeffs(MoebiusParam(0.9999, 100000), 64)
 
 
 class TestCircleSamples:
@@ -106,6 +114,67 @@ class TestCircleSamples:
         direct = ((z - lam) / (1 - np.conj(lam) * z)) ** n
         vals = np.exp(1j * blaschke.circle_phase([(lam, n)], size))
         assert np.max(np.abs(vals - direct)) < 1e-13
+
+
+SPECTRA = {
+    "positive": [(0.5, 7)],
+    "negative": [(-0.65, 5)],
+    "complex": [(0.35 + 0.3j, 4)],
+    "mixed": [(0.3, 2), (-0.6, 3), (0.2 - 0.5j, 1)],
+}
+
+
+class TestCircleFFT:
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_envelope_dominates_sampled_maximum(self, name):
+        points = SPECTRA[name]
+        rho = max(abs(lam) for lam, _ in points)
+        # the circle, and the directions lam/|lam| where each factor peaks
+        z = np.append(np.exp(2j * np.pi * np.arange(1 << 14) / (1 << 14)),
+                      [lam / abs(lam) for lam, _ in points])
+        for t in np.linspace(0.05, 0.95, 8):
+            r = rho ** -t
+            logs = sum(m * np.log(np.abs((r * z - lam) / (1 - np.conj(lam) * r * z)))
+                       for lam, m in points)
+            bound = blaschke.log_max_modulus(points, r)
+            assert bound >= np.max(logs) - 1e-12 * abs(bound), (name, t)
+            if len(points) == 1:  # exact for one factor
+                assert bound == pytest.approx(logs[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_within_stated_bound_of_direct_power_fft(self, name):
+        points = SPECTRA[name]
+        K = blaschke.support_estimate(points)
+        c, err = blaschke.circle_fft(points, K)
+        size = 16 * (1 << K.bit_length())
+        z = np.exp(2j * np.pi * np.arange(size) / size)
+        vals = np.prod([((z - lam) / (1 - np.conj(lam) * z)) ** m for lam, m in points], axis=0)
+        oracle = (np.fft.fft(vals) / size)[: K + 1]
+        assert 0 < err < 1e-12
+        assert np.max(np.abs(c - oracle)) <= err
+
+    def test_one_transform_sized_by_the_bound(self, monkeypatch):
+        # lambda 0.5, n 8192: K = 24744 fits one 32768-point transform
+        sizes = []
+        fft = np.fft.fft
+
+        def counted(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        p = MoebiusParam(0.5, 8192)
+        s = weighted_coeffs(p, default_coeff_count(p))
+        assert sizes == [32768]
+        assert s.error < 1e-9
+        blaschke.circle_fft(SPECTRA["mixed"], blaschke.support_estimate(SPECTRA["mixed"]))
+        assert len(sizes) == 2
+
+    def test_error_bound_travels_with_the_series(self):
+        p = MoebiusParam(0.5, 64)
+        base = blaschke_power_coeffs(p, 256)
+        assert base.error == blaschke.circle_fft([(0.5, 64)], 256)[1]
+        assert weighted_coeffs(p, 256).error == 2 * base.error + np.finfo(float).eps
 
 
 class TestWeightedCoeffs:

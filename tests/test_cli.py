@@ -7,11 +7,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import schaeffer
 from schaeffer import asymptotics, blaschke, resolvent, wiener_opt
-from schaeffer.cli import main
+from schaeffer.cli import _write_csv, main
 from schaeffer.simplex import SimplexError
 from schaeffer.spectra import SpectrumSpec
 
@@ -19,6 +20,36 @@ from schaeffer.spectra import SpectrumSpec
 def _read_csv(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+def _per_cell_csv(header, rows):
+    """The reference CSV: each cell formatted on its own, strings as they
+    are, None blank, float nan as "nan", anything else format(x, '.17g')."""
+    def fmt(x):
+        if isinstance(x, str):
+            return x
+        if x is None:
+            return ""
+        if isinstance(x, float) and math.isnan(x):
+            return "nan"
+        return format(x, ".17g")
+
+    return "".join(",".join(map(fmt, row)) + "\n" for row in [header, *rows])
+
+
+def test_csv_writer_matches_per_cell_formatting(tmp_path):
+    rng = np.random.default_rng(7)
+    specials = [None, "", "true", "skipped", math.nan, math.inf, -math.inf, -0.0, 0, -3,
+                2 ** 60, np.float64(0.1), np.float64(-math.inf), np.float64(math.nan),
+                1e-300, 5e-324, 1.7976931348623157e308]
+    rows = [tuple(specials[(i + j) % len(specials)] for j in range(5)) for i in range(60)]
+    rows += [tuple(rng.standard_normal(4).tolist()) + (str(i),) for i in range(200)]
+    rows += [(np.float64(x), int(i), None, float(x) * 1e-17, "") for i, x in
+             enumerate(rng.standard_normal(50) * 1e9)]
+    header = ["a", "b", "c", "d", "e"]
+    out = tmp_path / "t.csv"
+    _write_csv(out, header, rows)
+    assert out.read_bytes() == _per_cell_csv(header, rows).encode()
 
 
 class TestCoeffs:
