@@ -1,12 +1,17 @@
-"""Dense two-phase l1 simplex in extended precision.
+"""Dense two-phase l1 simplex: a double tableau, its vertex and dual in long double.
 
 The l1 interpolation programs solved here constrain a polynomial's inner
 products with the Malmquist-Walsh basis of a model space; those rows are
 O(1) and nearly orthonormal, but the data spans many orders of magnitude
 and the optimal vertex must be exact, not merely within an interior-point
-feasibility tolerance.  The programs are therefore solved with an explicit
-tableau in numpy longdouble, where basic solutions are exact up to the
-64-bit significand.
+feasibility tolerance.  A float64 tableau finds the optimal basis; the
+vertex and its dual are then formed from that basis in numpy longdouble,
+by one partial-pivoting LU of the basis matrix, so they are exact up to
+the 64-bit significand however far the tableau has drifted.  This is the
+scheme of Applegate, Cook, Dash & Espinoza (Oper. Res. Lett. 2007) and of
+Gleixner, Steffy & Wolter (INFORMS J. Comput. 2016): find the basis in
+fast arithmetic, recompute the basic solution in higher precision.  The
+same LU re-forms the tableau from its basis when a phase stalls.
 
 The tableau holds one column per coefficient, not the usual split
 x = x+ - x- with a column each: a free coefficient enters the basis with
@@ -23,7 +28,8 @@ import numpy as np
 
 LD = np.longdouble
 
-_RC_TOL = LD(1e-11)
+_RC_TOL = 1e-11
+_FEAS_TOL = 1e-9  # largest basic artificial, relative to its row |b_i| + |R_i| @ |x|
 _MAX_PIVOTS = 200_000
 _BLAND_AFTER = 5000  # pivots of one phase before both choices take the lowest index
 
@@ -32,21 +38,188 @@ class SimplexError(RuntimeError):
     pass
 
 
+def _lu(B):
+    """Partial-pivoting LU of the square long-double matrix B: (lu, perm)
+    with B[perm] = L U, L unit lower triangular below the diagonal of lu
+    and U on and above it."""
+    lu = B.copy()
+    perm = np.arange(len(lu))
+    for k in range(len(lu)):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if lu[p, k] == 0:
+            raise SimplexError("singular basis")
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[k, k + 1:]
+    return lu, perm
+
+
+def _lu_solve(lu, perm, rhs):
+    """X with B X = rhs (rhs one vector or one column per right-hand side)."""
+    x = np.array(rhs, dtype=LD)[perm]
+    for i in range(1, len(x)):
+        x[i] -= lu[i, :i] @ x[:i]
+    for i in reversed(range(len(x))):
+        x[i] = (x[i] - lu[i, i + 1:] @ x[i + 1:]) / lu[i, i]
+    return x
+
+
+def _lu_solve_left(lu, perm, c):
+    """y with y B = c: U^T L^T (y[perm]) = c, forward then back."""
+    w = np.array(c, dtype=LD)
+    for i in range(len(w)):
+        w[i] = (w[i] - lu[:i, i] @ w[:i]) / lu[i, i]
+    for i in reversed(range(len(w) - 1)):
+        w[i] -= lu[i + 1:, i] @ w[i + 1:]
+    y = np.empty_like(w)
+    y[perm] = w
+    return y
+
+
+def _basis_lu(R, basis):
+    """LU of the signed basis matrix: column i is +R_j for basis[i] = j,
+    -R_j for n + j and e_k for the artificial 2n + k."""
+    m, n = R.shape
+    B = np.zeros((m, m), dtype=LD)
+    coef = np.nonzero(basis < 2 * n)[0]
+    B[:, coef] = R[:, basis[coef] % n] * np.where(basis[coef] < n, LD(1), LD(-1))
+    art = np.nonzero(basis >= 2 * n)[0]
+    B[basis[art] - 2 * n, art] = 1
+    return _lu(B)
+
+
+def _vertex(R, b, basis, lu, perm):
+    """The basic solution x_B = B^{-1} b and its coefficients x, in long
+    double.  ``SimplexError`` when a basic artificial exceeds _FEAS_TOL of
+    its own row: the vertex does not satisfy R x = b."""
+    n = R.shape[1]
+    xb = _lu_solve(lu, perm, b)
+    x = np.zeros(n, dtype=LD)
+    coef = basis < 2 * n
+    x[basis[coef] % n] = np.where(basis[coef] < n, xb[coef], -xb[coef])
+    rows = basis[~coef] - 2 * n
+    miss = np.abs(xb[~coef])
+    scale = np.abs(b[rows]) + np.abs(R[rows]) @ np.abs(x)
+    if np.any(miss > _FEAS_TOL * scale):
+        i = np.argmax(miss - _FEAS_TOL * scale)
+        raise SimplexError(f"infeasible: row {rows[i]} missed by {float(miss[i]):.3e} "
+                           f"against a scale of {float(scale[i]):.3e}")
+    return xb, x
+
+
+def _reformed(R, b, basis, phase):
+    """The phase's float64 tableau re-formed from its basis by the
+    long-double LU: B^{-1} [R, I, b] in phase 1 and B^{-1} [R, b] in phase 2,
+    under the objective row -c_B B^{-1} [...], c_B 1 on the basic
+    artificials in phase 1 (whose own costs of 1 are added back) and on the
+    basic coefficients in phase 2."""
+    m, n = R.shape
+    cols = [R, np.eye(m, dtype=LD), b[:, None]] if phase == 1 else [R, b[:, None]]
+    X = _lu_solve(*_basis_lu(R, basis), np.hstack(cols))
+    z = -((basis >= 2 * n if phase == 1 else basis < 2 * n) @ X)
+    if phase == 1:
+        z[n:n + m] += 1
+    return np.vstack([X, z]).astype(float)
+
+
+def _run(T, R, b, basis, phase, total):
+    """Pivot the float64 tableau T to the end of the phase, in place;
+    returns the pivot count with ``total`` before it."""
+    m, n = R.shape
+    z = T[m, :n]
+    red = np.empty(2 * n + m if phase == 1 else 2 * n)
+    blocked = np.zeros(red.size, dtype=bool)
+    any_blocked = False
+    work = np.empty_like(T)  # the rank-1 update, without a fresh array per pivot
+    reformed = False  # since the last pivot
+    it = 0
+    while True:
+        it += 1
+        total += 1
+        if total > _MAX_PIVOTS:
+            raise SimplexError("iteration limit reached")
+        if phase == 1:
+            red[:n] = z
+            np.negative(z, out=red[n:2 * n])
+            red[2 * n:] = T[m, n:n + m]
+        else:
+            np.add(1, z, out=red[:n])
+            np.subtract(1, z, out=red[n:])
+        # Dantzig: the least reduced cost, the smallest index on ties;
+        # Bland: the smallest index below -_RC_TOL
+        priced = np.where(blocked, np.inf, red) if any_blocked else red
+        bland = it > _BLAND_AFTER
+        k = int(np.argmax(priced < -_RC_TOL) if bland else np.argmin(priced))
+        if not priced[k] < -_RC_TOL:
+            stuck = np.count_nonzero((red < -1e-7) & blocked)
+            if not stuck:
+                return total
+            if reformed:
+                raise SimplexError(f"stalled: {stuck} column(s) with reduced cost below "
+                                   f"-1e-7 and no acceptable pivot")
+            # the blocked columns may owe their tiny pivots to the tableau's drift
+            T[:] = _reformed(R, b, basis, phase)
+            reformed = True
+            blocked[:] = any_blocked = False
+            continue
+        j = k if k < n else k - n  # tableau column: R_j, or an artificial
+        s = -1.0 if n <= k < 2 * n else 1.0
+        col = s * T[:m, j]
+        cmax = float(col.max())
+        tol = max(1e-13, 1e-11 * max(cmax, -float(col.min())))  # 1e-11 max|col|
+        if not cmax > tol:
+            blocked[k] = any_blocked = True
+            continue
+        pos = col > tol
+        ratios = np.full(m, np.inf)
+        ratios[pos] = np.maximum(T[:m, -1][pos], 0.0) / col[pos]
+        rmin = ratios.min()
+        near = np.nonzero(ratios <= rmin + 1e-9 * rmin + 1e-18)[0]
+        if near.size == 1:
+            i = near[0]
+        else:
+            i = near[np.argmin(basis[near])] if bland else near[np.argmax(col[near])]
+        T[i] /= col[i]
+        fac = s * T[:, j]
+        fac[i] = 0
+        if phase == 2:
+            fac[m] = 1 + s * T[m, j]
+        T -= np.einsum("i,j->ij", fac, T[i], out=work)  # faster than multiply.outer
+        T[:, j] = 0
+        T[i, j] = s
+        if phase == 2:
+            T[m, j] = -s  # the reduced cost 1 + s z_j of the basic column is 0
+        basis[i] = k
+        if any_blocked:
+            blocked[:] = any_blocked = False
+        reformed = False
+
+
 def dense_simplex(R, b):
     """min ||x||_1  s.t.  R x = b  over real x.
 
-    Returns (x, value, pivots, y) in long double, y the dual read off the
-    artificial columns' phase-2 reduced costs: |y @ R| <= 1, y @ b = value.
+    Returns (x, value, pivots, y) in long double, formed from the final
+    basis B by one long-double LU: x_B = B^{-1} b, value the sum of x_B
+    over the basic coefficients, and the dual y B = c_B with c_B 1 on each
+    basic coefficient and 0 on each basic artificial, so |y @ R| <= 1 and
+    y @ b = value.  A degenerate basic coefficient may come out with the
+    sign opposite to the one its column entered with; x is taken as solved.
 
-    The pivots are those of the textbook simplex on [R, -R] with x >= 0,
-    columns indexed +R first, then -R, then the phase-1 artificials: Dantzig
-    pricing with the smallest index on ties, and a largest-pivot tie-break
-    on near-minimal ratios.  Past _BLAND_AFTER pivots of one phase, Bland's
-    rule takes over: the lowest entering index, and the lowest basic index
-    among the minimal ratios.  ``SimplexError`` after _MAX_PIVOTS pivots.
-    Every cost is 1, so phase 2 cannot be unbounded; columns without an
-    acceptable pivot are blocked until the next pivot instead, and a phase
-    whose only improving columns are blocked has stalled: ``SimplexError``.
+    The pivots, on a float64 tableau, are those of the textbook simplex on
+    [R, -R] with x >= 0, columns indexed +R first, then -R, then the
+    phase-1 artificials: Dantzig pricing with the smallest index on ties,
+    and a largest-pivot tie-break on near-minimal ratios.  Past _BLAND_AFTER
+    pivots of one phase, Bland's rule takes over: the lowest entering
+    index, and the lowest basic index among the minimal ratios.
+    ``SimplexError`` after _MAX_PIVOTS pivots.  Every cost is 1, so phase 2
+    cannot be unbounded; columns without an acceptable pivot are blocked
+    until the next pivot instead.  A phase whose only improving columns are
+    blocked re-forms its tableau from the basis in long double once, and
+    has stalled, ``SimplexError``, if that brings no pivot either.  Phase 1
+    and the final vertex are both feasible only if every basic artificial
+    is within _FEAS_TOL of its own row's scale.
     """
     R = np.array(R, dtype=LD)
     b = np.array(b, dtype=LD)
@@ -56,9 +229,9 @@ def dense_simplex(R, b):
     b *= sgn
 
     # columns: R, the artificials, b; row m holds z, the reduced costs of +R
-    T = np.zeros((m + 1, n + m + 1), dtype=LD)
+    T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = R
-    T[:m, n:n + m] = np.eye(m, dtype=LD)
+    T[:m, n:n + m] = np.eye(m)
     T[:m, -1] = b
     T[m, :n] = -R.sum(axis=0)
     T[m, -1] = -b.sum()
@@ -66,79 +239,29 @@ def dense_simplex(R, b):
     # and artificial k is 2n + k
     basis = np.arange(2 * n, 2 * n + m)
 
-    work = np.empty_like(T)  # the rank-1 update, without a fresh array per pivot
-    total = 0
+    total = _run(T, R, b, basis, 1, 0)
+    if np.any(basis >= 2 * n):
+        _vertex(R, b, basis, *_basis_lu(R, basis))
 
-    def run(phase):
-        nonlocal total
-        z = T[m, :n]
-        width = 2 * n + m if phase == 1 else 2 * n
-        blocked = np.zeros(width, dtype=bool)
-        it = 0
-        while True:
-            it += 1
-            total += 1
-            if total > _MAX_PIVOTS:
-                raise SimplexError("iteration limit reached")
-            if phase == 1:
-                red = np.concatenate([z, -z, T[m, n:n + m]])
-            else:
-                red = np.concatenate([1 + z, 1 - z])
-            cand = np.where((red < -_RC_TOL) & ~blocked)[0]
-            if cand.size == 0:
-                stuck = np.count_nonzero((red < LD(-1e-7)) & blocked)
-                if stuck:
-                    raise SimplexError(f"stalled: {stuck} column(s) with reduced cost below "
-                                       f"-1e-7 and no acceptable pivot")
-                return
-            bland = it > _BLAND_AFTER
-            k = cand[0] if bland else cand[np.argmin(red[cand])]
-            j = k if k < n else k - n  # tableau column: R_j, or an artificial
-            s = LD(-1) if n <= k < 2 * n else LD(1)
-            col = s * T[:m, j]
-            piv_tol = max(LD(1e-13), LD(1e-11) * np.max(np.abs(col)))
-            pos = col > piv_tol
-            if not np.any(pos):
-                blocked[k] = True
-                continue
-            ratios = np.full(m, np.inf, dtype=LD)
-            ratios[pos] = np.maximum(T[:m, -1][pos], LD(0)) / col[pos]
-            rmin = ratios.min()
-            near = np.where(ratios <= rmin + LD(1e-9) * rmin + LD(1e-18))[0]
-            i = near[np.argmin(basis[near])] if bland else near[np.argmax(col[near])]
-            T[i] /= col[i]
-            fac = s * T[:, j]
-            fac[i] = 0
-            if phase == 2:
-                fac[m] = 1 + s * T[m, j]
-            T[:, :] -= np.multiply.outer(fac, T[i], out=work)
-            T[:, j] = 0
-            T[i, j] = s
-            if phase == 2:
-                T[m, j] = -s  # the reduced cost 1 + s z_j of the basic column is 0
-            basis[i] = k
-            blocked[:] = False
-
-    run(1)
-    if T[m, -1] < -LD(1e-9) * max(LD(1), np.abs(b).sum()):
-        raise SimplexError(f"infeasible: phase-1 objective {float(-T[m, -1]):.3e}")
-
-    # phase 2: every basic coefficient costs 1 in its own sign, and the
-    # tableau already holds the signed basis, so z is minus the sum of the
-    # coefficient rows
+    # phase 2 prices no artificial, and its dual comes from the basis, so
+    # the artificial columns go; every basic coefficient costs 1 in its own
+    # sign, and the tableau already holds the signed basis, so z is minus
+    # the sum of the coefficient rows
+    T = np.hstack([T[:, :n], T[:, -1:]])
     T[m, :] = 0
     for i in np.nonzero(basis < 2 * n)[0]:
         T[m, :] -= T[i]
-    run(2)
+    total = _run(T, R, b, basis, 2, total)
 
-    x = np.zeros(n, dtype=LD)
+    lu, perm = _basis_lu(R, basis)
+    xb, x = _vertex(R, b, basis, lu, perm)
+    coef = basis < 2 * n
     value = LD(0)
     for i in np.argsort(basis):  # summed in the signed index order
-        k = basis[i]
-        if k < 2 * n:
-            x[k % n] = T[i, -1] if k < n else -T[i, -1]
-            value += T[i, -1]
-    return x, value, total, -T[m, n:n + m] * sgn
+        if coef[i]:
+            value += xb[i]
+    y = _lu_solve_left(lu, perm, coef.astype(LD))
+    return x, value, total, y * sgn
 
 
 def min_l1_solution(rows: np.ndarray, rhs: np.ndarray):
@@ -155,9 +278,4 @@ def min_l1_solution(rows: np.ndarray, rhs: np.ndarray):
     rows = rows / scale[:, None]
     rhs = rhs / scale
     x, val, _, y = dense_simplex(rows, rhs)
-    # the tableau's objective row drifts by ~1e-9 over hundreds of pivots;
-    # one refinement step on y @ rows[:, k] = sign(x_k) over the support
-    on = rows[:, x != 0].T
-    y += np.linalg.lstsq(on.astype(float), (np.sign(x[x != 0]) - on @ y).astype(float),
-                         rcond=None)[0]
     return val, x, y / scale

@@ -14,8 +14,9 @@ rounding of its long-double data bounded: a converged value lies in a
 bracket proven for the exact program.
 
 The program is posed for a real spectrum and real zeta, in the
-Malmquist-Walsh basis of the model space, and solved exactly by the
-extended-precision simplex.  A non-real spectrum or zeta is a DomainError.
+Malmquist-Walsh basis of the model space, and solved by the simplex, whose
+vertex and dual are formed in long double from the optimal basis.  A
+non-real spectrum or zeta is a DomainError.
 """
 
 from __future__ import annotations
@@ -116,6 +117,27 @@ def _malmquist_walsh_resolvent_rhs(mus, zeta: float) -> np.ndarray:
     return out
 
 
+_posed: dict = {}  # the last program posed: (mus, zeta) -> (rows, rhs), read-only
+
+
+def _program(mus, zeta: float, D: int):
+    """(rows, rhs) of the real program at degree D: ``_malmquist_walsh_rows``
+    and ``_malmquist_walsh_resolvent_rhs``.  The rows at degree D are a
+    bitwise prefix of those at any larger degree (a scan step writes only
+    at or past its shift), so the last program's rows are kept, and sliced
+    while they reach D."""
+    key = (tuple(mus), zeta)
+    if key not in _posed:
+        _posed.clear()
+        _posed[key] = np.empty((len(mus), 0)), _malmquist_walsh_resolvent_rhs(mus, zeta)
+    rows, rhs = _posed[key]
+    if rows.shape[1] <= D:
+        rows = _malmquist_walsh_rows(mus, D)
+        rows.flags.writeable = rhs.flags.writeable = False
+        _posed[key] = rows, rhs
+    return rows[:, :D + 1], rhs
+
+
 def _interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     """min ||f||_1 over polynomials f of degree deg matching the jets of
     1/(zeta - z) on the real spectrum, for real zeta.  Returns (coefficients
@@ -126,7 +148,8 @@ def _interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     Malmquist-Walsh basis e_1..e_N of the model space K_B.  The rows are the
     basis's Taylor coefficients (``_malmquist_walsh_rows``), the right-hand
     side is the closed form <h, e_j> (``_malmquist_walsh_resolvent_rhs``),
-    and the extended-precision simplex solves it exactly.  These rows are an
+    both posed once per program (``_program``), and the simplex solves it,
+    its vertex exact up to the long-double significand.  These rows are an
     invertible triangular transform of the confluent-Vandermonde jet rows,
     so the program is the same, but they stay well conditioned where the jet
     rows (conditioning ~4^n) run out of long-double precision from n ~ 48.
@@ -135,10 +158,9 @@ def _interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     """
     if not spec.is_real or zeta.imag != 0:
         raise DomainError("the l1 program needs a real spectrum and a real zeta")
-    mus = [lam.real for lam in spec.expanded()]
-    rhs = _malmquist_walsh_resolvent_rhs(mus, zeta.real)
+    rows, rhs = _program([lam.real for lam in spec.expanded()], zeta.real, deg)
     scale = np.max(np.abs(rhs))
-    _, f, y = min_l1_solution(_malmquist_walsh_rows(mus, deg), rhs / scale)
+    _, f, y = min_l1_solution(rows, rhs / scale)
     return f * scale, y
 
 
@@ -170,7 +192,7 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     """
     f, y = _interpolate(spec, zeta, deg)
     mus = [lam.real for lam in spec.expanded()]
-    rhs = _malmquist_walsh_resolvent_rhs(mus, zeta.real)
+    _, rhs = _program(mus, zeta.real, deg)
     eps, mu, z = np.finfo(LD).eps, np.asarray(mus, dtype=LD), LD(zeta.real)
     with np.errstate(divide="ignore", invalid="ignore"):  # mu zeta = 1 exactly zeroes the later rhs
         exact = [Fraction(m) * Fraction(zeta.real) == 1 for m in mus]
@@ -187,7 +209,7 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
             terms = np.log(np.abs(y.astype(float)))[:, None] + log_e
         log_m = np.logaddexp.reduce(terms, axis=0)
         past = max(deg, min(math.ceil(np.min(log_m / log_r)), _COLUMN_BUDGET)) + 1
-        rows = _malmquist_walsh_rows(mus, past - 1)
+        rows, _ = _program(mus, zeta.real, past - 1)
         delta = _row_error_bound(mus, past - 1)
         gamma = 2 * (len(mus) + past) * eps
         with np.errstate(over="ignore"):  # an infinite bound certifies nothing

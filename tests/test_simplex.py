@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from schaeffer import simplex
-from schaeffer.simplex import SimplexError, dense_simplex, min_l1_solution
+from schaeffer.simplex import LD, SimplexError, dense_simplex, min_l1_solution
 from schaeffer.spectra import SpectrumSpec
-from schaeffer.wiener_opt import _interpolate, phi_exact_truncated
+from schaeffer.wiener_opt import (_interpolate, _malmquist_walsh_resolvent_rhs,
+                                  _malmquist_walsh_rows, _start_degree, phi_exact_truncated)
 
 
 def test_small_equality_lp():
@@ -21,6 +22,13 @@ def test_infeasible_detected():
     A = np.array([[1.0], [1.0]])
     with pytest.raises(SimplexError):
         dense_simplex(A, np.array([1.0, 2.0]))
+
+
+def test_infeasibility_is_relative_to_each_row():
+    # x1 + x2 = 1e-15 and x1 + x2 = 2e-15 at once: the second row would be
+    # missed by half its size, far under any absolute tolerance
+    with pytest.raises(SimplexError, match="infeasible"):
+        dense_simplex(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1e-15, 2e-15]))
 
 
 def test_min_l1_single_row():
@@ -112,3 +120,56 @@ def test_stall_raises_at_once():
     with pytest.raises(SimplexError, match="stalled: 1 column"):
         _interpolate(SpectrumSpec.single(0.97, 32), 0j, 255)
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_phi_lp_pivot_path(monkeypatch):
+    # the six programs of `growth --lambda 0.5 --n 8,16,24,32,48,64` take
+    # the pivots they took on the long-double tableau
+    pivots = []
+    solve = simplex.dense_simplex
+
+    def counted(R, b):
+        result = solve(R, b)
+        pivots.append(result[2])
+        return result
+
+    monkeypatch.setattr(simplex, "dense_simplex", counted)
+    for n in (8, 16, 24, 32, 48, 64):
+        phi_exact_truncated(SpectrumSpec.single(0.5, n))
+    assert len(pivots) == 6
+    assert sum(pivots) == 833
+
+
+def test_dual_solved_from_the_basis():
+    # lambda = 0.5, n = 128 from its coefficient support: on every basic
+    # coefficient y prices its column at 1 in the sign it entered with (a
+    # degenerate entry may solve to the other sign), no column above 1, and
+    # y @ b is the optimum, all to the long-double rounding
+    spec = SpectrumSpec.single(0.5, 128)
+    mus = [lam.real for lam in spec.expanded()]
+    rows = _malmquist_walsh_rows(mus, _start_degree(spec))
+    rhs = _malmquist_walsh_resolvent_rhs(mus, 0.0)
+    rhs = rhs / np.max(np.abs(rhs))
+    val, x, y = min_l1_solution(rows, rhs)
+    g = y @ rows
+    assert np.max(np.abs(np.abs(g[x != 0]) - 1)) <= 1e-17
+    assert np.max(np.abs(g)) <= 1 + LD(1e-17)
+    assert abs(y @ rhs - val) <= 1e-17 * val
+
+
+@pytest.mark.parametrize("phase", [1, 2])
+def test_reformed_tableau_matches_the_running_one(monkeypatch, phase):
+    # stopped after 8 pivots of the phase, the float64 tableau agrees with
+    # the one re-formed from its basis by the long-double LU
+    rng = np.random.default_rng(3)
+    R = rng.standard_normal((12, 40)).astype(LD)
+    b = np.abs(rng.standard_normal(12)).astype(LD)
+    basis = np.arange(80, 92)  # the artificials
+    T = simplex._reformed(R, b, basis, 1)
+    if phase == 2:
+        simplex._run(T, R, b, basis, 1, 0)
+        T = simplex._reformed(R, b, basis, 2)
+    monkeypatch.setattr(simplex, "_MAX_PIVOTS", 8)
+    with pytest.raises(SimplexError, match="iteration limit"):
+        simplex._run(T, R, b, basis, phase, 0)
+    assert np.max(np.abs(simplex._reformed(R, b, basis, phase) - T)) <= 1e-12
