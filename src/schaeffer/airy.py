@@ -4,14 +4,15 @@ Two regimes:
 
 * |x| <= 9: a Taylor expansion about the nearest node x0 of the integer
   grid -9, -8, ..., 9 (so |x - x0| <= 1/2), summed by Horner's rule in
-  double precision.  The node values Ai(x0), Ai'(x0) come from the
+  double precision.  The node values Ai(x0), Ai'(x0) are literals: the
   Maclaurin series Ai(x) = c1 f(x) - c2 g(x), c1 = 3^(-2/3)/Gamma(2/3),
-  c2 = 3^(-1/3)/Gamma(1/3), whose partial sums reach magnitude ~ exp(xi),
-  xi = (2/3)|x|^(3/2), before cancelling down to the answer; it is
-  therefore accumulated in mpmath at 25 + 0.9 xi digits.  That series runs
-  once per node, on first use, and never at import.  The higher Taylor
-  coefficients follow from the Airy equation y'' = x y through the exact
-  recurrence a_{k+2} = (x0 a_k + a_{k-1}) / ((k+1)(k+2)).  At degree
+  c2 = 3^(-1/3)/Gamma(1/3), summed at 25 + 0.9 xi digits,
+  xi = (2/3)|x|^(3/2), because its partial sums reach ~ exp(xi) before
+  cancelling down to the answer, and rounded to double (tests/test_airy.py
+  holds that series and checks every literal against it bit for bit).
+  The higher Taylor coefficients follow, once per process on first use,
+  from the Airy equation y'' = x y through the exact recurrence
+  a_{k+2} = (x0 a_k + a_{k-1}) / ((k+1)(k+2)).  At degree
   ``TAYLOR_DEGREE`` the first neglected term is below 1e-24 of
   |Ai(x0)| + |Ai'(x0)| at every node, so the error is rounding: about
   1e-15 relative to the local scale of Ai, Ai'.
@@ -38,6 +39,29 @@ SERIES_CUTOFF = 9.0
 _NODES = np.arange(-SERIES_CUTOFF, SERIES_CUTOFF + 1)
 TAYLOR_DEGREE = 28
 _N_CORRECTIONS = 24
+# (Ai(x0), Ai'(x0)) at each node x0, rounded to double and written
+# to 17 significant digits, so each literal reads back as the same double
+_NODE_VALUES = (
+    (-2.2133721547341403e-02, -9.7566398092633155e-01),  # -9
+    (-5.2705050356386202e-02,  9.3556093819830655e-01),  # -8
+    ( 1.8428083525050565e-01, -7.7100816841012654e-01),  # -7
+    (-3.2914517362982310e-01,  3.4593548728134288e-01),  # -6
+    ( 3.5076100902411433e-01,  3.2719281855444315e-01),  # -5
+    (-7.0265532949289514e-02, -7.9062857536858133e-01),  # -4
+    (-3.7881429367765806e-01,  3.1458376921659881e-01),  # -3
+    ( 2.2740742820168558e-01,  6.1825902074169103e-01),  # -2
+    ( 5.3556088329235207e-01, -1.0160567116645210e-02),  # -1
+    ( 3.5502805388781722e-01, -2.5881940379280682e-01),  # 0
+    ( 1.3529241631288141e-01, -1.5914744129679320e-01),  # 1
+    ( 3.4924130423274378e-02, -5.3090384433653631e-02),  # 2
+    ( 6.5911393574607192e-03, -1.1912976705951319e-02),  # 3
+    ( 9.5156385120480184e-04, -1.9586409502041790e-03),  # 4
+    ( 1.0834442813607442e-04, -2.4741389086846248e-04),  # 5
+    ( 9.9476943602528888e-06, -2.4765200397034955e-05),  # 6
+    ( 7.4921288639971666e-07, -2.0081508947387919e-06),  # 7
+    ( 4.6922076160992316e-08, -1.3414392979067865e-07),  # 8
+    ( 2.4711684308724899e-09, -7.4806413896589461e-09),  # 9
+)
 
 
 def _correction_coeffs(K: int = _N_CORRECTIONS):
@@ -83,63 +107,13 @@ def _asymptotic(x: float, derivative: bool) -> float:
     return (c * even + s * odd) / (math.sqrt(math.pi) * ax ** 0.25)
 
 
-def _series(x: float, derivative: bool) -> float:
-    import mpmath as mp
-
-    xi = (2.0 / 3.0) * abs(x) ** 1.5
-    dps = 25 + int(0.9 * xi)
-    with mp.workdps(dps):
-        X = mp.mpf(x)
-        c1 = mp.power(3, mp.mpf(-2) / 3) / mp.gamma(mp.mpf(2) / 3)
-        c2 = mp.power(3, mp.mpf(-1) / 3) / mp.gamma(mp.mpf(1) / 3)
-        X3 = X ** 3
-        if not derivative:
-            # f = sum 3^k (1/3)_k x^{3k}/(3k)!; ratio x^3/((3k)(3k-1))
-            # g = sum 3^k (2/3)_k x^{3k+1}/(3k+1)!; ratio x^3/((3k+1)(3k))
-            tf = mp.mpf(1)
-            f = tf
-            tg = X
-            g = tg
-            k = 0
-            while True:
-                k += 1
-                tf *= X3 / ((3 * k) * (3 * k - 1))
-                tg *= X3 / ((3 * k + 1) * (3 * k))
-                f += tf
-                g += tg
-                if abs(tf) < mp.eps * (abs(f) + 1) and abs(tg) < mp.eps * (abs(g) + 1):
-                    break
-            return float(c1 * f - c2 * g)
-        # f' = sum_{k>=1} 3^k (1/3)_k x^{3k-1}/(3k-1)!; g' = sum 3^k (2/3)_k x^{3k}/(3k)!
-        tf = X ** 2 / 2
-        fd = tf
-        k = 1
-        while True:
-            k += 1
-            tf *= X3 / ((3 * k - 1) * (3 * k - 3))
-            fd += tf
-            if abs(tf) < mp.eps * (abs(fd) + 1):
-                break
-        tg = mp.mpf(1)
-        gd = tg
-        k = 0
-        while True:
-            k += 1
-            tg *= X3 / ((3 * k) * (3 * k - 2))
-            gd += tg
-            if abs(tg) < mp.eps * (abs(gd) + 1):
-                break
-        return float(c1 * fd - c2 * gd)
-
-
 @functools.cache
 def _taylor_tables() -> tuple:
     """Taylor coefficients of Ai about every node, one row per node, and of
     Ai' (the term-by-term derivative); built once, on first use."""
     ai = np.zeros((len(_NODES), TAYLOR_DEGREE + 2))
-    for row, x0 in zip(ai, _NODES.tolist()):
-        row[0] = _series(x0, derivative=False)
-        row[1] = _series(x0, derivative=True)
+    for row, x0, values in zip(ai, _NODES.tolist(), _NODE_VALUES):
+        row[:2] = values
         # y'' = x y about x0: (k+1)(k+2) a_{k+2} = x0 a_k + a_{k-1}
         for k in range(TAYLOR_DEGREE):
             row[k + 2] = (x0 * row[k] + (row[k - 1] if k else 0.0)) / ((k + 1) * (k + 2))

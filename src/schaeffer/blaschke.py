@@ -15,9 +15,17 @@ stated error bound with the coefficients.
 
 For coefficients far outside the dominant index range [alpha0*n, n/alpha0]
 (alpha0 = (1-lambda)/(1+lambda)) the values underflow double precision.
-``log_weighted_coeff_magnitude`` extracts them on a circle through the
-decaying saddle of the coefficient integral instead, where the integrand
-maximum matches the coefficient size and only log-magnitudes are formed.
+``log_weighted_coeff_magnitude`` extracts them on a circle |z| = r through
+the decaying saddle of the coefficient integral instead, where the
+integrand maximum matches the coefficient size and only log-magnitudes are
+formed.  Its transform is sized by the same Cauchy bound, taken on both
+sides of r: with M(R) the maximum of |b^n| on |z| = R, the coefficients of
+(1-z^2) b^n obey |c_i| <= (1+R^2) M(R) R^-i for every 0 < R < 1/lambda, so
+bins lo..hi of an N-point transform scaled by M(r) alias at most
+min_{r<R<1/lambda} (1+R^2) M(R)/M(r) (r/R)^(lo+N) / (1 - (r/R)^N) from
+above, plus, once N <= hi, min_{0<R<r} (1+R^2) M(R)/M(r) (r/R)^(hi-N) /
+(1 - (R/r)^N) from below.  N is the smallest power of two past hi - lo at
+which the sum is <= ALIAS_TOL, and index j is read from bin j mod N.
 """
 
 from __future__ import annotations
@@ -111,40 +119,49 @@ def circle_phase(points, size: int) -> np.ndarray:
 
 def log_max_modulus(points, r):
     """Bound on log max_{|z|=r} |prod_i b_{lambda_i}^{m_i}(z)| for each radius
-    1 <= r < 1/max|lambda_i|: sum_i m_i log((r - |lambda_i|)/(1 - |lambda_i| r)).
+    0 < r < 1/max|lambda_i|: sum_i m_i log((r - |lambda_i|)/(1 - |lambda_i| r))
+    for r >= 1, and sum_i m_i log((r + |lambda_i|)/(1 + |lambda_i| r)) for r < 1.
 
-    max |b_mu| on |z| = r is (r - |mu|)/(1 - |mu| r), reached at
-    z = r mu/|mu|: |b_mu(r e^{it})|^2 = 1 + (r^2-1)(1-|mu|^2)/|1 - conj(mu) z|^2
-    grows as |1 - conj(mu) z| shrinks.  Exact for a single factor, and for
-    factors on one ray; a sum of maxima otherwise.  A lambda_i may be an
-    array, broadcast against r."""
+    |b_mu(r e^{it})|^2 = 1 + (r^2-1)(1-|mu|^2)/|1 - conj(mu) z|^2, so for
+    r >= 1 max |b_mu| is reached where |1 - conj(mu) z| is least, at
+    z = r mu/|mu|, and for r < 1 where it is largest, at z = -r mu/|mu|.
+    Exact for a single factor, and for factors on one ray; a sum of maxima
+    otherwise.  A lambda_i may be an array, broadcast against r."""
     r = np.asarray(r, dtype=float)
-    return sum(m * (np.log(r - abs(lam)) - np.log1p(-abs(lam) * r)) for lam, m in points)
+    sign = np.where(r < 1, 1.0, -1.0)
+    return sum(m * (np.log(r + sign * abs(lam)) - np.log1p(sign * abs(lam) * r))
+               for lam, m in points)
 
 
-def _alias_bound(points, K: int):
-    """(size, bound): the smallest power of two size >= K+1 at which
-    min_r M(r) r^-size / (1 - r^-size), M(r) = exp(log_max_modulus(points, r)),
-    is <= ALIAS_TOL, over radii 1 < r < 1/max(rho, 1e-3).  By Cauchy
-    |c_k| <= M(r) r^-k, and an FFT of that size adds c_{k+j size}, j >= 1,
-    to c_k, so the bound caps the aliasing of every coefficient."""
-    rho = max(max(abs(lam) for lam, _ in points), 1e-3)
-    log_r = -np.log(rho) * np.geomspace(1e-4, 0.999, 256)
-    log_m = log_max_modulus(points, np.exp(log_r))
-    size = 1 << int(K).bit_length()
+def _alias_size(span: int, tails):
+    """(size, bound): the smallest power of two size > span at which the
+    alias bound is <= ALIAS_TOL.  ``tails(size)`` lists the alias tails of
+    a size-point transform, each (log_a, x, first) on a grid of radii: with
+    q = e^-x < 1 the tail is sum_{t>=1} a q^(first + t size)
+    = a q^(first + size) / (1 - q^size), any grid point bounds it, and the
+    bound sums the tails' minima over their grids.  Past MAX_FFT_SIZE it is
+    a ResourceError, raised before any sample is formed."""
+    size = 1 << int(span).bit_length()
     while size <= MAX_FFT_SIZE:
-        log_bound = np.min(log_m - size * log_r - np.log(-np.expm1(-size * log_r)))
+        log_bound = np.logaddexp.reduce([
+            np.min(log_a - (first + size) * x - np.log(-np.expm1(-size * x)))
+            for log_a, x, first in tails(size)])
         if log_bound <= np.log(ALIAS_TOL):
             return size, float(np.exp(log_bound))
         size *= 2
-    raise ResourceError(f"no FFT size up to {MAX_FFT_SIZE} holds K = {K} within ALIAS_TOL")
+    raise ResourceError(f"no FFT size up to {MAX_FFT_SIZE} holds {span + 1} "
+                        "coefficients within ALIAS_TOL")
 
 
 def circle_fft(points, K: int):
     """Coefficients c[0..K] of B = prod_i b_{lambda_i}^{m_i} from its phase
     samples by one FFT, for points [(lambda_i, m_i)], and a bound err on
     |c_k - exact c_k| for every k.  The size is the smallest power of two
-    >= K+1 whose alias bound (``_alias_bound``) is <= ALIAS_TOL.
+    >= K+1 whose alias bound is <= ALIAS_TOL (``_alias_size``): by Cauchy
+    |c_k| <= M(r) r^-k for 1 < r < 1/max|lambda_i|, M(r) =
+    exp(log_max_modulus(points, r)), and a size-point FFT adds c_{k+t size},
+    t >= 1, to c_k, so min_r M(r) r^-size / (1 - r^-size), over 256 radii
+    up to 1/max(rho, 1e-3), caps the aliasing of every coefficient.
 
     err adds three terms, with eps = 2^-52, |m| = sum_i m_i and P points:
     * the alias bound;
@@ -167,7 +184,10 @@ def circle_fft(points, K: int):
       size that bound holds for each coefficient.
     A K + 1 or a chosen size past MAX_FFT_SIZE is a ResourceError, raised
     before any sample is formed."""
-    size, alias = _alias_bound(points, K)
+    rho = max(max(abs(lam) for lam, _ in points), 1e-3)
+    log_r = -np.log(rho) * np.geomspace(1e-4, 0.999, 256)
+    log_m = log_max_modulus(points, np.exp(log_r))
+    size, alias = _alias_size(K, lambda size: [(log_m, log_r, 0)])
     c = np.fft.fft(np.exp(1j * circle_phase(points, size)))[: K + 1] / size
     eps = np.finfo(float).eps
     degree = sum(m for _, m in points)
@@ -239,30 +259,53 @@ def _decaying_saddle_radius(lam: float, a: float) -> float:
     raise DomainError("no decaying saddle found")
 
 
+def _contour_tails(lam: float, n: int, r: float, lo: int, hi: int):
+    """``_alias_size`` tails of the transform in ``log_weighted_coeff_magnitude``:
+    (1-z^2) b_lambda^n on |z| = r, scaled by M(r), read at bins lo..hi.
+
+    Cauchy on |z| = R < 1/lambda gives |c_i| <= (1+R^2) M(R) R^-i, and
+    bin i mod size adds every c_{i +- t size} r^(i +- t size) / M(r), so
+    * from above, over r < R < 1/lambda: (1+R^2) M(R)/M(r) (r/R)^(lo+size)
+      / (1 - (r/R)^size);
+    * from below, over 0 < R < r and only while size <= hi: (1+R^2)
+      M(R)/M(r) (r/R)^(hi-size) / (1 - (R/r)^size).
+    Each side takes 400 radii, geometric in log(R/r)."""
+    log_m = log_max_modulus([(lam, n)], r)
+
+    def log_a(x):
+        R = r * np.exp(x)
+        return np.log1p(R * R) + log_max_modulus([(lam, n)], R) - log_m
+
+    x_up = -np.log(lam * r) * np.geomspace(1e-6, 0.999, 400)
+    x_down = np.geomspace(1e-6, 40, 400)
+    above = (log_a(x_up), x_up, lo)
+    below = (log_a(-x_down), x_down, -hi)
+    return lambda size: [above, below] if size <= hi else [above]
+
+
 def log_weighted_coeff_magnitude(lam: float, n: int, k: int, window: int = 0) -> np.ndarray:
     """log |c_w(j)| for 0 <= j in [k-window, k+window], far below underflow.
 
-    Samples (1-z^2) b_lambda^n on the circle through the decaying saddle of
-    the coefficient integral, rescaled by its maximum modulus so that all
-    intermediate values stay representable; only logarithms are returned.
+    Samples (1-z^2) b_lambda^n on the circle |z| = r through the decaying
+    saddle of the coefficient integral, rescaled by its maximum modulus
+    M(r) so that all intermediate values stay representable; only
+    logarithms are returned.  The transform is the smallest power of two
+    past the window whose Cauchy alias bound (``_contour_tails``) is
+    <= ALIAS_TOL, and c_w(j) is read from bin j mod size.
     Requires real lambda in (0,1) and k/n outside the dominant region.
     """
     if not (0 < lam < 1):
         raise DomainError("lambda must be real in (0,1)")
-    a = k / n
-    r = _decaying_saddle_radius(lam, a)
-    size = 1 << int(np.ceil(np.log2(8 * (k + 16))))
-    if size > MAX_FFT_SIZE:
-        raise ResourceError("FFT size exceeds budget")
+    r = _decaying_saddle_radius(lam, k / n)
+    lo, hi = max(0, k - window), k + window
+    size, _ = _alias_size(hi - lo, _contour_tails(lam, n, r, lo, hi))
     z = r * np.exp(1j * (2 * np.pi * np.arange(size) / size))
-    log_mod = n * (np.log(np.abs(z - lam)) - np.log(np.abs(1 - lam * z)))
-    scale = log_mod.max()
-    phase = n * (np.angle(z - lam) - np.angle(1 - lam * z))
+    num, den = z - lam, 1 - lam * z
+    log_mod = n * (np.log(np.abs(num)) - np.log(np.abs(den)))
+    scale = log_mod.max()  # log M(r): z = r is a sample, and z = -r for even size
+    phase = n * (np.angle(num) - np.angle(den))
     vals = (1 - z * z) * np.exp(log_mod - scale + 1j * phase)
-    del z, log_mod, phase  # the transform below sets this function's peak memory
-    c = np.fft.fft(vals)
-    del vals
-    c /= size
-    js = np.arange(max(0, k - window), k + window + 1)
-    mags = np.maximum(np.abs(c[js]), 1e-300)
+    c = np.fft.fft(vals) / size
+    js = np.arange(lo, hi + 1)
+    mags = np.maximum(np.abs(c[js % size]), 1e-300)
     return np.log(mags) + scale - js * np.log(r)

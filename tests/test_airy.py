@@ -1,11 +1,66 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+import schaeffer
 from schaeffer import airy
 from schaeffer.airy import airy_ai, airy_ai_prime
+
+
+def _series(x: float, derivative: bool) -> float:
+    """Ai(x) or Ai'(x) from the Maclaurin series Ai = c1 f - c2 g, summed in
+    mpmath at 25 + 0.9 xi digits (its partial sums reach ~ exp(xi) before
+    cancelling) and rounded to double: the reference for the node literals."""
+    xi = (2.0 / 3.0) * abs(x) ** 1.5
+    dps = 25 + int(0.9 * xi)
+    with mp.workdps(dps):
+        X = mp.mpf(x)
+        c1 = mp.power(3, mp.mpf(-2) / 3) / mp.gamma(mp.mpf(2) / 3)
+        c2 = mp.power(3, mp.mpf(-1) / 3) / mp.gamma(mp.mpf(1) / 3)
+        X3 = X ** 3
+        if not derivative:
+            # f = sum 3^k (1/3)_k x^{3k}/(3k)!; ratio x^3/((3k)(3k-1))
+            # g = sum 3^k (2/3)_k x^{3k+1}/(3k+1)!; ratio x^3/((3k+1)(3k))
+            tf = mp.mpf(1)
+            f = tf
+            tg = X
+            g = tg
+            k = 0
+            while True:
+                k += 1
+                tf *= X3 / ((3 * k) * (3 * k - 1))
+                tg *= X3 / ((3 * k + 1) * (3 * k))
+                f += tf
+                g += tg
+                if abs(tf) < mp.eps * (abs(f) + 1) and abs(tg) < mp.eps * (abs(g) + 1):
+                    break
+            return float(c1 * f - c2 * g)
+        # f' = sum_{k>=1} 3^k (1/3)_k x^{3k-1}/(3k-1)!; g' = sum 3^k (2/3)_k x^{3k}/(3k)!
+        tf = X ** 2 / 2
+        fd = tf
+        k = 1
+        while True:
+            k += 1
+            tf *= X3 / ((3 * k - 1) * (3 * k - 3))
+            fd += tf
+            if abs(tf) < mp.eps * (abs(fd) + 1):
+                break
+        tg = mp.mpf(1)
+        gd = tg
+        k = 0
+        while True:
+            k += 1
+            tg *= X3 / ((3 * k) * (3 * k - 2))
+            gd += tg
+            if abs(tg) < mp.eps * (abs(gd) + 1):
+                break
+        return float(c1 * fd - c2 * gd)
 
 
 def test_value_at_zero_closed_form():
@@ -100,28 +155,35 @@ def test_seam_continuity():
         assert np.all(np.abs(fn(lo) - fn(hi)) <= 1e-13 * size)
 
 
-def test_series_runs_only_to_build_the_node_table(monkeypatch):
-    calls = []
-    series = airy._series
+def test_node_literals_equal_the_series_bitwise():
+    # every literal is the double the high-precision Maclaurin series rounds to
+    for x0, (ai, aip) in zip(airy._NODES.tolist(), airy._NODE_VALUES):
+        assert ai == _series(x0, derivative=False), x0
+        assert aip == _series(x0, derivative=True), x0
 
-    def counted(x, derivative):
-        calls.append(x)
-        return series(x, derivative)
 
-    monkeypatch.setattr(airy, "_series", counted)
-    airy._taylor_tables.cache_clear()
-    limit = 2 * len(airy._NODES)
-    try:
-        xs = np.linspace(-9, 9, 10_000)
-        airy_ai(xs)
-        airy_ai_prime(xs)
-        assert len(calls) <= limit
-        for x in xs.tolist():
-            airy_ai(x)
-            airy_ai_prime(x)
-            assert len(calls) <= limit
-    finally:
-        airy._taylor_tables.cache_clear()
+def test_cli_paths_other_than_validate_import_no_mpmath(tmp_path):
+    # growth (L only), coeffs, bounds and asymptotics, Airy included, run
+    # without mpmath; only acceptance criterion 8's oracle imports it
+    out = str(tmp_path)
+    code = ("import sys\n"
+            "from schaeffer.cli import main\n"
+            f"d = {out!r}\n"
+            "assert main(['growth', '--lambda', '0.5', '--n', '128,256', '--phi-max-n', '64',"
+            " '--out', d + '/g.csv']) == 0\n"
+            "assert main(['coeffs', '--lambda', '0.5', '--n', '64', '--out', d + '/c.csv']) == 0\n"
+            "assert main(['bounds', '--lambda', '0.5', '--n', '16', '--zeta', '0,0.9',"
+            " '--out', d + '/b.csv']) == 0\n"
+            "assert main(['asymptotics', '--lambda', '0.5', '--n', '64,128,256,512',"
+            " '--out', d + '/a.csv']) == 0\n"
+            "print('mpmath' in sys.modules)\n")
+    paths = [str(Path(schaeffer.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+    assert (tmp_path / "a.csv.fits.csv").exists()
 
 
 def test_ode_residual_second_difference():

@@ -1,5 +1,7 @@
 import math
+import time
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,6 +143,20 @@ class TestCircleFFT:
             if len(points) == 1:  # exact for one factor
                 assert bound == pytest.approx(logs[-1], rel=1e-12)
 
+    @pytest.mark.parametrize("points", [[(0.6, 1)], [(0.35 + 0.3j, 1)],
+                                        [(0.45, 3), (-0.4 + 0.25j, 2)]])
+    def test_envelope_inside_and_outside_the_unit_circle(self, points):
+        # for r < 1 a factor peaks at z = -r mu/|mu|, for r >= 1 at r mu/|mu|
+        for r in (0.1, 0.5, 0.99, 1.0, 1.3):
+            peaks = [(1 if r >= 1 else -1) * r * lam / abs(lam) for lam, _ in points]
+            z = np.append(r * np.exp(2j * np.pi * np.arange(1 << 14) / (1 << 14)), peaks)
+            logs = sum(m * np.log(np.abs((z - lam) / (1 - np.conj(lam) * z)))
+                       for lam, m in points)
+            bound = blaschke.log_max_modulus(points, r)
+            assert bound >= np.max(logs) - 1e-12, (points, r)
+            if len(points) == 1:
+                assert bound == pytest.approx(logs[-1], abs=1e-12)
+
     @pytest.mark.parametrize("name", sorted(SPECTRA))
     def test_within_stated_bound_of_direct_power_fft(self, name):
         points = SPECTRA[name]
@@ -250,7 +266,8 @@ class TestExponentialRegions:
         assert slope < -1e-3
 
     def test_window_clamped_at_zero(self):
-        # j < 0 would read wrapped FFT bins; the window stops at j = 0
+        # bins wrap mod the transform size by design, but j < 0 names no
+        # coefficient: the window stops at j = 0
         lw = log_weighted_coeff_magnitude(0.5, 8, 1, window=3)
         assert lw.shape == (5,)
         n, size = 8, 1 << 12
@@ -258,6 +275,59 @@ class TestExponentialRegions:
         vals = (1 - z * z) * ((z - 0.5) / (1 - 0.5 * z)) ** n
         direct = np.log(np.abs((np.fft.fft(vals) / size)[:5]))
         assert np.allclose(lw, direct, atol=1e-9)
+
+    @pytest.mark.parametrize("lam,n,k", [(0.5, 256, 1843), (0.5, 256, 34),
+                                         (0.66, 256, 3006), (0.335375, 256, 51)])
+    def test_log_magnitude_matches_exact_binomial_sum(self, lam, n, k):
+        # b^n = (z - lam)^n (1 - lam z)^-n: c(i) = sum_j C(n, j) (-lam)^(n-j)
+        # C(n-1+i-j, i-j) lam^(i-j), summed exactly; c_w(k) = c(k) - c(k-2)
+        with mp.workdps(60 + n):
+            L = mp.mpf(lam)
+
+            def c(i):
+                return mp.fsum(mp.binomial(n, j) * (-L) ** (n - j)
+                               * mp.binomial(n - 1 + i - j, i - j) * L ** (i - j)
+                               for j in range(min(n, i) + 1))
+
+            exact = float(mp.log(abs(c(k) - c(k - 2))))
+        assert log_weighted_coeff_magnitude(lam, n, k)[0] == pytest.approx(exact, abs=1e-12)
+
+    def test_wrapped_bins_match_a_larger_transform(self, monkeypatch):
+        # the bound picks 1024 points for bins 1840..1846, which wrap; a
+        # 4x larger transform reads the same coefficients unwrapped
+        lam, n, k = 0.5, 256, 1843
+        sizes = []
+        fft = np.fft.fft
+
+        def counted(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return fft(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        lw = log_weighted_coeff_magnitude(lam, n, k, window=3)
+        assert sizes[0] < k
+        size = 4 * sizes[0]
+        r = blaschke._decaying_saddle_radius(lam, k / n)
+        z = r * np.exp(2j * np.pi * np.arange(size) / size)
+        log_b = n * np.log((z - lam) / (1 - lam * z))
+        scale = log_b.real.max()
+        c = fft((1 - z * z) * np.exp(log_b - scale)) / size
+        js = np.arange(k - 3, k + 4)
+        direct = np.log(np.abs(c[js])) + scale - js * np.log(r)
+        assert np.allclose(lw, direct, rtol=0, atol=1e-10)
+
+    def test_near_one_region_vii_is_fast(self):
+        # lambda 0.97, n 1024: region VII's index 1.2 n / alpha, alpha = alpha0/2
+        lam, n = 0.97, 1024
+        k = int(round(1.2 * n / ((1 - lam) / (1 + lam) / 2)))
+        assert k == 161382
+        elapsed = []
+        for _ in range(3):
+            t = time.perf_counter()
+            lw = log_weighted_coeff_magnitude(lam, n, k, window=3)
+            elapsed.append(time.perf_counter() - t)
+        assert np.all(np.isfinite(lw))
+        assert min(elapsed) < 0.05
 
     def test_deep_region_magnitude_is_tiny(self):
         # far right of the dominant range the coefficient is far below
