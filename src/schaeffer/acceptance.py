@@ -48,9 +48,9 @@ _norm_cache: dict = {}
 def _weighted_norm(lam: float, n: int) -> float:
     key = (lam, n)
     if key not in _norm_cache:
-        p = blaschke.MoebiusParam(lam, n)
-        series = blaschke.weighted_coeffs(p, blaschke.default_coeff_count(p))
-        _norm_cache[key] = blaschke.linf_A_norm(series)
+        points = [(lam, n)]
+        K = blaschke.support_estimate(points)
+        _norm_cache[key] = blaschke.weight_series(blaschke.blaschke_power_coeffs(points, K)).linf
     return _norm_cache[key]
 
 

@@ -351,9 +351,10 @@ def _truth_series(lam: float, n: int, kmax: int):
     key = (float(lam), int(n))
     series = _truth_cache.get(key)
     if series is None or series.max_index < kmax:
-        p = blaschke.MoebiusParam(lam, n)
-        K = max(kmax + 8, blaschke.default_coeff_count(p))
-        series = _truth_cache[key] = blaschke.weighted_coeffs(p, K)
+        points = [(lam, n)]
+        K = max(kmax + 8, blaschke.support_estimate(points))
+        series = _truth_cache[key] = blaschke.weight_series(
+            blaschke.blaschke_power_coeffs(points, K))
     return series
 
 

@@ -2,16 +2,18 @@
 
 The Moebius factor b_lambda(z) = (z - lambda)/(1 - conj(lambda) z) is inner,
 so on the unit circle |b_lambda| = 1 and the coefficient sequence of
-b_lambda^n has unit l2 norm (Parseval).  Coefficients are computed by an
-FFT of samples on the circle.  Only the phase is sampled, arg b_lambda(e^{it})
-= t - 2 arg(1 - conj(lambda) e^{it}), so b^n = exp(i n arg b) is unimodular to
-rounding and far cheaper than the complex power.  ``circle_fft`` runs one
-transform, sized in advance: b^n is analytic in |z| < 1/|lambda| and
-bounded there by ``log_max_modulus``, so the aliasing of an N-point
-transform is at most min_r M(r) r^-N / (1 - r^-N) (Trefethen & Weideman,
-SIAM Rev. 2014; Bornemann, Found. Comput. Math. 2011), and the size is the
-smallest power of two past K at which that is <= ALIAS_TOL.  It returns a
-stated error bound with the coefficients.
+b_lambda^n has unit l2 norm (Parseval).  The one entry point,
+``blaschke_power_coeffs(points, K)``, extracts the coefficients of a product
+prod_i b_{lambda_i}^{m_i} by an FFT of samples on the circle; a sup norm is
+read up to K >= ``support_estimate``, past the dominant region.  Only the
+phase is sampled, arg b_lambda(e^{it}) = t - 2 arg(1 - conj(lambda) e^{it}),
+so b^n = exp(i n arg b) is unimodular to rounding and far cheaper than the
+complex power.  One transform runs, sized in advance: b^n is analytic in
+|z| < 1/|lambda| and bounded there by ``log_max_modulus``, so the aliasing
+of an N-point transform is at most min_r M(r) r^-N / (1 - r^-N)
+(Trefethen & Weideman, SIAM Rev. 2014; Bornemann, Found. Comput. Math.
+2011), and the size is the smallest power of two past K at which that is
+<= ALIAS_TOL.  It returns a stated error bound with the coefficients.
 
 For coefficients far outside the dominant index range [alpha0*n, n/alpha0]
 (alpha0 = (1-lambda)/(1+lambda)) the values underflow double precision.
@@ -40,35 +42,13 @@ ALIAS_TOL = 1e-12
 MAX_FFT_SIZE = 1 << 26
 
 
-@dataclass(frozen=True)
-class MoebiusParam:
-    """A Blaschke factor b_lambda raised to the power n."""
-
-    lam: complex
-    n: int
-
-    def __post_init__(self):
-        if abs(self.lam) >= 1:
-            raise DomainError(f"|lambda| = {abs(self.lam)} must be < 1")
-        if self.n < 1:
-            raise DomainError("power n must be >= 1")
-
-    @property
-    def alpha0(self) -> float:
-        """Critical ratio (1-|lambda|)/(1+|lambda|) of the dominant region."""
-        r = abs(self.lam)
-        return (1 - r) / (1 + r)
-
-
 @dataclass
 class CoefficientSeries:
-    """Finite coefficient vector c[0..K]; ``param`` names the Blaschke power
-    it was extracted from, if any, and ``error`` bounds the error of every
-    stored coefficient (0 for given data)."""
+    """Finite coefficient vector c[0..K]; ``error`` bounds the error of
+    every stored coefficient."""
 
     coeffs: np.ndarray
-    param: MoebiusParam | None = None
-    error: float = 0.0
+    error: float
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
@@ -98,11 +78,6 @@ def support_estimate(points) -> int:
     rho = max(abs(lam) for lam, _ in points)
     alpha0 = (1 - rho) / (1 + rho)
     return int(np.ceil(degree / alpha0)) + 8 * int(np.ceil(degree ** (1 / 3)))
-
-
-def default_coeff_count(p: MoebiusParam) -> int:
-    """``support_estimate`` of b_lambda^n: ceil(n/alpha0) + 8*ceil(n^(1/3))."""
-    return support_estimate([(p.lam, p.n)])
 
 
 def circle_phase(points, size: int) -> np.ndarray:
@@ -153,11 +128,12 @@ def _alias_size(span: int, tails):
                         "coefficients within ALIAS_TOL")
 
 
-def circle_fft(points, K: int):
+def blaschke_power_coeffs(points, K: int) -> CoefficientSeries:
     """Coefficients c[0..K] of B = prod_i b_{lambda_i}^{m_i} from its phase
-    samples by one FFT, for points [(lambda_i, m_i)], and a bound err on
-    |c_k - exact c_k| for every k.  The size is the smallest power of two
-    >= K+1 whose alias bound is <= ALIAS_TOL (``_alias_size``): by Cauchy
+    samples by one FFT, for points [(lambda_i, m_i)], with a bound err on
+    |c_k - exact c_k| for every k as the series' ``error``.  The size is
+    the smallest power of two >= K+1 whose alias bound is <= ALIAS_TOL
+    (``_alias_size``): by Cauchy
     |c_k| <= M(r) r^-k for 1 < r < 1/max|lambda_i|, M(r) =
     exp(log_max_modulus(points, r)), and a size-point FFT adds c_{k+t size},
     t >= 1, to c_k, so min_r M(r) r^-size / (1 - r^-size), over 256 radii
@@ -182,8 +158,11 @@ def circle_fft(points, K: int):
       sec. 24.1), which numpy's power-of-two transform is taken to meet.
       The samples' l2 norm is sqrt(size), so after the exact division by
       size that bound holds for each coefficient.
-    A K + 1 or a chosen size past MAX_FFT_SIZE is a ResourceError, raised
-    before any sample is formed."""
+    K < 1 or any |lambda_i| >= 1 is a DomainError.  A K + 1 or a chosen
+    size past MAX_FFT_SIZE is a ResourceError, raised before any sample is
+    formed."""
+    if K < 1 or any(abs(lam) >= 1 for lam, _ in points):
+        raise DomainError(f"K = {K} must be >= 1 and every |lambda| < 1")
     rho = max(max(abs(lam) for lam, _ in points), 1e-3)
     log_r = -np.log(rho) * np.geomspace(1e-4, 0.999, 256)
     log_m = log_max_modulus(points, np.exp(log_r))
@@ -193,23 +172,7 @@ def circle_fft(points, K: int):
     degree = sum(m for _, m in points)
     sample = eps * (len(points) * np.pi * (degree + 2)
                     + 16 * sum(m / (1 - abs(lam)) for lam, m in points) + 8)
-    return c, alias + sample + 3.5 * eps * np.log2(size)
-
-
-def blaschke_power_coeffs(p: MoebiusParam, K: int) -> CoefficientSeries:
-    """Coefficients c[0..K] of b_lambda^n by one circle FFT, with
-    ``circle_fft``'s bound on their error."""
-    if K < 1:
-        raise DomainError("K must be >= 1")
-    c, err = circle_fft([(p.lam, p.n)], K)
-    return CoefficientSeries(c, p, err)
-
-
-def weighted_coeffs(p: MoebiusParam, K: int) -> CoefficientSeries:
-    """Coefficients of (1-z^2) b_lambda^n, c[0..K]."""
-    if K < 2:
-        raise DomainError("K must be >= 2")
-    return weight_series(blaschke_power_coeffs(p, K))
+    return CoefficientSeries(c, alias + sample + 3.5 * eps * np.log2(size))
 
 
 def weight_series(base: CoefficientSeries) -> CoefficientSeries:
@@ -220,29 +183,7 @@ def weight_series(base: CoefficientSeries) -> CoefficientSeries:
     c = base.coeffs
     w = c.copy()
     w[2:] = c[2:] - c[:-2]
-    return CoefficientSeries(w, base.param, 2 * base.error + np.finfo(float).eps)
-
-
-def linf_A_norm(s: CoefficientSeries) -> float:
-    """sup_k |c(k)| over the stored range.
-
-    For a series extracted from a Blaschke power the stored range must reach
-    past the dominant region, K >= ceil(n/alpha0); otherwise the sup would be
-    read off a truncation that can miss the slowest-decaying coefficient.
-    """
-    if s.param is not None:
-        needed = int(np.ceil(s.param.n / s.param.alpha0))
-        if s.max_index < needed:
-            raise DomainError(
-                f"series truncated at K={s.max_index} before the dominant "
-                f"region (needs K >= {needed})"
-            )
-    return s.linf
-
-
-def parseval_defect(s: CoefficientSeries) -> float:
-    """1 - sum |c(k)|^2; near 0 for a sufficiently long inner-function series."""
-    return 1.0 - s.l2 ** 2
+    return CoefficientSeries(w, 2 * base.error + np.finfo(float).eps)
 
 
 def _decaying_saddle_radius(lam: float, a: float) -> float:

@@ -18,7 +18,7 @@ from itertools import repeat
 import numpy as np
 
 from . import acceptance, asymptotics, blaschke, resolvent, wiener_opt
-from .errors import ConfigError, DomainError, ModeError
+from .errors import ConfigError, DomainError, ModeError, ResourceError
 from .simplex import SimplexError
 from .spectra import SpectrumSpec
 
@@ -93,15 +93,13 @@ def _pool_map(fn, tasks, workers):
 
 def _coeff_task(args):
     lam, n, kmax = args
-    p = blaschke.MoebiusParam(lam, n)
-    K = kmax if kmax is not None else blaschke.default_coeff_count(p)
-    base = blaschke.blaschke_power_coeffs(p, K)
+    points = [(lam, n)]
+    K = kmax if kmax is not None else blaschke.support_estimate(points)
+    base = blaschke.blaschke_power_coeffs(points, K)
     series = blaschke.weight_series(base)
     c = series.coeffs
     rows = list(zip(repeat(lam), repeat(n), range(c.size), c.real.tolist(), c.imag.tolist()))
-    norm = blaschke.linf_A_norm(series) if kmax is None else series.linf
-    defect = blaschke.parseval_defect(base)
-    return rows, (lam, n, series.max_index, norm, defect)
+    return rows, (lam, n, series.max_index, series.linf, 1.0 - base.l2 ** 2)
 
 
 def _check_coeffs(opts):
@@ -109,7 +107,7 @@ def _check_coeffs(opts):
         raise DomainError(f"--k {opts.kmax} must be >= 2")
     for lam in opts.lambdas:
         for n in opts.n:
-            blaschke.MoebiusParam(lam, n)
+            SpectrumSpec.single(lam, n).require_interior()
 
 
 def cmd_coeffs(opts) -> int:
@@ -241,7 +239,7 @@ def _default_k_grid(lam, n):
 def _check_asymptotics(opts):
     for lam in opts.lambdas:
         for n in opts.n:
-            blaschke.MoebiusParam(lam, n)
+            SpectrumSpec.single(lam, n).require_interior()
             for k in opts.k or [0]:  # k = 0 still checks lambda, alpha, beta
                 asymptotics.classify_region(lam, n, k, opts.alpha, opts.beta)
 
@@ -378,6 +376,9 @@ def main(argv=None) -> int:
             return 2
     try:
         return opts.fn(opts)
+    except ResourceError as ex:  # a size past the FFT budget, found before any output
+        print(f"error: {opts.command}: {ex}", file=sys.stderr)
+        return 2
     except OSError as ex:
         print(f"i/o error: {ex}", file=sys.stderr)
         return 1

@@ -71,35 +71,25 @@ class MalmquistWalshBasis:
             out = out * (z - lam_i) / (1 - np.conj(lam_i) * z)
         return out
 
-    def gram(self, nodes: int) -> np.ndarray:
-        z = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-        E = np.vstack([self.evaluate(j, z) for j in range(1, len(self.lambdas) + 1)])
-        return E @ E.conj().T / nodes
-
-
-def _converged_gram(basis: MalmquistWalshBasis):
-    nodes = 2048
-    while True:
-        G = basis.gram(nodes)
-        if np.max(np.abs(G - np.eye(len(basis.lambdas)))) < GRAM_TOL:
-            return G, nodes
-        nodes *= 2
-        if nodes > _MAX_QUAD_NODES:
-            raise ConsistencyError("Gram matrix did not reach identity; basis bug")
-
 
 def model_matrix(spec: SpectrumSpec) -> np.ndarray:
     """Matrix of the multiplication-by-z compression in the Malmquist-Walsh
     basis: entries M[i, j] = <z e_{j+1}, e_{i+1}> by trapezoidal circle
     quadrature (spectrally accurate for these rational integrands), node
-    count doubled until the Gram residual passes GRAM_TOL."""
+    count doubled until the Gram residual passes GRAM_TOL.  The basis is
+    evaluated once per node count, for both the Gram test and M."""
     spec.require_interior()
     basis = MalmquistWalshBasis(tuple(spec.expanded()))
-    _, nodes = _converged_gram(basis)
-    z = np.exp(2j * np.pi * np.arange(nodes) / nodes)
     m = len(basis.lambdas)
-    E = np.vstack([basis.evaluate(j, z) for j in range(1, m + 1)])
-    return np.einsum("jk,ik->ij", z * E, E.conj()) / nodes
+    nodes = 2048
+    while True:
+        z = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        E = np.vstack([basis.evaluate(j, z) for j in range(1, m + 1)])
+        if np.max(np.abs(E @ E.conj().T / nodes - np.eye(m))) < GRAM_TOL:
+            return np.einsum("jk,ik->ij", z * E, E.conj()) / nodes
+        nodes *= 2
+        if nodes > _MAX_QUAD_NODES:
+            raise ConsistencyError("Gram matrix did not reach identity; basis bug")
 
 
 def minimal_poly_check(T: ToeplitzMatrix):

@@ -30,8 +30,8 @@ LD = np.longdouble
 
 _RC_TOL = 1e-11
 _FEAS_TOL = 1e-9  # largest basic artificial, relative to its row |b_i| + |R_i| @ |x|
-_MAX_PIVOTS = 200_000
-_BLAND_AFTER = 5000  # pivots of one phase before both choices take the lowest index
+_MAX_PIVOTS = 200_000  # pricing passes, pivots or not, of both phases together
+_BLAND_AFTER = 5000  # pricing passes of one phase before both choices take the lowest index
 
 
 class SimplexError(RuntimeError):
@@ -125,8 +125,9 @@ def _reformed(R, b, basis, phase):
 
 
 def _run(T, R, b, basis, phase, total):
-    """Pivot the float64 tableau T to the end of the phase, in place;
-    returns the pivot count with ``total`` before it."""
+    """Pivot the float64 tableau T to the end of the phase, in place.
+    Returns (passes, pivots): the pricing passes with ``total`` before it,
+    which _MAX_PIVOTS limits, and the pivots this phase made."""
     m, n = R.shape
     z = T[m, :n]
     red = np.empty(2 * n + m if phase == 1 else 2 * n)
@@ -134,7 +135,7 @@ def _run(T, R, b, basis, phase, total):
     any_blocked = False
     work = np.empty_like(T)  # the rank-1 update, without a fresh array per pivot
     reformed = False  # since the last pivot
-    it = 0
+    it = pivots = 0
     while True:
         it += 1
         total += 1
@@ -155,7 +156,7 @@ def _run(T, R, b, basis, phase, total):
         if not priced[k] < -_RC_TOL:
             stuck = np.count_nonzero((red < -1e-7) & blocked)
             if not stuck:
-                return total
+                return total, pivots
             if reformed:
                 raise SimplexError(f"stalled: {stuck} column(s) with reduced cost below "
                                    f"-1e-7 and no acceptable pivot")
@@ -192,6 +193,7 @@ def _run(T, R, b, basis, phase, total):
         if phase == 2:
             T[m, j] = -s  # the reduced cost 1 + s z_j of the basic column is 0
         basis[i] = k
+        pivots += 1
         if any_blocked:
             blocked[:] = any_blocked = False
         reformed = False
@@ -211,15 +213,17 @@ def dense_simplex(R, b):
     [R, -R] with x >= 0, columns indexed +R first, then -R, then the
     phase-1 artificials: Dantzig pricing with the smallest index on ties,
     and a largest-pivot tie-break on near-minimal ratios.  Past _BLAND_AFTER
-    pivots of one phase, Bland's rule takes over: the lowest entering
-    index, and the lowest basic index among the minimal ratios.
-    ``SimplexError`` after _MAX_PIVOTS pivots.  Every cost is 1, so phase 2
-    cannot be unbounded; columns without an acceptable pivot are blocked
-    until the next pivot instead.  A phase whose only improving columns are
-    blocked re-forms its tableau from the basis in long double once, and
-    has stalled, ``SimplexError``, if that brings no pivot either.  Phase 1
-    and the final vertex are both feasible only if every basic artificial
-    is within _FEAS_TOL of its own row's scale.
+    pricing passes of one phase, Bland's rule takes over: the lowest
+    entering index, and the lowest basic index among the minimal ratios.
+    ``SimplexError`` after _MAX_PIVOTS pricing passes.  Every cost is 1, so
+    phase 2 cannot be unbounded; columns without an acceptable pivot are
+    blocked until the next pivot instead.  A phase whose only improving
+    columns are blocked re-forms its tableau from the basis in long double
+    once, and has stalled, ``SimplexError``, if that brings no pivot
+    either.  Phase 1 and the final vertex are both feasible only if every
+    basic artificial is within _FEAS_TOL of its own row's scale.  The
+    returned ``pivots`` counts the pivots made: a pass that blocks a column
+    or ends a phase makes none.
     """
     R = np.array(R, dtype=LD)
     b = np.array(b, dtype=LD)
@@ -239,7 +243,7 @@ def dense_simplex(R, b):
     # and artificial k is 2n + k
     basis = np.arange(2 * n, 2 * n + m)
 
-    total = _run(T, R, b, basis, 1, 0)
+    total, pivots = _run(T, R, b, basis, 1, 0)
     if np.any(basis >= 2 * n):
         _vertex(R, b, basis, *_basis_lu(R, basis))
 
@@ -251,7 +255,7 @@ def dense_simplex(R, b):
     T[m, :] = 0
     for i in np.nonzero(basis < 2 * n)[0]:
         T[m, :] -= T[i]
-    total = _run(T, R, b, basis, 2, total)
+    total, phase2 = _run(T, R, b, basis, 2, total)
 
     lu, perm = _basis_lu(R, basis)
     xb, x = _vertex(R, b, basis, lu, perm)
@@ -261,7 +265,7 @@ def dense_simplex(R, b):
         if coef[i]:
             value += xb[i]
     y = _lu_solve_left(lu, perm, coef.astype(LD))
-    return x, value, total, y * sgn
+    return x, value, pivots + phase2, y * sgn
 
 
 def min_l1_solution(rows: np.ndarray, rhs: np.ndarray):

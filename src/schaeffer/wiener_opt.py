@@ -261,24 +261,12 @@ def phi_exact_truncated(spec: SpectrumSpec) -> PhiResult:
 def phi_lower_bound(spec: SpectrumSpec) -> float:
     """Coefficient-norm lower bound for phi:
     max(0, 1/||(1-z^2) B||_linfA - prod |lambda_i|) with B the full
-    Blaschke product of the spectrum."""
+    Blaschke product of the spectrum, its coefficients extracted up to
+    ``blaschke.support_estimate``."""
     spec.require_interior()
-    if len(spec.points) == 1:
-        lam, mult = spec.points[0]
-        p = blaschke.MoebiusParam(lam, mult)
-        series = blaschke.weighted_coeffs(p, blaschke.default_coeff_count(p))
-        norm = blaschke.linf_A_norm(series)
-    else:
-        norm = _product_weighted_linf(spec)
-    prod = abs(spec.eigen_product())
-    return max(0.0, 1.0 / norm - prod)
-
-
-def _product_weighted_linf(spec: SpectrumSpec) -> float:
-    """sup |coefficients of (1-z^2) prod_i b_{lambda_i}^{mult_i}| by FFT."""
-    K = blaschke.support_estimate(spec.points) + 2
-    c, _ = blaschke.circle_fft(spec.points, K)
-    return blaschke.weight_series(blaschke.CoefficientSeries(c)).linf
+    K = blaschke.support_estimate(spec.points)
+    norm = blaschke.weight_series(blaschke.blaschke_power_coeffs(spec.points, K)).linf
+    return max(0.0, 1.0 / norm - abs(spec.eigen_product()))
 
 
 def schaeffer_upper(n: int) -> float:

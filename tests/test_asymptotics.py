@@ -342,7 +342,7 @@ def test_truth_array_matches_scalar_bitwise():
     for k, v in zip(ks, arr):
         A.clear_truth_cache()
         assert A.weighted_truth(0.5, 64, int(k)) == v
-    # past default_coeff_count the array read extends the cache once
+    # past the support estimate the array read extends the cache once
     A.clear_truth_cache()
     wide = A.weighted_truth(0.5, 64, np.arange(0, 400))
     assert [A.weighted_truth(0.5, 64, k) for k in range(400)] == wide.tolist()

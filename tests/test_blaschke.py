@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 from schaeffer import blaschke
 from schaeffer.blaschke import (
     CoefficientSeries,
-    MoebiusParam,
     blaschke_power_coeffs,
-    default_coeff_count,
-    linf_A_norm,
     log_weighted_coeff_magnitude,
-    parseval_defect,
-    weighted_coeffs,
+    support_estimate,
+    weight_series,
 )
 from schaeffer.errors import DomainError, ResourceError
+
+
+def _weighted(lam, n, K):
+    """Coefficients 0..K of (1-z^2) b_lambda^n."""
+    return weight_series(blaschke_power_coeffs([(lam, n)], K))
 
 
 def _moebius_coeff(lam, k):
@@ -31,37 +33,42 @@ class TestMoebiusCoeff:
     """The extracted coefficients of b_lambda against the closed form."""
 
     def test_constant_term(self):
-        assert blaschke_power_coeffs(MoebiusParam(0.5, 1), 2).coeffs[0] == pytest.approx(
+        assert blaschke_power_coeffs([(0.5, 1)], 2).coeffs[0] == pytest.approx(
             -0.5, abs=1e-15)
 
     def test_first_terms(self):
         # geometric expansion: c(1) = 1 - lambda^2, c(2) = (1 - lambda^2) lambda
-        c = blaschke_power_coeffs(MoebiusParam(0.5, 1), 40).coeffs
+        c = blaschke_power_coeffs([(0.5, 1)], 40).coeffs
         assert np.allclose(c, [_moebius_coeff(0.5, k) for k in range(41)], rtol=0, atol=1e-15)
 
     def test_complex_conjugation(self):
         lam = 0.3 + 0.4j
-        a = blaschke_power_coeffs(MoebiusParam(lam, 1), 30).coeffs
-        b = blaschke_power_coeffs(MoebiusParam(np.conj(lam), 1), 30).coeffs
+        a = blaschke_power_coeffs([(lam, 1)], 30).coeffs
+        b = blaschke_power_coeffs([(np.conj(lam), 1)], 30).coeffs
         closed = np.array([_moebius_coeff(lam, k) for k in range(31)])
         assert np.allclose(a, closed, rtol=0, atol=1e-15)
         assert np.allclose(b, np.conj(closed), rtol=0, atol=1e-15)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            MoebiusParam(1.0, 1)
-        with pytest.raises(DomainError):
-            blaschke_power_coeffs(MoebiusParam(0.5, 1), 0)
+        # a point on or outside the unit circle, anywhere in the spectrum,
+        # and a K below 1 are domain errors
+        for points in ([(1.0, 1)], [(1.2, 1)], [(0.3, 2), (-1.0, 1)],
+                       [(0.6j, 1), (0.8 + 0.6j, 3)]):
+            with pytest.raises(DomainError):
+                blaschke_power_coeffs(points, 8)
+        for K in (0, -1):
+            with pytest.raises(DomainError):
+                blaschke_power_coeffs([(0.5, 1)], K)
 
 
 class TestPowerCoeffs:
     def test_n1_matches_closed_form(self):
-        s = blaschke_power_coeffs(MoebiusParam(0.5, 1), 2)
+        s = blaschke_power_coeffs([(0.5, 1)], 2)
         assert np.allclose(s.coeffs, [-0.5, 0.75, 0.375], atol=1e-13)
 
     def test_parseval_inner_function(self):
-        s = blaschke_power_coeffs(MoebiusParam(0.5, 64), 1024)
-        assert abs(parseval_defect(s)) < 1e-10
+        s = blaschke_power_coeffs([(0.5, 64)], 1024)
+        assert abs(1 - s.l2 ** 2) < 1e-10
 
     def test_value_outside_dominant_range(self):
         # oracle: single-shot FFT of size 2^16 (no doubling loop)
@@ -69,7 +76,7 @@ class TestPowerCoeffs:
         size = 1 << 16
         z = np.exp(2j * np.pi * np.arange(size) / size)
         oracle = (np.fft.fft(((z - 0.5) / (1 - 0.5 * z)) ** n) / size)[k]
-        s = blaschke_power_coeffs(MoebiusParam(0.5, n), 32)
+        s = blaschke_power_coeffs([(0.5, n)], 32)
         assert abs(s.coeffs[k] - oracle) < 1e-12
         # k/n = 1/4 sits left of the dominant range: small but not yet
         # exponentially negligible at n = 64
@@ -77,17 +84,17 @@ class TestPowerCoeffs:
 
     def test_constant_coefficient_sign(self):
         for lam, n in [(0.5, 3), (0.7, 4), (0.25, 7)]:
-            s = blaschke_power_coeffs(MoebiusParam(lam, n), 4)
+            s = blaschke_power_coeffs([(lam, n)], 4)
             assert s.coeffs[0] == pytest.approx((-lam) ** n, abs=1e-13)
 
     def test_realness_for_real_lambda(self):
-        s = blaschke_power_coeffs(MoebiusParam(0.5, 32), 256)
+        s = blaschke_power_coeffs([(0.5, 32)], 256)
         assert np.max(np.abs(s.coeffs.imag)) < 1e-12 * np.max(np.abs(s.coeffs.real))
 
     def test_conjugate_parameter_conjugates_series(self):
         lam = 0.35 + 0.3j
-        a = blaschke_power_coeffs(MoebiusParam(lam, 5), 40).coeffs
-        b = blaschke_power_coeffs(MoebiusParam(np.conj(lam), 5), 40).coeffs
+        a = blaschke_power_coeffs([(lam, 5)], 40).coeffs
+        b = blaschke_power_coeffs([(np.conj(lam), 5)], 40).coeffs
         assert np.max(np.abs(a - np.conj(b))) < 1e-12
 
     def test_resource_budget(self, monkeypatch):
@@ -98,9 +105,9 @@ class TestPowerCoeffs:
 
         monkeypatch.setattr(blaschke, "circle_phase", no_samples)
         with pytest.raises(ResourceError):
-            blaschke_power_coeffs(MoebiusParam(0.5, 2), blaschke.MAX_FFT_SIZE)
+            blaschke_power_coeffs([(0.5, 2)], blaschke.MAX_FFT_SIZE)
         with pytest.raises(ResourceError):
-            blaschke_power_coeffs(MoebiusParam(0.9999, 100000), 64)
+            blaschke_power_coeffs([(0.9999, 100000)], 64)
 
 
 class TestCircleSamples:
@@ -161,7 +168,8 @@ class TestCircleFFT:
     def test_within_stated_bound_of_direct_power_fft(self, name):
         points = SPECTRA[name]
         K = blaschke.support_estimate(points)
-        c, err = blaschke.circle_fft(points, K)
+        s = blaschke_power_coeffs(points, K)
+        c, err = s.coeffs, s.error
         size = 16 * (1 << K.bit_length())
         z = np.exp(2j * np.pi * np.arange(size) / size)
         vals = np.prod([((z - lam) / (1 - np.conj(lam) * z)) ** m for lam, m in points], axis=0)
@@ -179,30 +187,27 @@ class TestCircleFFT:
             return fft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "fft", counted)
-        p = MoebiusParam(0.5, 8192)
-        s = weighted_coeffs(p, default_coeff_count(p))
+        s = _weighted(0.5, 8192, support_estimate([(0.5, 8192)]))
         assert sizes == [32768]
         assert s.error < 1e-9
-        blaschke.circle_fft(SPECTRA["mixed"], blaschke.support_estimate(SPECTRA["mixed"]))
+        blaschke_power_coeffs(SPECTRA["mixed"], support_estimate(SPECTRA["mixed"]))
         assert len(sizes) == 2
 
     def test_error_bound_travels_with_the_series(self):
-        p = MoebiusParam(0.5, 64)
-        base = blaschke_power_coeffs(p, 256)
-        assert base.error == blaschke.circle_fft([(0.5, 64)], 256)[1]
-        assert weighted_coeffs(p, 256).error == 2 * base.error + np.finfo(float).eps
+        base = blaschke_power_coeffs([(0.5, 64)], 256)
+        assert 0 < base.error < 1e-12
+        assert weight_series(base).error == 2 * base.error + np.finfo(float).eps
 
 
 class TestWeightedCoeffs:
     def test_hand_convolution_n1(self):
         # c_w(k) = c(k) - c(k-2) applied to the geometric series of b_0.5
-        s = weighted_coeffs(MoebiusParam(0.5, 1), 4)
+        s = _weighted(0.5, 1, 4)
         assert np.allclose(s.coeffs, [-0.5, 0.75, 0.875, -0.5625, -0.28125], atol=1e-13)
 
     def test_split_identity_exact(self):
-        p = MoebiusParam(0.5, 8)
-        base = blaschke_power_coeffs(p, 64).coeffs
-        w = weighted_coeffs(p, 64).coeffs
+        base = blaschke_power_coeffs([(0.5, 8)], 64).coeffs
+        w = _weighted(0.5, 8, 64).coeffs
         # same arithmetic path, so the identity is exact
         assert np.all(w[2:] == base[2:] - base[:-2])
         assert np.all(w[:2] == base[:2])
@@ -213,33 +218,49 @@ class TestWeightedCoeffs:
         z = np.exp(2j * np.pi * np.arange(size) / size)
         vals = (1 - z * z) * ((z - 0.5) / (1 - 0.5 * z)) ** n
         oracle = (np.fft.fft(vals) / size)[: K + 1]
-        s = weighted_coeffs(MoebiusParam(0.5, n), K)
+        s = _weighted(0.5, n, K)
         assert np.max(np.abs(s.coeffs - oracle)) < 1e-12
 
 
 class TestLinfNorm:
     def test_small_weighted_series(self):
-        s = weighted_coeffs(MoebiusParam(0.5, 1), 4)
-        assert linf_A_norm(s) == pytest.approx(0.875, abs=1e-13)
+        s = _weighted(0.5, 1, 4)
+        assert s.linf == pytest.approx(0.875, abs=1e-13)
 
     def test_zero_padding_invariant(self):
-        s = weighted_coeffs(MoebiusParam(0.5, 4), 40)
-        padded = CoefficientSeries(np.concatenate([s.coeffs, np.zeros(50)]), s.param)
-        assert linf_A_norm(padded) == linf_A_norm(s)
+        s = _weighted(0.5, 4, 40)
+        padded = CoefficientSeries(np.concatenate([s.coeffs, np.zeros(50)]), s.error)
+        assert padded.linf == s.linf
 
-    def test_truncation_before_dominant_region_rejected(self):
-        s = weighted_coeffs(MoebiusParam(0.5, 1024), 100)
-        with pytest.raises(DomainError):
-            linf_A_norm(s)
+    @given(st.lists(st.tuples(st.floats(min_value=0, max_value=0.99),
+                              st.floats(min_value=-math.pi, max_value=math.pi),
+                              st.integers(min_value=1, max_value=10 ** 6)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_support_reaches_past_the_dominant_region(self, drawn):
+        # every sup norm is read up to support_estimate, which must reach
+        # the dominant region's end ceil(|m|/alpha0): a truncation before it
+        # could miss the slowest-decaying coefficient
+        points = [(r * np.exp(1j * t), m) for r, t, m in drawn]
+        rho = max(r for r, _, _ in drawn)
+        degree = sum(m for _, _, m in drawn)
+        assert support_estimate(points) >= math.ceil(degree / ((1 - rho) / (1 + rho)))
+
+    @pytest.mark.parametrize("lam,n", [(0.3, 64), (0.5, 64), (0.8, 16), (-0.6, 32)])
+    def test_sup_read_at_the_support_is_the_whole_sup(self, lam, n):
+        # the sup over four times the support is taken inside the support
+        K = support_estimate([(lam, n)])
+        short, long = _weighted(lam, n, K), _weighted(lam, n, 4 * K)
+        assert np.argmax(np.abs(long.coeffs)) <= K
+        assert abs(short.linf - long.linf) <= short.error + long.error
 
     def test_sqrt_n_envelope_small_grid(self):
         # n * norm^2 stays in a fixed positive band
         for lam in (0.3, 0.5, 0.7):
             vals = []
             for n in (64, 128, 256):
-                p = MoebiusParam(lam, n)
-                s = weighted_coeffs(p, default_coeff_count(p))
-                vals.append(n * linf_A_norm(s) ** 2)
+                s = _weighted(lam, n, support_estimate([(lam, n)]))
+                vals.append(n * s.linf ** 2)
             assert max(vals) / min(vals) < 1.6
 
 
@@ -338,20 +359,20 @@ class TestExponentialRegions:
 
 class TestSeriesContainer:
     def test_norm_caching_and_values(self):
-        s = CoefficientSeries(np.array([3.0, -4.0]))
+        s = CoefficientSeries(np.array([3.0, -4.0]), 0.0)
         assert s.l2 == 5.0
         assert s.linf == 4.0
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
-            CoefficientSeries(np.array([]))
+            CoefficientSeries(np.array([]), 0.0)
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=12),
            st.integers(min_value=1, max_value=8))
     @settings(max_examples=50, deadline=None)
     def test_padding_never_changes_norms(self, vals, extra):
-        s = CoefficientSeries(np.array(vals, dtype=float))
-        p = CoefficientSeries(np.concatenate([s.coeffs, np.zeros(extra)]))
+        s = CoefficientSeries(np.array(vals, dtype=float), 0.0)
+        p = CoefficientSeries(np.concatenate([s.coeffs, np.zeros(extra)]), 0.0)
         assert p.l2 == pytest.approx(s.l2)
         assert p.linf == pytest.approx(s.linf)
 
@@ -359,25 +380,9 @@ class TestSeriesContainer:
            st.integers(min_value=1, max_value=16))
     @settings(max_examples=25, deadline=None)
     def test_parseval_random_parameters(self, lam, n):
-        p = MoebiusParam(lam, n)
         # the l2 tail decays like |lambda|^(2k): extend K until it is
         # below the tolerance, not just past the dominant region
         tail_terms = int(30 / max(0.15, -math.log(abs(lam)))) + 8
-        s = blaschke_power_coeffs(p, default_coeff_count(p) + tail_terms)
-        assert abs(parseval_defect(s)) < 1e-9
+        s = blaschke_power_coeffs([(lam, n)], support_estimate([(lam, n)]) + tail_terms)
+        assert abs(1 - s.l2 ** 2) < 1e-9
 
-
-def test_origin_tags():
-    # the Blaschke power a series came from rides along through the weighting;
-    # linf_A_norm's truncation check reads it
-    p = MoebiusParam(0.5, 2)
-    assert blaschke_power_coeffs(p, 8).param is p
-    assert weighted_coeffs(p, 8).param is p
-    assert CoefficientSeries(np.ones(3)).param is None
-
-
-def test_moebius_param_validation():
-    with pytest.raises(DomainError):
-        MoebiusParam(1.2, 1)
-    with pytest.raises(DomainError):
-        MoebiusParam(0.5, 0)

@@ -263,15 +263,15 @@ class TestAsymptotics:
         calls = Counter()
         original = blaschke.blaschke_power_coeffs
 
-        def counted(p, K):
-            calls[(p.lam, p.n)] += 1
-            return original(p, K)
+        def counted(points, K):
+            calls[tuple(points)] += 1
+            return original(points, K)
 
         monkeypatch.setattr(blaschke, "blaschke_power_coeffs", counted)
         asymptotics.clear_truth_cache()
         assert main(["asymptotics", "--lambda", "0.5", "--n", "64,128,256,512",
                      "--out", str(tmp_path / "asym.csv")]) == 0
-        assert calls == {(0.5, n): 1 for n in (64, 128, 256, 512)}
+        assert calls == {((0.5, n),): 1 for n in (64, 128, 256, 512)}
 
 
 class TestValidateAndConfig:
@@ -337,3 +337,16 @@ class TestValidateAndConfig:
         assert main(argv + ["--n", "4", "--out", str(out)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--lambda", "0.5", "--n", "4", "--k", "100000000"],
+        ["asymptotics", "--lambda", "0.5", "--n", "64", "--k", "70000000"],
+    ], ids=" ".join)
+    def test_fft_past_the_budget_is_usage_error(self, tmp_path, capsys, argv):
+        # a K whose transform would pass MAX_FFT_SIZE is found before any
+        # sample is formed: one stderr line, exit 2, no output file
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {argv[0]}: no FFT size")
+        assert not list(tmp_path.iterdir())

@@ -4,11 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from schaeffer.blaschke import (
-    MoebiusParam,
-    blaschke_power_coeffs,
-    weighted_coeffs,
-)
+from schaeffer.blaschke import blaschke_power_coeffs, support_estimate, weight_series
 from schaeffer import acceptance, wiener_opt
 from schaeffer.errors import DomainError
 from schaeffer.simplex import LD, min_l1_solution
@@ -17,7 +13,6 @@ from schaeffer.wiener_opt import (
     _certified_interpolate,
     _interpolate,
     _malmquist_walsh_rows,
-    _product_weighted_linf,
     _row_error_bound,
     _start_degree,
     phi_exact_truncated,
@@ -196,9 +191,7 @@ class TestPhiLowerBound:
 
     def test_clamp_formula(self):
         spec = SpectrumSpec.single(0.9, 1)
-        p = MoebiusParam(0.9, 1)
-        from schaeffer.blaschke import default_coeff_count, linf_A_norm
-        norm = linf_A_norm(weighted_coeffs(p, default_coeff_count(p)))
+        norm = weight_series(blaschke_power_coeffs([(0.9, 1)], support_estimate([(0.9, 1)]))).linf
         assert phi_lower_bound(spec) == pytest.approx(max(0.0, 1 / norm - 0.9), abs=1e-12)
 
     def test_product_spectrum_path(self):
@@ -206,15 +199,19 @@ class TestPhiLowerBound:
         assert v >= 0
 
     def test_product_matches_convolved_factors(self):
-        # (1-z^2) b_0.3 b_0.6 from the single-factor series, convolved
+        # (1-z^2) b_0.3 b_0.6 from the single-factor series, convolved,
+        # against the one extraction of the product that phi_lower_bound reads
         K = 400
-        a = blaschke_power_coeffs(MoebiusParam(0.3, 1), K).coeffs
-        b = blaschke_power_coeffs(MoebiusParam(0.6, 1), K).coeffs
+        a = blaschke_power_coeffs([(0.3, 1)], K).coeffs
+        b = blaschke_power_coeffs([(0.6, 1)], K).coeffs
         prod = np.convolve(a, b)[: K + 1]
         weighted = prod.copy()
         weighted[2:] -= prod[:-2]
-        norm = _product_weighted_linf(SpectrumSpec([(0.3, 1), (0.6, 1)]))
-        assert norm == pytest.approx(np.max(np.abs(weighted)), abs=1e-12)
+        expect = np.max(np.abs(weighted))
+        spec = SpectrumSpec([(0.3, 1), (0.6, 1)])
+        norm = weight_series(blaschke_power_coeffs(spec.points, support_estimate(spec.points))).linf
+        assert norm == pytest.approx(expect, abs=1e-12)
+        assert phi_lower_bound(spec) == pytest.approx(1 / expect - 0.18, abs=1e-12)
 
 
 class TestSchaefferUpper:
