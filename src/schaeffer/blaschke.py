@@ -158,11 +158,11 @@ def blaschke_power_coeffs(points, K: int) -> CoefficientSeries:
       sec. 24.1), which numpy's power-of-two transform is taken to meet.
       The samples' l2 norm is sqrt(size), so after the exact division by
       size that bound holds for each coefficient.
-    K < 1 or any |lambda_i| >= 1 is a DomainError.  A K + 1 or a chosen
-    size past MAX_FFT_SIZE is a ResourceError, raised before any sample is
-    formed."""
-    if K < 1 or any(abs(lam) >= 1 for lam, _ in points):
-        raise DomainError(f"K = {K} must be >= 1 and every |lambda| < 1")
+    K < 1, any |lambda_i| >= 1 or any m_i < 1 is a DomainError.  A K + 1
+    or a chosen size past MAX_FFT_SIZE is a ResourceError, raised before
+    any sample is formed."""
+    if K < 1 or any(abs(lam) >= 1 or m < 1 for lam, m in points):
+        raise DomainError(f"K = {K} must be >= 1, every |lambda| < 1 and every power >= 1")
     rho = max(max(abs(lam) for lam, _ in points), 1e-3)
     log_r = -np.log(rho) * np.geomspace(1e-4, 0.999, 256)
     log_m = log_max_modulus(points, np.exp(log_r))

@@ -61,6 +61,14 @@ class TestMoebiusCoeff:
                 blaschke_power_coeffs([(0.5, 1)], K)
 
 
+def test_moebius_param_validation():
+    # a Blaschke factor needs |lambda| < 1 and a power n >= 1
+    with pytest.raises(DomainError):
+        blaschke_power_coeffs([(1.2, 1)], 8)
+    with pytest.raises(DomainError):
+        blaschke_power_coeffs([(0.5, 0)], 8)
+
+
 class TestPowerCoeffs:
     def test_n1_matches_closed_form(self):
         s = blaschke_power_coeffs([(0.5, 1)], 2)
