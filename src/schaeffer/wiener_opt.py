@@ -14,7 +14,9 @@ rounding of its long-double data bounded: a converged value lies in a
 bracket proven for the exact program.
 
 The program is posed for a real spectrum and real zeta, in the
-Malmquist-Walsh basis of the model space, and solved by the simplex, whose
+Malmquist-Walsh basis of the model space, whose rows, their rounding bound
+and their envelope are ``modelspace``'s ``_malmquist_walsh_rows``,
+``_row_error_bound`` and ``_log_envelope``, and solved by the simplex, whose
 vertex and dual are formed in long double from the optimal basis.  A
 non-real spectrum or zeta is a DomainError.
 """
@@ -29,6 +31,7 @@ import numpy as np
 
 from . import blaschke
 from .errors import DomainError
+from .modelspace import _log_envelope, _malmquist_walsh_rows, _row_error_bound
 from .simplex import LD, min_l1_solution
 from .spectra import SpectrumSpec
 
@@ -41,66 +44,6 @@ _F64_MARGIN = 1e-6  # relative slack on the float64 envelope terms of the bracke
 class PhiResult:
     value: float
     converged: bool
-
-
-def _first_order_scan(r: np.ndarray, mu) -> np.ndarray:
-    """c_k = mu c_{k-1} + r_k with c_{-1} = 0, i.e. the coefficients of
-    r(z)/(1 - mu z), by a log-depth doubling scan (|mu| < 1)."""
-    c = r.copy()
-    shift, w = 1, mu
-    while shift < c.size and w != 0:
-        c[shift:] += w * c[:-shift]
-        shift, w = 2 * shift, w * w
-    return c
-
-
-def _malmquist_walsh_rows(mus, D: int) -> np.ndarray:
-    """Taylor coefficients 0..D of the Malmquist-Walsh basis of the model
-    space K_B, one row per e_j(z) = sqrt(1-mu_j^2)/(1 - mu_j z) prod_{i<j}
-    b_{mu_i}(z), for the real expanded spectrum mu_1..mu_N; long double.
-
-    Row j holds the coefficients of e_j, so rows @ a is the vector of inner
-    products <h, e_j> for the degree-D polynomial h with coefficients a.  The
-    rows are O(1) and nearly orthonormal, unlike the jet rows.
-    """
-    rows = np.empty((len(mus), D + 1), dtype=LD)
-    prefix = np.zeros(D + 1, dtype=LD)  # prod_{i<j} b_{mu_i}
-    prefix[0] = 1
-    for j, mu in enumerate(mus):
-        mu = LD(mu)
-        rows[j] = np.sqrt(1 - mu * mu) * _first_order_scan(prefix, mu)
-        # prefix * b_mu: c_k = mu c_{k-1} + p_{k-1} - mu p_k
-        shifted = -mu * prefix
-        shifted[1:] += prefix[:-1]
-        prefix = _first_order_scan(shifted, mu)
-    return rows
-
-
-def _row_error_bound(mus, D: int) -> np.ndarray:
-    """Bound 3 (j+1) (L+2) eps kappa^(3/2) on ||delta_j||_2, the rounding
-    error of row j of ``_malmquist_walsh_rows(mus, D)``: eps = 2u is the
-    long-double epsilon, L = ceil(log2(D+1)) the doubling steps of a scan,
-    kappa = 1/(1 - max|mu|).  Past 1e-6/kappa it is inf.
-
-    In l2, with a = |mu_j|, x_s = a^(2^s): the exact prefix
-    p_j = prod_{i<j} b_{mu_i} is inner, so truncating F p_j keeps at most
-    ||F||_2, and a factor phi gains at most ||phi||_inf.  A scan applies
-    prod_s (1 + w_s z^(2^s)) = 1/(1 - mu z) up to degree D, w_s = mu^(2^s)
-    squared up with relative error |e_s| <= 2^s u.  The prefix step
-    scan((z - mu) p~_j) passes the inherited Delta_j with gain 1 (b_mu is
-    inner) and adds (1 + 2a) kappa u for forming (z - mu) p~_j,
-    sum_s 2^s x_s u / sqrt(1 - x_s^2) <= 0.41 L kappa u for the e_s and
-    2 sqrt(2) kappa u per step: ||Delta_{j+1}|| <= ||Delta_j|| + 3.3 (L+1)
-    kappa u.  The row step sqrt(1 - mu^2) scan(p~_j) passes Delta_j with
-    gain sqrt(2 kappa) and adds 2 kappa u for the e_s, (1 + sqrt 2) L u /
-    sqrt(1 - a^2) for the steps and (2 + kappa/2) u for the scale.  So
-    ||delta_j|| <= 4.6 (j+1)(L+2) kappa^(3/2) u to first order; 3 eps = 6u
-    covers the second-order rest.  The bound holds for every rounding and
-    sits ~1e3 above the measured error (3.7e-19 at lambda 0.5, n 64, D 400).
-    """
-    kappa = 1 / (1 - max(abs(mu) for mu in mus))
-    bound = 3 * (D.bit_length() + 2) * np.finfo(LD).eps * kappa ** 1.5 * np.arange(1, len(mus) + 1)
-    return np.where(bound * kappa <= 1e-6, bound, np.inf)
 
 
 def _malmquist_walsh_resolvent_rhs(mus, zeta: float) -> np.ndarray:
@@ -173,10 +116,9 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
 
     With the dual y, g = sum_j y_j e_j gives y . rhs / max(1, sup_k |g_k|)
     <= N(zeta) (weak duality).  On |z| = r, 1 < r < 1/max|mu_j|, |e_j| <=
-    E_j(r) = sqrt(1-mu_j^2)/(1 - |mu_j| r) prod_{i<j} max |b_{mu_i}|, the
-    maxima from ``blaschke.log_max_modulus``; by Cauchy |g_k| <= M(r) r^-k
-    with M(r) = sum_j |y_j| E_j(r), so |g_k| <= 1 past
-    k* = min_r log M(r) / log r, on a grid r = rho^-t, and the columns
+    E_j(r), on the grid of radii of ``_log_envelope``; by Cauchy |g_k| <=
+    M(r) r^-k with M(r) = sum_j |y_j| E_j(r), so |g_k| <= 1 past
+    k* = min_r log M(r) / log r, and the columns
     up to max(k*, deg) are priced exactly.  f - sum_j res_j e_j, with the
     residual res = rows @ f - rhs, is exactly feasible (the e_j are
     orthonormal), so N(zeta) <= ||f||_1 + sum_j |res_j| ||e_j||_1.  Until
@@ -198,12 +140,7 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
         exact = [Fraction(m) * Fraction(zeta.real) == 1 for m in mus]
         q = np.where(exact, 0, abs(mu * z / (1 - mu * z)))
         rhs_err = eps * (3 + 1 / (1 - mu * mu) + np.cumsum(np.r_[0, 3 + q][:-1])) * np.abs(rhs)
-    a = np.abs(np.asarray(mus, dtype=float))
-    log_r = -np.linspace(0.05, 0.95, 19) * math.log(max(np.max(a), 1e-3))  # r = rho^-t
-    r = np.exp(log_r)
-    blaschke_max = blaschke.log_max_modulus([(a[:, None], 1)], r)  # one row per mu_j
-    log_e = (0.5 * np.log1p(-a * a)[:, None] - np.log1p(-np.outer(a, r))
-             + np.cumsum(blaschke_max, axis=0) - blaschke_max)
+    log_r, log_e = _log_envelope(mus)
     while True:
         with np.errstate(divide="ignore"):  # a zero y_j drops out of M
             terms = np.log(np.abs(y.astype(float)))[:, None] + log_e

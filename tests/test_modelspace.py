@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from schaeffer import modelspace
 from schaeffer.errors import ConsistencyError, DomainError
 from schaeffer.modelspace import (
-    MalmquistWalshBasis,
+    _malmquist_walsh_rows,
     build_toeplitz,
     minimal_poly_check,
     model_matrix,
 )
+from schaeffer.simplex import LD
 from schaeffer.spectra import SpectrumSpec
 
 
@@ -43,42 +45,80 @@ class TestBuildToeplitz:
             build_toeplitz(1.1, 3)
 
 
-def _quad_inner(f, g, nodes=4096):
-    z = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    return np.mean(f(z) * np.conj(g(z)))
+def _evaluate(lambdas, j, z):
+    """e_j (1-based) at the points z from its product formula
+    sqrt(1-|lambda_j|^2)/(1 - conj(lambda_j) z) prod_{i<j} b_{lambda_i}(z):
+    the reference the Taylor rows are checked against."""
+    lam_j = lambdas[j - 1]
+    out = np.sqrt(1 - abs(lam_j) ** 2) / (1 - np.conj(lam_j) * z)
+    for lam_i in lambdas[: j - 1]:
+        out = out * (z - lam_i) / (1 - np.conj(lam_i) * z)
+    return out
 
 
-def _basis(spec):
-    return MalmquistWalshBasis(tuple(spec.expanded()))
+_NODES = 4096
+_Z = np.exp(2j * np.pi * np.arange(_NODES) / _NODES)
+_THREE_POINT = SpectrumSpec([(0.2, 2), (0.5, 1), (-0.4, 1)])
+_SINGLETONS = [(lam, n) for lam in (0.2, 0.5, 0.8) for n in range(1, 9)]
+
+
+def _circle_values(spec):
+    """Every e_j on the circle nodes, one row per j."""
+    lambdas = spec.expanded()
+    return np.vstack([_evaluate(lambdas, j, _Z) for j in range(1, len(lambdas) + 1)])
+
+
+def _rows(spec, D):
+    return _malmquist_walsh_rows([lam.real for lam in spec.expanded()], D)
 
 
 class TestMalmquistWalsh:
+    @pytest.mark.parametrize("spec", [SpectrumSpec.single(lam, n) for lam, n in _SINGLETONS]
+                             + [_THREE_POINT])
+    def test_rows_match_circle_values(self, spec):
+        # the FFT of the circle values gives the Taylor coefficients; at
+        # 4096 nodes they alias below 0.8^4096
+        D = 300
+        reference = np.fft.fft(_circle_values(spec), axis=1)[:, :D + 1] / _NODES
+        assert np.max(np.abs(_rows(spec, D).astype(float) - reference)) < 1e-13
+
     def test_single_point_formula(self):
-        basis = _basis(SpectrumSpec.single(0.5, 1))
-        z = np.exp(2j * np.pi * np.arange(64) / 64)
+        row = _rows(SpectrumSpec.single(0.5, 1), 80)[0].astype(float)
+        z = _Z[::64]
         expect = np.sqrt(0.75) / (1 - 0.5 * z)
-        assert np.max(np.abs(basis.evaluate(1, z) - expect)) < 1e-13
+        assert np.max(np.abs(z[:, None] ** np.arange(81) @ row - expect)) < 1e-13
 
     def test_orthogonality_multiplicity_two(self):
-        basis = _basis(SpectrumSpec.single(0.5, 2))
-        ip = _quad_inner(lambda z: basis.evaluate(1, z), lambda z: basis.evaluate(2, z))
-        assert abs(ip) < 1e-10
+        R = _rows(SpectrumSpec.single(0.5, 2), 200)
+        assert abs(R[0] @ R[1]) < 1e-10
 
     def test_normalization_two_distinct_points(self):
-        basis = _basis(SpectrumSpec([(0.3, 1), (0.6, 1)]))
-        nrm = _quad_inner(lambda z: basis.evaluate(2, z), lambda z: basis.evaluate(2, z))
-        assert abs(nrm - 1) < 1e-10
+        R = _rows(SpectrumSpec([(0.3, 1), (0.6, 1)]), 200)
+        assert abs(R[1] @ R[1] - 1) < 1e-10
 
     def test_gram_identity(self):
-        basis = _basis(SpectrumSpec([(0.2, 2), (0.5, 1), (-0.4, 1)]))
-        z = np.exp(2j * np.pi * np.arange(4096) / 4096)
-        E = np.vstack([basis.evaluate(j, z) for j in range(1, 5)])
-        G = E @ E.conj().T / 4096
-        assert np.max(np.abs(G - np.eye(4))) < 1e-10
+        R = _rows(_THREE_POINT, 200)
+        assert np.max(np.abs(R @ R.T - np.eye(4))) < 1e-10
 
     def test_boundary_eigenvalue_rejected(self):
         with pytest.raises(DomainError):
             model_matrix(SpectrumSpec.single(1.0, 1))
+
+    def test_non_real_spectrum_rejected(self):
+        with pytest.raises(DomainError):
+            model_matrix(SpectrumSpec([(0.3 + 0.2j, 1), (0.5, 1)]))
+
+    def test_perturbed_row_fails_the_gram_check(self, monkeypatch):
+        rows = modelspace._malmquist_walsh_rows
+
+        def perturbed(mus, D):
+            R = rows(mus, D)
+            R[1] *= 1 + LD(1e-6)
+            return R
+
+        monkeypatch.setattr(modelspace, "_malmquist_walsh_rows", perturbed)
+        with pytest.raises(ConsistencyError):
+            model_matrix(SpectrumSpec.single(0.5, 3))
 
 
 class TestModelMatrix:
@@ -87,7 +127,13 @@ class TestModelMatrix:
     def test_singleton_reproduces_toeplitz(self, lam, n):
         M = model_matrix(SpectrumSpec.single(lam, n))
         T = build_toeplitz(lam, n).entries
-        assert np.max(np.abs(M - T)) < 1e-10
+        assert np.max(np.abs(M - T)) <= 1e-15
+
+    def test_matches_circle_quadrature(self):
+        # <z e_j, e_i> by the trapezoidal rule on the circle values
+        E = _circle_values(_THREE_POINT)
+        reference = E.conj() @ (_Z * E).T / _NODES
+        assert np.max(np.abs(model_matrix(_THREE_POINT) - reference)) < 1e-13
 
     def test_one_by_one_is_eigenvalue(self):
         M = model_matrix(SpectrumSpec.single(0.5, 1))

@@ -5,9 +5,10 @@ import pytest
 
 from schaeffer import simplex
 from schaeffer.simplex import LD, SimplexError, dense_simplex, min_l1_solution
+from schaeffer.modelspace import _malmquist_walsh_rows
 from schaeffer.spectra import SpectrumSpec
-from schaeffer.wiener_opt import (_interpolate, _malmquist_walsh_resolvent_rhs,
-                                  _malmquist_walsh_rows, _start_degree, phi_exact_truncated)
+from schaeffer.wiener_opt import (_interpolate, _malmquist_walsh_resolvent_rhs, _start_degree,
+                                  phi_exact_truncated)
 
 
 def test_small_equality_lp():

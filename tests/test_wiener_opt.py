@@ -8,12 +8,11 @@ from schaeffer.blaschke import blaschke_power_coeffs, support_estimate, weight_s
 from schaeffer import acceptance, wiener_opt
 from schaeffer.errors import DomainError
 from schaeffer.simplex import LD, min_l1_solution
+from schaeffer.modelspace import _malmquist_walsh_rows, _row_error_bound
 from schaeffer.spectra import SpectrumSpec
 from schaeffer.wiener_opt import (
     _certified_interpolate,
     _interpolate,
-    _malmquist_walsh_rows,
-    _row_error_bound,
     _start_degree,
     phi_exact_truncated,
     phi_lower_bound,
