@@ -4,6 +4,10 @@ and the acceptance suite.
 Output files are deterministic: fixed column order, numbers printed with 17
 significant digits, rows emitted in input order regardless of worker count.
 Exit codes: 0 success, 1 validation failure, 2 usage error.
+
+Each command imports the layers it runs, and numpy with them, inside its own
+functions, so ``--help`` and a usage error found while parsing exit before
+any of them loads.
 """
 
 from __future__ import annotations
@@ -12,14 +16,9 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import repeat
 
-import numpy as np
-
-from . import acceptance, asymptotics, blaschke, resolvent, wiener_opt
 from .errors import ConfigError, DomainError, ModeError, ResourceError
-from .simplex import SimplexError
 from .spectra import SpectrumSpec
 
 
@@ -83,6 +82,8 @@ def _load_config(path):
 def _pool_map(fn, tasks, workers):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, tasks))
 
@@ -92,6 +93,8 @@ def _pool_map(fn, tasks, workers):
 
 
 def _coeff_task(args):
+    from . import blaschke
+
     lam, n, kmax = args
     points = [(lam, n)]
     K = kmax if kmax is not None else blaschke.support_estimate(points)
@@ -129,6 +132,9 @@ def cmd_coeffs(opts) -> int:
 
 
 def _growth_task(args):
+    from . import wiener_opt
+    from .simplex import SimplexError
+
     lam, n, phi_max_n = args
     spec = SpectrumSpec.single(lam, n)
     L = wiener_opt.phi_lower_bound(spec)
@@ -165,6 +171,8 @@ def cmd_growth(opts) -> int:
 
 
 def _bounds_task(args):
+    from . import resolvent
+
     lam, n, zeta, C = args
     try:
         q = resolvent.BoundQuery(SpectrumSpec.single(lam, n), zeta, C)
@@ -206,6 +214,10 @@ def cmd_bounds(opts) -> int:
 
 
 def _asym_task(args):
+    import numpy as np
+
+    from . import asymptotics
+
     lam, n, ks, alpha, beta = args
     out = []
     truths = asymptotics.weighted_truth(lam, n, np.array(ks))
@@ -231,12 +243,18 @@ def _asym_task(args):
 
 
 def _default_k_grid(lam, n):
+    import numpy as np
+
+    from . import asymptotics
+
     a0 = asymptotics.alpha0(lam)
     ratios = np.linspace(0.9 * a0, 1.1 / a0, 41)
     return sorted({max(2, int(round(a * n))) for a in ratios})
 
 
 def _check_asymptotics(opts):
+    from . import asymptotics
+
     for lam in opts.lambdas:
         for n in opts.n:
             SpectrumSpec.single(lam, n).require_interior()
@@ -245,6 +263,8 @@ def _check_asymptotics(opts):
 
 
 def cmd_asymptotics(opts) -> int:
+    from . import asymptotics
+
     tasks = []
     for lam in opts.lambdas:
         for n in opts.n:
@@ -274,6 +294,8 @@ def cmd_asymptotics(opts) -> int:
 
 
 def cmd_validate(opts) -> int:
+    from . import acceptance
+
     numbers = set(opts.criteria) if opts.criteria else None
     results = acceptance.run_all(numbers)
     for r in results:

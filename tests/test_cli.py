@@ -111,22 +111,6 @@ class TestGrowth:
         assert float(row["L"]) <= float(row["phi_D"]) <= float(row["sqrt_en"])
         assert row["phi_converged"] == "true"
 
-    def test_growth_imports_no_mpmath(self, tmp_path):
-        # phi is certified in long double; mpmath stays off the growth path
-        out = tmp_path / "growth.csv"
-        code = ("import sys\n"
-                "from schaeffer.cli import main\n"
-                f"assert main(['growth', '--lambda', '0.5', '--n', '8,64', '--workers', '1', "
-                f"'--out', {str(out)!r}]) == 0\n"
-                "print('mpmath' in sys.modules)\n")
-        paths = [str(Path(schaeffer.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
-        assert [r["phi_converged"] for r in _read_csv(out)] == ["true", "true"]
-
     def test_phi_cutoff(self, tmp_path):
         out = tmp_path / "growth.csv"
         main(["growth", "--lambda", "0.5", "--n", "4,128", "--phi-max-n", "16",
@@ -350,3 +334,32 @@ class TestValidateAndConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {argv[0]}: no FFT size")
         assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, code, absent", [
+    (["--help"], 0, ["numpy"]),
+    (["growth", "--lambda", "0.5", "--n", "4", "--workers", "0"], 2, ["numpy"]),
+    (["growth", "--lambda", "0.5", "--n", "8,256", "--workers", "1"], 0,
+     ["schaeffer.acceptance", "schaeffer.asymptotics", "concurrent.futures.process"]),
+    (["bounds", "--lambda", "0.5", "--n", "4", "--zeta", "0,0.9", "--workers", "1"], 0,
+     ["schaeffer.simplex", "schaeffer.blaschke", "concurrent.futures.process"]),
+], ids=["help", "usage-error", "growth", "bounds"])
+def test_command_imports_only_the_layers_it_runs(tmp_path, argv, code, absent):
+    # each case runs in a fresh process, so sys.modules after cli.main holds
+    # exactly what the command loaded
+    if argv[0] != "--help":
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+    script = ("import contextlib, io, sys\n"
+              "from schaeffer.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    try:\n"
+              f"        code = main({argv!r})\n"
+              "    except SystemExit as ex:\n"
+              "        code = ex.code\n"
+              f"print(code, [m for m in {absent!r} if m in sys.modules])\n")
+    paths = [str(Path(schaeffer.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == f"{code} []"
