@@ -273,8 +273,7 @@ def criterion_9() -> CriterionResult:
     worst_k = None
     lo, hi = 2868, 3277
     truth = asymptotics.weighted_truth(lam, n, np.arange(lo - 3, hi + 3))  # k at k - lo + 3
-    for k in range(lo, hi):
-        est = asymptotics.uniform_airy_estimate(lam, n, k)
+    for k, est in zip(range(lo, hi), asymptotics.uniform_airy_estimates(lam, n, range(lo, hi))):
         wmax = float(np.max(np.abs(truth[k - lo: k - lo + 7])))
         rel = abs(est.value - truth[k - lo + 3]) / max(wmax, asymptotics.TRUTH_FLOOR)
         if rel > worst:

@@ -142,8 +142,10 @@ def _evaluate(x, derivative: bool):
     out = np.empty_like(x)
     inner = np.abs(x) <= SERIES_CUTOFF
     out[inner] = _taylor(x[inner], derivative)
-    # the expansion stops at a different term for each point; the scalar
-    # loop keeps its bits, and callers pass only a few points out here
+    # the scalar loop stays, though one asymptotics pass sends hundreds of
+    # points out here: numpy's array power and exp round differently from
+    # the scalar ** and math.exp (about 5% of results differ in the last
+    # bit), so an array version would move the values
     out[~inner] = [_asymptotic(v, derivative) for v in x[~inner].tolist()]
     return out
 

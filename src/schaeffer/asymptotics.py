@@ -230,9 +230,9 @@ def _pick_saddles(mu: float, a: float):
 
 
 def _pick_saddles_along(mu: float, a: np.ndarray):
-    """``_pick_saddles`` at each ratio of the array a, as two complex arrays.
-    The ratio a of the estimate itself keeps the scalar version, whose
-    Python complex results the amplitudes are computed from."""
+    """``_pick_saddles`` at each ratio of the array a (any shape), as two
+    complex arrays.  The ratio a of the estimate itself keeps the scalar
+    version, whose Python complex results the amplitudes are computed from."""
     M = _midpoint(mu, a)
     circle = M * M <= 1
     s = np.sqrt(np.abs(1 - M * M))
@@ -269,71 +269,107 @@ def _psi(z: complex) -> complex:
 
 
 def _continue_signs(seed: complex, w: np.ndarray):
-    """Signs for the values w = z'(t) along the tracking path, each chosen
-    nearer its signed predecessor (seed before the first).  Returns the
-    signed last value and each step's move relative to its predecessor.
+    """Signs for the values w = z'(t) along each tracking path (the last
+    axis of w), each chosen nearer its signed predecessor (seed before the
+    first).  Returns the signed last value of each path and each step's
+    move relative to its predecessor.
 
     Taking the nearer sign flips the running sign exactly at the steps where
     the unsigned w is nearer to minus its unsigned predecessor, and the move
     is then the smaller of the two distances, so no step needs the signs of
     the steps before it.  (An exact tie, w orthogonal to its predecessor,
     keeps the running sign; such a step moves by more than the jump limit.)"""
-    prev = np.append(seed, w[:-1])
+    prev = np.concatenate([np.full(w.shape[:-1] + (1,), seed), w[..., :-1]], axis=-1)
     same, flipped = np.abs(w - prev), np.abs(w + prev)
     jump = np.minimum(same, flipped) / np.maximum(np.abs(prev), 1e-30)
-    last = w[-1]
-    return (-last if np.count_nonzero(same > flipped) % 2 else last), jump
+    last = w[..., -1]
+    return np.where(np.count_nonzero(same > flipped, axis=-1) % 2, -last, last), jump
 
 
-def _airy_core(mu: float, n: float, a: float):
-    """Two-term uniform Airy value for coefficient ratio a of the problem
-    with parameter mu, anchored at the z = 1 coalescence (a_c = (1+mu)/(1-mu)).
+def _tracked_amplitudes(mu: float, ac: float, seed: complex, a: list) -> list:
+    """(A0, A1, gamma_sq, branch_ok) at each ratio of the list a, none of
+    them at the coalescence ratio ac."""
+    saddles = [_pick_saddles(mu, ai) for ai in a]
+    for _, zm in saddles:
+        _check_pole(mu, zm)  # phase_value checks z_plus
+    gams = [_real_gamma2_root(1.5 * phase_value(mu, ai, zp)) for ai, (zp, _) in zip(a, saddles)]
 
-    Returns (value, gamma_sq, branch_ok).  The orientation sign
-    flips when z'(0) < 0 (the image of the positively traversed circle then
-    runs backwards along the Airy contour).
+    # branch tracking from the coalesced limit along a straight path in a:
+    # z'(t_pm) up to sign at the inner steps of every ratio at once (one row
+    # per ratio) and at each ratio itself, then the signs by continuity
+    path = ac + (np.array(a)[:, None] - ac) * np.arange(1, _BRANCH_STEPS) / _BRANCH_STEPS
+    zps, zms = _pick_saddles_along(mu, path)
+    _check_pole(mu, zms)  # phase_value checks zps
+    gs = _real_gamma2_root(1.5 * phase_value(mu, path, zps))
+    wp, jump_p = _continue_signs(seed, np.column_stack([
+        np.sqrt(-2 * gs / _phase_f2(mu, path, zps)),
+        [np.sqrt(-2 * gam / _phase_f2(mu, ai, complex(zp)))
+         for ai, (zp, _), gam in zip(a, saddles, gams)]]))
+    wm, jump_m = _continue_signs(seed, np.column_stack([
+        np.sqrt(2 * gs / _phase_f2(mu, path, zms)),
+        [np.sqrt(2 * gam / _phase_f2(mu, ai, complex(zm)))
+         for ai, (_, zm), gam in zip(a, saddles, gams)]]))
+    branch_ok = ~np.any(np.maximum(jump_p, jump_m)[:, 1:] > _BRANCH_JUMP_LIMIT, axis=1)
+
+    out = []
+    for (zp, zm), gam, wpi, wmi, ok in zip(saddles, gams, wp, wm, branch_ok.tolist()):
+        G0p = _psi(zp) * wpi
+        G0m = _psi(zm) * wmi
+        A0 = (G0p + G0m) / 2
+        if abs(gam) > 1e-7:
+            A1 = (G0p - G0m) / (2 * gam)
+        else:
+            A1 = complex(2.0 * seed ** 2)  # removable singularity: G0'(0)
+        out.append((A0, A1, float((gam * gam).real), ok))
+    return out
+
+
+def _airy_cores(mu: float, n: float, a: list) -> list:
+    """Two-term uniform Airy values for the coefficient ratios a of the
+    problem with parameter mu, anchored at the z = 1 coalescence
+    (a_c = (1+mu)/(1-mu)).
+
+    Returns one (value, gamma_sq, branch_ok) per ratio.  The orientation
+    sign flips when z'(0) < 0 (the image of the positively traversed circle
+    then runs backwards along the Airy contour).
+
+    The inner tracking steps of all ratios go through one array pass, and
+    Ai and Ai' through one call each.  Each ratio's own saddles, gamma and
+    amplitudes stay scalar: numpy's array loops for complex multiply, abs,
+    exp and ** round differently from the scalar operations, so the same
+    steps on arrays would move the last bits of the estimates.
     """
     ac = _coalescence_ratio(mu)
     seed = _zprime_seed(mu, ac)
     sigma = 1.0 if seed.real > 0 else -1.0
+    n13, n23 = float(n) ** (1 / 3), float(n) ** (2 / 3)
 
-    if abs(a - ac) <= 1e-9 * ac:
-        g2 = (a - ac) * (1 - mu) / math.copysign(abs(mu * (1 + mu)) ** (1 / 3), mu)
-        A1 = complex(2.0 * seed ** 2)  # A0 = 0 at the coalescence
-        x = float(n) ** (2 / 3) * g2
-        val = sigma * (A1 / float(n) ** (2 / 3) * airy_ai_prime(x))
-        return complex(val), float(g2), True
+    at_coalescence = [abs(ai - ac) <= 1e-9 * ac for ai in a]
+    tracked = [ai for ai, c in zip(a, at_coalescence) if not c]
+    amps = iter(_tracked_amplitudes(mu, ac, seed, tracked) if tracked else [])
+    rows = []  # (A0, A1, gamma_sq, branch_ok); A0 = None at the coalescence
+    for ai, c in zip(a, at_coalescence):
+        if c:
+            g2 = (ai - ac) * (1 - mu) / math.copysign(abs(mu * (1 + mu)) ** (1 / 3), mu)
+            rows.append((None, complex(2.0 * seed ** 2), float(g2), True))
+        else:
+            rows.append(next(amps))
 
-    zp, zm = _pick_saddles(mu, a)
-    gam = _real_gamma2_root(1.5 * phase_value(mu, a, zp))
-    g2 = float((gam * gam).real)
+    xs = np.array([n23 * g2 for _, _, g2, _ in rows])
+    out = []
+    for (A0, A1, g2, ok), ai_x, aip_x in zip(rows, airy_ai(xs).tolist(),
+                                              airy_ai_prime(xs).tolist()):
+        if A0 is None:
+            val = sigma * (A1 / n23 * aip_x)
+        else:
+            val = sigma * (A0 / n13 * ai_x + A1 / n23 * aip_x)
+        out.append((complex(val), g2, ok))
+    return out
 
-    # branch tracking from the coalesced limit along a straight path in a:
-    # z'(t_pm) up to sign at the inner steps at once and at a itself, then
-    # the signs by continuity
-    path = ac + (a - ac) * np.arange(1, _BRANCH_STEPS) / _BRANCH_STEPS
-    zps, zms = _pick_saddles_along(mu, path)
-    _check_pole(mu, zms)  # phase_value checks zps
-    gs = _real_gamma2_root(1.5 * phase_value(mu, path, zps))
-    wp, jump_p = _continue_signs(seed, np.append(
-        np.sqrt(-2 * gs / _phase_f2(mu, path, zps)),
-        np.sqrt(-2 * gam / phase_derivatives(mu, a, zp)[2])))
-    wm, jump_m = _continue_signs(seed, np.append(
-        np.sqrt(2 * gs / _phase_f2(mu, path, zms)),
-        np.sqrt(2 * gam / phase_derivatives(mu, a, zm)[2])))
-    branch_ok = not np.any(np.maximum(jump_p, jump_m)[1:] > _BRANCH_JUMP_LIMIT)
 
-    G0p = _psi(zp) * wp
-    G0m = _psi(zm) * wm
-    A0 = (G0p + G0m) / 2
-    if abs(gam) > 1e-7:
-        A1 = (G0p - G0m) / (2 * gam)
-    else:
-        A1 = complex(2.0 * seed ** 2)  # removable singularity: G0'(0)
-    x = float(n) ** (2 / 3) * g2
-    val = sigma * (A0 / float(n) ** (1 / 3) * airy_ai(x)
-                   + A1 / float(n) ** (2 / 3) * airy_ai_prime(x))
-    return complex(val), g2, branch_ok
+def _airy_core(mu: float, n: float, a: float):
+    """``_airy_cores`` at the single ratio a: (value, gamma_sq, branch_ok)."""
+    return _airy_cores(mu, n, [a])[0]
 
 
 @dataclass
@@ -374,32 +410,53 @@ def clear_truth_cache():
     _truth_cache.clear()
 
 
-def uniform_airy_estimate(lam: float, n: int, k: float) -> AiryEstimate:
-    """Uniform two-term Airy estimate of the coefficient at index k, for
-    k/n within 50% of either coalescence ratio, alpha0 or 1/alpha0; where
-    the two windows overlap (lambda <= 0.268) the relatively nearer one
-    anchors it.  Near k/n = alpha0 the mirrored problem with parameter
-    -lambda is used and the result carries the parity phase
-    exp(i pi (k - n))."""
+def uniform_airy_estimates(lam: float, n: int, ks) -> list:
+    """Uniform two-term Airy estimates of the coefficients at the indices
+    ks: one ``AiryEstimate`` per k with k/n within 50% of either
+    coalescence ratio, alpha0 or 1/alpha0, and None at the others (use
+    ``stationary_phase_estimate`` there).  Where the two windows overlap
+    (lambda <= 0.268) the relatively nearer one anchors the estimate.  Near
+    k/n = alpha0 the mirrored problem with parameter -lambda is used and
+    the result carries the parity phase exp(i pi (k - n)).
+
+    The ks of each side are estimated together: one array pass tracks all
+    their branch paths, and Ai, Ai' run once per side."""
     if not 0 < lam < 1:
         raise DomainError("lambda must lie in (0, 1)")
-    a = k / n
+    ks = list(ks)
     a0 = alpha0(lam)
     ac_right = 1 / a0
-    right = abs(a - ac_right) <= 0.5 * ac_right
-    left = abs(a - a0) <= 0.5 * a0
-    if right and left:
-        # tracking from the farther coalescence would cross the nearer one
-        right = abs(a - ac_right) / ac_right <= abs(a - a0) / a0
-    if right:
-        val, g2, ok = _airy_core(lam, n, a)
-    elif left:
-        val, g2, ok = _airy_core(-lam, n, a)
-        val = val * np.exp(1j * math.pi * (k - n))
-    else:
+    sides = {lam: [], -lam: []}  # mu -> indices into ks
+    for i, k in enumerate(ks):
+        a = k / n
+        right = abs(a - ac_right) <= 0.5 * ac_right
+        left = abs(a - a0) <= 0.5 * a0
+        if right and left:
+            # tracking from the farther coalescence would cross the nearer one
+            right = abs(a - ac_right) / ac_right <= abs(a - a0) / a0
+        if right:
+            sides[lam].append(i)
+        elif left:
+            sides[-lam].append(i)
+    out = [None] * len(ks)
+    for mu, idx in sides.items():
+        if not idx:
+            continue
+        for i, (val, g2, ok) in zip(idx, _airy_cores(mu, n, [ks[i] / n for i in idx])):
+            if mu < 0:
+                val = val * np.exp(1j * math.pi * (ks[i] - n))
+            out[i] = AiryEstimate(value=val, gamma_sq=g2, branch_ok=ok)
+    return out
+
+
+def uniform_airy_estimate(lam: float, n: int, k: float) -> AiryEstimate:
+    """``uniform_airy_estimates`` at the single index k; raises ModeError
+    where k/n lies outside both coalescence windows."""
+    est = uniform_airy_estimates(lam, n, [k])[0]
+    if est is None:
         raise ModeError("k/n is outside both coalescence neighborhoods; "
                         "use stationary_phase_estimate")
-    return AiryEstimate(value=val, gamma_sq=g2, branch_ok=ok)
+    return est
 
 
 # ---------------------------------------------------------------------------

@@ -222,17 +222,17 @@ def _asym_task(args):
     out = []
     truths = asymptotics.weighted_truth(lam, n, np.array(ks))
     floor = asymptotics.truth_error(lam, n)  # no rel_error for a truth within its error
-    for k, truth in zip(ks, truths.tolist()):
+    airy = asymptotics.uniform_airy_estimates(lam, n, ks)
+    for k, truth, ae in zip(ks, truths.tolist(), airy):
         region = asymptotics.classify_region(lam, n, k, alpha, beta)
         est = None
         g2 = None
         flag = ""
-        try:
-            ae = asymptotics.uniform_airy_estimate(lam, n, k)
+        if ae is not None:
             est, g2 = ae.value.real, ae.gamma_sq
             if not ae.branch_ok:
                 flag = "branch-tracking"
-        except ModeError:
+        else:
             try:
                 est = asymptotics.stationary_phase_estimate(lam, n, k, beta)
             except ModeError:
