@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from itertools import repeat
 
 from .errors import ConfigError, DomainError, ModeError, ResourceError
 from .spectra import SpectrumSpec
@@ -101,8 +100,8 @@ def _coeff_task(args):
     base = blaschke.blaschke_power_coeffs(points, K)
     series = blaschke.weight_series(base)
     c = series.coeffs
-    rows = list(zip(repeat(lam), repeat(n), range(c.size), c.real.tolist(), c.imag.tolist()))
-    return rows, (lam, n, series.max_index, series.linf, 1.0 - base.l2 ** 2)
+    block = (lam, n, c.real.tolist(), c.imag.tolist())
+    return block, (lam, n, series.max_index, series.linf, 1.0 - base.l2 ** 2)
 
 
 def _check_coeffs(opts):
@@ -113,16 +112,34 @@ def _check_coeffs(opts):
             SpectrumSpec.single(lam, n).require_interior()
 
 
+def _write_coeff_csv(path, blocks):
+    with open(path, "w") as fh:
+        fh.write("lambda,n,k,coeff_re,coeff_im\n")
+        for lam, n, re, im in blocks:
+            # lambda and n are fixed along a block, so each block formats them
+            # once into its own row template and renders all its rows in one
+            # % call; '%d' prints k as _write_csv's '%.17g' does
+            m = len(re)
+            cells = [None] * (3 * m)
+            cells[0::3] = range(m)
+            cells[1::3] = re
+            cells[2::3] = im
+            template = "%.17g,%.17g," % (lam, n) + "%d,%.17g,%.17g\n"
+            fh.write((template * m) % tuple(cells))
+
+
 def cmd_coeffs(opts) -> int:
     tasks = [(lam, n, opts.kmax) for lam in opts.lambdas for n in opts.n]
     results = _pool_map(_coeff_task, tasks, opts.workers)
-    rows = [r for res in results for r in res[0]]
+    blocks = [res[0] for res in results]
     norms = [res[1] for res in results]
     if opts.format == "csv":
-        _write_csv(opts.out, ["lambda", "n", "k", "coeff_re", "coeff_im"], rows)
+        _write_coeff_csv(opts.out, blocks)
         _write_csv(opts.out + ".norms.csv",
                    ["lambda", "n", "K", "linf_A", "parseval_defect"], norms)
     else:
+        rows = [(lam, n, k, r, i) for lam, n, re, im in blocks
+                for k, (r, i) in enumerate(zip(re, im))]
         _write_json(opts.out, {
             "coefficients": [dict(zip(("lambda", "n", "k", "re", "im"), r)) for r in rows],
             "norms": [dict(zip(("lambda", "n", "K", "linf_A", "parseval_defect"), r))

@@ -18,6 +18,9 @@ the bound itself overflows a double.
 ``optimize_rho`` minimizes over rho; the four closed forms are particular
 rho choices plus relaxations, so the optimized value sits below each of
 them wherever their hypotheses hold.
+
+Everything here is plain ``math`` on Python floats and complexes, the
+32-point rho scan included, so the module loads without numpy.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DomainError, ModeError
 from .spectra import SpectrumSpec
 
@@ -35,13 +36,16 @@ _E = math.e
 
 
 def pseudo_hyperbolic(z: complex, w: complex) -> float:
-    """Moebius-invariant disk distance |(z - w)/(1 - conj(z) w)|."""
+    """Moebius-invariant disk distance |(z - w)/(1 - conj(z) w)|, as the
+    quotient of the two moduli: one correctly rounded division, so for real
+    operands it is the correctly rounded quotient of the double numerator
+    and denominator."""
     z = complex(z)
     w = complex(w)
-    den = 1 - np.conj(z) * w
+    den = 1 - z.conjugate() * w
     if den == 0:
         raise DomainError("conj(z) w = 1: pseudo-hyperbolic distance undefined")
-    return abs((z - w) / den)
+    return abs(z - w) / abs(den)
 
 
 class BoundRule(Enum):
@@ -141,6 +145,13 @@ _GOLDEN = (math.sqrt(5) - 1) / 2
 _SCAN_POINTS = 32
 
 
+def _scan_grid(edge: float) -> list:
+    """_SCAN_POINTS equally spaced rhos from 1e-6 to 1 - edge, the last one
+    exactly 1 - edge: start + i step, as numpy.linspace forms them."""
+    step = (1 - edge - 1e-6) / (_SCAN_POINTS - 1)
+    return [1e-6 + i * step for i in range(_SCAN_POINTS - 1)] + [1 - edge]
+
+
 def optimize_rho(q: BoundQuery) -> BoundReport:
     """Minimize the lemma bound over rho in (0, 1): a _SCAN_POINTS pre-scan
     of [1e-6, 1 - edge] guards against multiple local minima, then
@@ -150,9 +161,9 @@ def optimize_rho(q: BoundQuery) -> BoundReport:
     The result is clipped by the scan minimum, so it never exceeds any
     scanned value."""
     edge = min(1e-6, 0.01 / q.spec.degree)
-    rs = np.linspace(1e-6, 1 - edge, _SCAN_POINTS)
-    logv = np.array([mainlemma_log_bound(q, r) for r in rs])
-    i0 = int(np.argmin(logv))
+    rs = _scan_grid(edge)
+    logv = [mainlemma_log_bound(q, r) for r in rs]
+    i0 = min(range(_SCAN_POINTS), key=logv.__getitem__)  # the first minimum
     a = rs[max(0, i0 - 1)]
     b = rs[min(_SCAN_POINTS - 1, i0 + 1)]
     f = lambda r: mainlemma_log_bound(q, r)
@@ -171,12 +182,12 @@ def optimize_rho(q: BoundQuery) -> BoundReport:
     rho_star = (a + b) / 2
     log_value = mainlemma_log_bound(q, rho_star)
     if log_value > logv[i0]:  # multimodal surprise: fall back to the scan
-        rho_star = float(rs[i0])
-        log_value = float(logv[i0])
+        rho_star = rs[i0]
+        log_value = logv[i0]
     return BoundReport(
         rule=BoundRule.MAIN_LEMMA_OPT,
         value=_exp_or_inf(log_value),
-        rho_star=float(rho_star),
+        rho_star=rho_star,
     )
 
 
@@ -229,7 +240,7 @@ def thm_case3(q: BoundQuery) -> float:
     if r >= 1:
         raise ModeError("pseudo-hyperbolic separation must be < 1")
     mm = q.spec.degree
-    mind = min(abs(1 - np.conj(l) * q.zeta) for l in lams)
+    mind = min(abs(1 - l.conjugate() * q.zeta) for l in lams)
     # delta_max = (1-r^2)/(1-r|zeta|) is the extremal value of
     # (1-|l|^2)/|1-conj(l)|zeta|| over the admissible spectrum; the first
     # term under the root is delta_max/(1-r^2)

@@ -83,6 +83,35 @@ class TestCoeffs:
               "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("kmax", [None, 40])
+    def test_block_rows_match_generic_writer(self, tmp_path, kmax, workers):
+        # the per-block row templates write what _write_csv writes for the
+        # same rows as 5-tuples, in the same order
+        lams, ns = (0.5, 0.341234, 0.66), (1, 5, 64)
+        rows, norms = [], []
+        for lam in lams:
+            for n in ns:
+                points = [(lam, n)]
+                K = kmax if kmax is not None else blaschke.support_estimate(points)
+                base = blaschke.blaschke_power_coeffs(points, K)
+                series = blaschke.weight_series(base)
+                c = series.coeffs
+                rows += zip([lam] * c.size, [n] * c.size, range(c.size),
+                            c.real.tolist(), c.imag.tolist())
+                norms.append((lam, n, series.max_index, series.linf, 1.0 - base.l2 ** 2))
+        ref = tmp_path / "ref.csv"
+        _write_csv(ref, ["lambda", "n", "k", "coeff_re", "coeff_im"], rows)
+        _write_csv(str(ref) + ".norms.csv",
+                   ["lambda", "n", "K", "linf_A", "parseval_defect"], norms)
+        out = tmp_path / "coeffs.csv"
+        argv = ["coeffs", "--lambda", "0.5,0.341234,0.66", "--n", "1,5,64",
+                "--workers", workers, "--out", str(out)]
+        assert main(argv + ([] if kmax is None else ["--k", str(kmax)])) == 0
+        assert out.read_bytes() == ref.read_bytes()
+        assert (Path(str(out) + ".norms.csv").read_bytes()
+                == Path(str(ref) + ".norms.csv").read_bytes())
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "coeffs.json"
         main(["coeffs", "--lambda", "0.5", "--n", "1", "--k", "4",
@@ -358,7 +387,7 @@ class TestValidateAndConfig:
     (["growth", "--lambda", "0.5", "--n", "8,256", "--workers", "1"], 0,
      ["schaeffer.acceptance", "schaeffer.asymptotics", "concurrent.futures.process"]),
     (["bounds", "--lambda", "0.5", "--n", "4", "--zeta", "0,0.9", "--workers", "1"], 0,
-     ["schaeffer.simplex", "schaeffer.blaschke", "concurrent.futures.process"]),
+     ["numpy", "schaeffer.simplex", "schaeffer.blaschke", "concurrent.futures.process"]),
 ], ids=["help", "usage-error", "growth", "bounds"])
 def test_command_imports_only_the_layers_it_runs(tmp_path, argv, code, absent):
     # each case runs in a fresh process, so sys.modules after cli.main holds

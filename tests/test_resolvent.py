@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from schaeffer.errors import DomainError, ModeError
 from schaeffer.resolvent import (
     BoundQuery,
     BoundRule,
+    _scan_grid,
     applicable_closed_forms,
     mainlemma_bound,
     mainlemma_log_bound,
@@ -49,6 +52,28 @@ class TestPseudoHyperbolic:
         d2 = pseudo_hyperbolic(w, z)
         assert d1 == pytest.approx(d2, abs=1e-12)
         assert 0 <= d1 < 1
+
+    def test_real_pairs_correctly_rounded(self):
+        # for real operands the numerator and denominator are doubles, and
+        # the one division between them must round correctly, which a
+        # multiply by a rounded reciprocal does not
+        rng = np.random.default_rng(19)
+        for z, w in zip(*rng.uniform(-1, 1, (2, 1000)).tolist()):
+            exact = Fraction(abs(z - w)) / Fraction(abs(1 - z * w))
+            assert pseudo_hyperbolic(z, w) == float(exact), (z, w)
+
+    def test_complex_pairs_near_30_digit_value(self):
+        # the componentwise products, sums and moduli round before the
+        # division, so a few results in 1e4 land 3 ulp off; 100,000 pairs
+        # drawn like these showed none further off
+        rng = np.random.default_rng(19)
+        radius = 0.9 * np.sqrt(rng.uniform(0, 1, (2, 1000)))
+        angle = rng.uniform(0, 2 * math.pi, (2, 1000))
+        with mp.workdps(30):
+            for z, w in zip(*(radius * np.exp(1j * angle)).tolist()):
+                zm, wm = mp.mpc(z), mp.mpc(w)
+                ref = float(abs((zm - wm) / (1 - mp.conj(zm) * wm)))
+                assert abs(pseudo_hyperbolic(z, w) - ref) <= 3 * math.ulp(ref), (z, w)
 
 
 class TestMainLemma:
@@ -149,11 +174,18 @@ class TestOptimizeRho:
         for rho in np.linspace(1e-6, 1 - 1e-6, 32):
             assert rep.value <= mainlemma_bound(q, float(rho)) + 1e-9
 
+    @pytest.mark.parametrize("n", [1, 4, 64, 1024, 3072])
+    def test_scan_grid_is_linspace(self, n):
+        edge = min(1e-6, 0.01 / n)
+        grid = _scan_grid(edge)
+        assert all(type(r) is float for r in grid)
+        assert grid == np.linspace(1e-6, 1 - edge, 32).tolist()
+
     def test_scan_unimodal(self):
         # at most one interior minimum on the 32-point grid optimize_rho scans
         for n in (1, 4, 16):
             q = BoundQuery(SpectrumSpec.single(0.5, n), 0.0, 1.0)
-            rs = np.linspace(1e-6, 1 - min(1e-6, 0.01 / n), 32)
+            rs = _scan_grid(min(1e-6, 0.01 / n))
             logv = [mainlemma_log_bound(q, r) for r in rs]
             minima = [i for i in range(1, 31) if logv[i] < min(logv[i - 1], logv[i + 1])]
             assert len(minima) <= 1
