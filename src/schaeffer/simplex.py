@@ -16,9 +16,14 @@ same LU re-forms the tableau from its basis when a phase stalls.
 The tableau holds one column per coefficient, not the usual split
 x = x+ - x- with a column each: a free coefficient enters the basis with
 the sign of its better reduced cost, and the negated column is never
-stored (Barrodale & Roberts, SIAM J. Numer. Anal. 1973).  Problem sizes
-stay tiny: at most a few dozen rows by a few thousand columns.  Each solve
-also returns its dual, the certificate that ``wiener_opt`` prices over the
+stored (Barrodale & Roberts, SIAM J. Numer. Anal. 1973).  Phase 1 starts
+from a crash basis, not from the artificials alone: a free column is
+feasible in either sign, so any nonsingular choice of columns is a
+feasible start, and one is picked by eliminating on each row's largest
+entry (Bixby, ORSA J. Comput. 1992).  On these nearly orthonormal rows
+every row gets a column and phase 1 makes no pivot.  Problem sizes stay
+tiny: at most a few dozen rows by a few thousand columns.  Each solve also
+returns its dual, the certificate that ``wiener_opt`` prices over the
 columns a program leaves out.
 """
 
@@ -124,6 +129,50 @@ def _reformed(R, b, basis, phase):
     return np.vstack([X, z]).astype(float)
 
 
+def _crash(R, b):
+    """The phase-1 start: (T, basis, sgn), the float64 tableau
+    B^{-1} [R, I, b] of the program with row i of R x = b multiplied by
+    sgn_i, under the objective row of ``_reformed``, and its signed basis.
+
+    On a float64 copy of R, each row in turn eliminates on its largest
+    remaining entry; a row left with no entry above _FEAS_TOL of its own
+    sup norm depends on the rows before it, and keeps its artificial.  The
+    chosen columns and the kept artificials form a nonsingular B
+    (triangular after the elimination).  Each basic variable starts at the
+    absolute value of its basic value: a chosen column, free, enters as
+    +R_j or -R_j by that sign, and a kept artificial negates its row
+    (sgn_i = -1), so the start is feasible and phase 1 has only the kept
+    artificials to drive out (a crash basis: Bixby, ORSA J. Comput. 1992).
+    With every artificial kept, B is I and this is the textbook start on
+    the rows signed to b >= 0.
+    """
+    m, n = R.shape
+    Rf = R.astype(float)
+    A = Rf.copy()
+    size = _FEAS_TOL * np.max(np.abs(A), axis=1)
+    basis = np.arange(2 * n, 2 * n + m)
+    free = np.ones(n, dtype=bool)
+    for i in range(m):
+        j = int(np.argmax(np.abs(A[i]) * free))
+        if not abs(A[i, j]) > size[i]:
+            continue
+        basis[i] = j
+        free[j] = False
+        A[i + 1:] -= A[i + 1:, j, None] / A[i, j] * A[i]
+    coef = basis < 2 * n
+    B = np.eye(m)
+    B[:, coef] = Rf[:, basis[coef]]
+    X = np.linalg.solve(B, np.hstack([Rf, np.eye(m), b[:, None].astype(float)]))
+    neg = X[:, -1] < 0
+    X[neg] *= -1
+    basis[neg & coef] += n
+    sgn = np.where(neg & ~coef, -1, 1)
+    X[:, n:n + m] *= sgn  # B^{-1} of the signed rows: a negated row negates its column
+    z = -((~coef) @ X)
+    z[n:n + m] += 1
+    return np.vstack([X, z]), basis, sgn
+
+
 def _run(T, R, b, basis, phase, total):
     """Pivot the float64 tableau T to the end of the phase, in place.
     Returns (passes, pivots): the pricing passes with ``total`` before it,
@@ -211,8 +260,11 @@ def dense_simplex(R, b):
 
     The pivots, on a float64 tableau, are those of the textbook simplex on
     [R, -R] with x >= 0, columns indexed +R first, then -R, then the
-    phase-1 artificials: Dantzig pricing with the smallest index on ties,
-    and a largest-pivot tie-break on near-minimal ratios.  Past _BLAND_AFTER
+    phase-1 artificials.  They start from the crash basis of ``_crash``,
+    with the rows signed so that every basic variable starts nonnegative,
+    and phase 1 drives out the artificials the crash kept, if any.  Dantzig
+    pricing with the smallest index on ties, and a largest-pivot tie-break
+    on near-minimal ratios.  Past _BLAND_AFTER
     pricing passes of one phase, Bland's rule takes over: the lowest
     entering index, and the lowest basic index among the minimal ratios.
     ``SimplexError`` after _MAX_PIVOTS pricing passes.  Every cost is 1, so
@@ -222,27 +274,16 @@ def dense_simplex(R, b):
     once, and has stalled, ``SimplexError``, if that brings no pivot
     either.  Phase 1 and the final vertex are both feasible only if every
     basic artificial is within _FEAS_TOL of its own row's scale.  The
-    returned ``pivots`` counts the pivots made: a pass that blocks a column
-    or ends a phase makes none.
+    returned ``pivots`` counts the pivots both phases made from the crash
+    basis: the crash itself, a pass that blocks a column and a pass that
+    ends a phase make none.
     """
     R = np.array(R, dtype=LD)
     b = np.array(b, dtype=LD)
     m, n = R.shape
-    sgn = np.where(b < 0, LD(-1), LD(1))
+    T, basis, sgn = _crash(R, b)
     R *= sgn[:, None]
     b *= sgn
-
-    # columns: R, the artificials, b; row m holds z, the reduced costs of +R
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = R
-    T[:m, n:n + m] = np.eye(m)
-    T[:m, -1] = b
-    T[m, :n] = -R.sum(axis=0)
-    T[m, -1] = -b.sum()
-    # basic variable of each row in the signed index: +R_j is j, -R_j is n + j
-    # and artificial k is 2n + k
-    basis = np.arange(2 * n, 2 * n + m)
-
     total, pivots = _run(T, R, b, basis, 1, 0)
     if np.any(basis >= 2 * n):
         _vertex(R, b, basis, *_basis_lu(R, basis))

@@ -164,7 +164,7 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
         beyond = np.nonzero(g[deg + 1:] > 1)[0]
         if certified or beyond.size == 0 or deg + 1 >= _COLUMN_BUDGET:
             return value, f, lower, upper, bool(certified)
-        deg = min(deg + 1 + beyond[-1], _COLUMN_BUDGET - 1)
+        deg = min(deg + 1 + int(beyond[-1]), _COLUMN_BUDGET - 1)
         f, y = _interpolate(spec, zeta, deg)
 
 

@@ -7,8 +7,8 @@ from schaeffer import simplex
 from schaeffer.simplex import LD, SimplexError, dense_simplex, min_l1_solution
 from schaeffer.modelspace import _malmquist_walsh_rows
 from schaeffer.spectra import SpectrumSpec
-from schaeffer.wiener_opt import (_interpolate, _malmquist_walsh_resolvent_rhs, _start_degree,
-                                  phi_exact_truncated)
+from schaeffer.wiener_opt import (_certified_interpolate, _malmquist_walsh_resolvent_rhs,
+                                  _start_degree, phi_exact_truncated)
 
 
 def test_small_equality_lp():
@@ -19,10 +19,12 @@ def test_small_equality_lp():
 
 
 def test_infeasible_detected():
-    # x = 1 and x = 2 at once
+    # x = 1 and x = 2 at once; the crash keeps the second row's artificial,
+    # which starts at +1 or at -1
     A = np.array([[1.0], [1.0]])
-    with pytest.raises(SimplexError):
-        dense_simplex(A, np.array([1.0, 2.0]))
+    for rhs in ([1.0, 2.0], [2.0, 1.0]):
+        with pytest.raises(SimplexError, match="infeasible: row 1"):
+            dense_simplex(A, np.array(rhs))
 
 
 def test_infeasibility_is_relative_to_each_row():
@@ -113,20 +115,50 @@ def test_bland_rule_from_the_first_pivot_reaches_the_same_optimum(monkeypatch):
 
 
 def test_stall_raises_at_once():
-    # posed on 256 columns, lambda = 0.97, n = 32 reaches a tableau whose
-    # only improving columns have no acceptable pivot; without a pivot the
-    # tableau cannot change, so the phase ends here instead of cycling to
-    # the iteration limit
+    # a phase-2 tableau whose one improving column, +R_1 at reduced cost -4,
+    # has B^{-1} R_1 = (5, -1e12): its positive entry is under 1e-11 of the
+    # column, so it has no acceptable pivot, and the tableau re-formed from
+    # the basis is the same; without a pivot the tableau cannot change, so
+    # the phase ends here instead of cycling to the iteration limit
+    R = np.array([[1.0, 5.0], [0.0, -1e12]], dtype=LD)
+    b = np.array([1.0, 0.0], dtype=LD)
+    basis = np.array([0, 5])  # +R_0, and the second row's artificial at 0
+    T = simplex._reformed(R, b, basis, 2)
     t0 = time.perf_counter()
     with pytest.raises(SimplexError, match="stalled: 1 column"):
-        _interpolate(SpectrumSpec.single(0.97, 32), 0j, 255)
+        simplex._run(T, R, b, basis, 2, 0)
     assert time.perf_counter() - t0 < 0.5
+
+
+def test_once_stalled_program_certifies():
+    # lambda = 0.97, n = 32 posed on 256 columns stalled from the
+    # all-artificial start; from the crash start it solves, and the degree
+    # the dual asks for certifies the value phi_exact_truncated prints
+    spec = SpectrumSpec.single(0.97, 32)
+    value, _, _, _, certified = _certified_interpolate(spec, 0j, 255)
+    assert certified
+    assert format(float(LD(abs(spec.eigen_product())) * value), ".17g") == "3.0466231208942358"
+
+
+def _count_runs(monkeypatch):
+    """(phase, passes, pivots) of every simplex._run from now on."""
+    runs = []
+    run = simplex._run
+
+    def counted(T, R, b, basis, phase, total):
+        passes, pivots = run(T, R, b, basis, phase, total)
+        runs.append((phase, passes, pivots))
+        return passes, pivots
+
+    monkeypatch.setattr(simplex, "_run", counted)
+    return runs
 
 
 def test_phi_lp_pivot_path(monkeypatch):
     # the six programs of `growth --lambda 0.5 --n 8,16,24,32,48,64` take
-    # the pivots they took on the long-double tableau: 821 pivots, counted
-    # without the passes that block a column or close a phase
+    # 94 pivots from the crash start, all of them in phase 2 (821, 732 of
+    # them in phase 1, from the all-artificial start), counted without the
+    # passes that block a column or close a phase
     pivots = []
     solve = simplex.dense_simplex
 
@@ -136,10 +168,64 @@ def test_phi_lp_pivot_path(monkeypatch):
         return result
 
     monkeypatch.setattr(simplex, "dense_simplex", counted)
+    runs = _count_runs(monkeypatch)
     for n in (8, 16, 24, 32, 48, 64):
         phi_exact_truncated(SpectrumSpec.single(0.5, n))
     assert len(pivots) == 6
-    assert sum(pivots) == 821
+    assert sum(pivots) == 94
+    assert [made for phase, _, made in runs if phase == 1] == [0] * 6
+
+
+def test_crash_start_takes_few_pricing_passes(monkeypatch):
+    # lambda = 0.66, n = 64, zeta = 0.9 from degree 511: 2932 pricing passes
+    # from the all-artificial start, 2826 of them in phase 1
+    runs = _count_runs(monkeypatch)
+    *_, certified = _certified_interpolate(SpectrumSpec.single(0.66, 64), 0.9 + 0j, 511)
+    assert certified
+    assert sum(passes for phase, passes, _ in runs if phase == 2) < 100
+
+
+def test_crash_keeps_the_artificial_of_a_dependent_row():
+    # the third row repeats the first: the crash keeps its artificial, and
+    # the optimum is the hand value, x = (0, 17/11, -2/11), and HiGHS's
+    rows = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0], [1.0, 2.0, 0.5]])
+    rhs = np.array([3.0, 1.0, 3.0])
+    _, basis, _ = simplex._crash(rows.astype(LD), rhs.astype(LD))
+    assert list(basis >= 6) == [False, False, True]
+    val, x, y = min_l1_solution(rows, rhs)
+    assert float(val) == pytest.approx(19 / 11, rel=1e-15)
+    assert np.allclose(np.asarray(x, dtype=float), [0, 17 / 11, -2 / 11], atol=1e-15)
+    assert float(y @ rhs) == pytest.approx(19 / 11, rel=1e-15)
+    pytest.importorskip("scipy")
+    assert float(val) == pytest.approx(_linprog_l1(rows, rhs), rel=1e-12)
+
+
+# the second row is the first but for 1e-10 x_3: the crash keeps its
+# artificial, at 1 - 2 = -1
+_NEAR_DEPENDENT = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1e-10]]), np.array([2.0, 1.0])
+
+
+def test_kept_artificial_starts_nonnegative():
+    # the kept artificial's row is negated instead, and phase 1 drives it
+    # out at x = (2, 0, -1e10), not at a negative "optimum"
+    rows, rhs = _NEAR_DEPENDENT
+    _, basis, sgn = simplex._crash(rows.astype(LD), rhs.astype(LD))
+    assert list(basis) == [0, 7] and list(sgn) == [1, -1]
+    x, val, _, y = dense_simplex(rows, rhs)
+    assert np.allclose(np.asarray(x, dtype=float), [2, 0, -1e10], rtol=1e-15, atol=0)
+    assert float(val) == pytest.approx(2 + 1e10, rel=1e-15)
+    assert float(y @ rhs) == pytest.approx(float(val), rel=1e-15)
+
+
+@pytest.mark.parametrize("program", [_random_program(seed) for seed in range(4)] + [_NEAR_DEPENDENT])
+def test_crash_tableau_is_the_reformed_one(program):
+    # the float64 solve of the crash start agrees with the long-double LU
+    # that re-forms a phase-1 tableau from its basis, on the signed rows
+    R, b = (np.asarray(a, dtype=LD) for a in program)
+    T, basis, sgn = simplex._crash(R, b)
+    R, b = R * sgn[:, None], b * sgn
+    assert np.all(T[:-1, -1] >= 0)
+    assert np.max(np.abs(simplex._reformed(R, b, basis, 1) - T)) <= 1e-12
 
 
 def test_dual_solved_from_the_basis():
