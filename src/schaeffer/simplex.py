@@ -10,8 +10,9 @@ by one partial-pivoting LU of the basis matrix, so they are exact up to
 the 64-bit significand however far the tableau has drifted.  This is the
 scheme of Applegate, Cook, Dash & Espinoza (Oper. Res. Lett. 2007) and of
 Gleixner, Steffy & Wolter (INFORMS J. Comput. 2016): find the basis in
-fast arithmetic, recompute the basic solution in higher precision.  The
-same LU re-forms the tableau from its basis when a phase stalls.
+fast arithmetic, recompute the basic solution in higher precision.  A
+phase that stalls re-forms its tableau from the basis by a fresh float64
+solve, which clears the tableau's drift.
 
 The tableau holds one column per coefficient, not the usual split
 x = x+ - x- with a column each: a free coefficient enters the basis with
@@ -21,7 +22,7 @@ from a crash basis, not from the artificials alone: a free column is
 feasible in either sign, so any nonsingular choice of columns is a
 feasible start, and one is picked by eliminating on each row's largest
 entry (Bixby, ORSA J. Comput. 1992).  On these nearly orthonormal rows
-every row gets a column and phase 1 makes no pivot.  Problem sizes stay
+every row gets a column and phase 1 does not run.  Problem sizes stay
 tiny: at most a few dozen rows by a few thousand columns.  Each solve also
 returns its dual, the certificate that ``wiener_opt`` prices over the
 columns a program leaves out.
@@ -83,16 +84,21 @@ def _lu_solve_left(lu, perm, c):
     return y
 
 
-def _basis_lu(R, basis):
-    """LU of the signed basis matrix: column i is +R_j for basis[i] = j,
-    -R_j for n + j and e_k for the artificial 2n + k."""
+def _basis_matrix(R, basis, dtype):
+    """The signed basis matrix: column i is +R_j for basis[i] = j, -R_j
+    for n + j and e_k for the artificial 2n + k."""
     m, n = R.shape
-    B = np.zeros((m, m), dtype=LD)
+    B = np.zeros((m, m), dtype=dtype)
     coef = np.nonzero(basis < 2 * n)[0]
     B[:, coef] = R[:, basis[coef] % n] * np.where(basis[coef] < n, LD(1), LD(-1))
     art = np.nonzero(basis >= 2 * n)[0]
     B[basis[art] - 2 * n, art] = 1
-    return _lu(B)
+    return B
+
+
+def _basis_lu(R, basis):
+    """Long-double LU of the signed basis matrix."""
+    return _lu(_basis_matrix(R, basis, LD))
 
 
 def _vertex(R, b, basis, lu, perm):
@@ -114,25 +120,30 @@ def _vertex(R, b, basis, lu, perm):
     return xb, x
 
 
-def _reformed(R, b, basis, phase):
-    """The phase's float64 tableau re-formed from its basis by the
-    long-double LU: B^{-1} [R, I, b] in phase 1 and B^{-1} [R, b] in phase 2,
-    under the objective row -c_B B^{-1} [...], c_B 1 on the basic
-    artificials in phase 1 (whose own costs of 1 are added back) and on the
-    basic coefficients in phase 2."""
+def _price(T, basis, phase):
+    """Set the objective row of T to minus the sum of the cost rows: the
+    basic artificials in phase 1, the basic coefficients in phase 2 (each
+    costs 1 in the sign it is basic with, which its row already holds)."""
+    m, n = len(basis), T.shape[1] - 1
+    T[m] = 0
+    for i in np.nonzero((basis < 2 * n) == (phase == 2))[0]:
+        T[m] -= T[i]
+
+
+def _tableau(R, b, basis, phase):
+    """The float64 tableau B^{-1} [R, b] of the basis, by one fresh solve,
+    under the phase's objective row (``_price``)."""
     m, n = R.shape
-    cols = [R, np.eye(m, dtype=LD), b[:, None]] if phase == 1 else [R, b[:, None]]
-    X = _lu_solve(*_basis_lu(R, basis), np.hstack(cols))
-    z = -((basis >= 2 * n if phase == 1 else basis < 2 * n) @ X)
-    if phase == 1:
-        z[n:n + m] += 1
-    return np.vstack([X, z]).astype(float)
+    T = np.empty((m + 1, n + 1))
+    T[:m, :n], T[:m, n] = R, b
+    T[:m] = np.linalg.solve(_basis_matrix(R, basis, float), T[:m])
+    _price(T, basis, phase)
+    return T
 
 
 def _crash(R, b):
-    """The phase-1 start: (T, basis, sgn), the float64 tableau
-    B^{-1} [R, I, b] of the program with row i of R x = b multiplied by
-    sgn_i, under the objective row of ``_reformed``, and its signed basis.
+    """The start: (T, basis, sgn), the phase-1 ``_tableau`` of the program
+    with row i of R x = b multiplied by sgn_i, and its signed basis.
 
     On a float64 copy of R, each row in turn eliminates on its largest
     remaining entry; a row left with no entry above _FEAS_TOL of its own
@@ -143,12 +154,12 @@ def _crash(R, b):
     +R_j or -R_j by that sign, and a kept artificial negates its row
     (sgn_i = -1), so the start is feasible and phase 1 has only the kept
     artificials to drive out (a crash basis: Bixby, ORSA J. Comput. 1992).
-    With every artificial kept, B is I and this is the textbook start on
-    the rows signed to b >= 0.
+    An artificial is a basis index, 2n + i for row i, and has no tableau
+    column.  With every artificial kept, B is I and this is the textbook
+    start on the rows signed to b >= 0.
     """
     m, n = R.shape
-    Rf = R.astype(float)
-    A = Rf.copy()
+    A = R.astype(float)
     size = _FEAS_TOL * np.max(np.abs(A), axis=1)
     basis = np.arange(2 * n, 2 * n + m)
     free = np.ones(n, dtype=bool)
@@ -159,27 +170,25 @@ def _crash(R, b):
         basis[i] = j
         free[j] = False
         A[i + 1:] -= A[i + 1:, j, None] / A[i, j] * A[i]
+    T = _tableau(R, b, basis, 1)
+    neg = T[:m, -1] < 0
+    T[:m][neg] *= -1
     coef = basis < 2 * n
-    B = np.eye(m)
-    B[:, coef] = Rf[:, basis[coef]]
-    X = np.linalg.solve(B, np.hstack([Rf, np.eye(m), b[:, None].astype(float)]))
-    neg = X[:, -1] < 0
-    X[neg] *= -1
     basis[neg & coef] += n
-    sgn = np.where(neg & ~coef, -1, 1)
-    X[:, n:n + m] *= sgn  # B^{-1} of the signed rows: a negated row negates its column
-    z = -((~coef) @ X)
-    z[n:n + m] += 1
-    return np.vstack([X, z]), basis, sgn
+    _price(T, basis, 1)  # the flip changed the cost rows
+    return T, basis, np.where(neg & ~coef, -1, 1)
 
 
 def _run(T, R, b, basis, phase, total):
-    """Pivot the float64 tableau T to the end of the phase, in place.
+    """Pivot the float64 tableau T = B^{-1} [R, b], under the phase's
+    objective row, to the end of the phase, in place.  Only the cost of a
+    coefficient column depends on the phase: 0 in phase 1, 1 in phase 2.
     Returns (passes, pivots): the pricing passes with ``total`` before it,
     which _MAX_PIVOTS limits, and the pivots this phase made."""
     m, n = R.shape
+    c = 1.0 if phase == 2 else 0.0
     z = T[m, :n]
-    red = np.empty(2 * n + m if phase == 1 else 2 * n)
+    red = np.empty(2 * n)
     blocked = np.zeros(red.size, dtype=bool)
     any_blocked = False
     work = np.empty_like(T)  # the rank-1 update, without a fresh array per pivot
@@ -190,13 +199,8 @@ def _run(T, R, b, basis, phase, total):
         total += 1
         if total > _MAX_PIVOTS:
             raise SimplexError("iteration limit reached")
-        if phase == 1:
-            red[:n] = z
-            np.negative(z, out=red[n:2 * n])
-            red[2 * n:] = T[m, n:n + m]
-        else:
-            np.add(1, z, out=red[:n])
-            np.subtract(1, z, out=red[n:])
+        np.add(c, z, out=red[:n])
+        np.subtract(c, z, out=red[n:])
         # Dantzig: the least reduced cost, the smallest index on ties;
         # Bland: the smallest index below -_RC_TOL
         priced = np.where(blocked, np.inf, red) if any_blocked else red
@@ -210,12 +214,12 @@ def _run(T, R, b, basis, phase, total):
                 raise SimplexError(f"stalled: {stuck} column(s) with reduced cost below "
                                    f"-1e-7 and no acceptable pivot")
             # the blocked columns may owe their tiny pivots to the tableau's drift
-            T[:] = _reformed(R, b, basis, phase)
+            T[:] = _tableau(R, b, basis, phase)
             reformed = True
             blocked[:] = any_blocked = False
             continue
-        j = k if k < n else k - n  # tableau column: R_j, or an artificial
-        s = -1.0 if n <= k < 2 * n else 1.0
+        j = k % n  # the tableau column of +R_j or -R_j
+        s = -1.0 if k >= n else 1.0
         col = s * T[:m, j]
         cmax = float(col.max())
         tol = max(1e-13, 1e-11 * max(cmax, -float(col.min())))  # 1e-11 max|col|
@@ -234,13 +238,11 @@ def _run(T, R, b, basis, phase, total):
         T[i] /= col[i]
         fac = s * T[:, j]
         fac[i] = 0
-        if phase == 2:
-            fac[m] = 1 + s * T[m, j]
+        fac[m] += c  # the entering column's reduced cost c + s z_j
         T -= np.einsum("i,j->ij", fac, T[i], out=work)  # faster than multiply.outer
         T[:, j] = 0
         T[i, j] = s
-        if phase == 2:
-            T[m, j] = -s  # the reduced cost 1 + s z_j of the basic column is 0
+        T[m, j] = -s * c  # so that the basic column's reduced cost is 0
         basis[i] = k
         pivots += 1
         if any_blocked:
@@ -258,44 +260,39 @@ def dense_simplex(R, b):
     y @ b = value.  A degenerate basic coefficient may come out with the
     sign opposite to the one its column entered with; x is taken as solved.
 
-    The pivots, on a float64 tableau, are those of the textbook simplex on
-    [R, -R] with x >= 0, columns indexed +R first, then -R, then the
-    phase-1 artificials.  They start from the crash basis of ``_crash``,
-    with the rows signed so that every basic variable starts nonnegative,
-    and phase 1 drives out the artificials the crash kept, if any.  Dantzig
-    pricing with the smallest index on ties, and a largest-pivot tie-break
-    on near-minimal ratios.  Past _BLAND_AFTER
-    pricing passes of one phase, Bland's rule takes over: the lowest
-    entering index, and the lowest basic index among the minimal ratios.
-    ``SimplexError`` after _MAX_PIVOTS pricing passes.  Every cost is 1, so
-    phase 2 cannot be unbounded; columns without an acceptable pivot are
-    blocked until the next pivot instead.  A phase whose only improving
-    columns are blocked re-forms its tableau from the basis in long double
-    once, and has stalled, ``SimplexError``, if that brings no pivot
-    either.  Phase 1 and the final vertex are both feasible only if every
-    basic artificial is within _FEAS_TOL of its own row's scale.  The
-    returned ``pivots`` counts the pivots both phases made from the crash
-    basis: the crash itself, a pass that blocks a column and a pass that
-    ends a phase make none.
+    The pivots, on the float64 tableau B^{-1} [R, b] of both phases, are
+    those of the textbook simplex on [R, -R] with x >= 0, columns indexed
+    +R first, then -R.  They start from the crash basis of ``_crash``,
+    with the rows signed so that every basic variable starts nonnegative.
+    Phase 1 runs only when the crash kept an artificial, and drives the
+    kept ones out; an artificial has no column, so one that leaves never
+    re-enters (the phase-1 optimum is the same), and one still basic at 0
+    stays so, at cost 0, in phase 2.  Dantzig pricing with the smallest
+    index on ties, and a largest-pivot tie-break on near-minimal ratios.
+    Past _BLAND_AFTER pricing passes of one phase, Bland's rule takes
+    over: the lowest entering index, and the lowest basic index among the
+    minimal ratios.  ``SimplexError`` after _MAX_PIVOTS pricing passes.
+    Every cost is 1, so phase 2 cannot be unbounded; columns without an
+    acceptable pivot are blocked until the next pivot instead.  A phase
+    whose only improving columns are blocked re-forms its tableau from the
+    basis once (``_tableau``), and has stalled, ``SimplexError``, if that
+    brings no pivot either.  Phase 1 and the final vertex are both
+    feasible only if every basic artificial is within _FEAS_TOL of its own
+    row's scale.  ``pivots`` counts the pivots of both phases: the crash
+    itself, a pass that blocks a column and a pass that ends a phase make
+    none.
     """
     R = np.array(R, dtype=LD)
     b = np.array(b, dtype=LD)
-    m, n = R.shape
+    n = R.shape[1]
     T, basis, sgn = _crash(R, b)
     R *= sgn[:, None]
     b *= sgn
-    total, pivots = _run(T, R, b, basis, 1, 0)
+    total = pivots = 0
     if np.any(basis >= 2 * n):
+        total, pivots = _run(T, R, b, basis, 1, 0)
         _vertex(R, b, basis, *_basis_lu(R, basis))
-
-    # phase 2 prices no artificial, and its dual comes from the basis, so
-    # the artificial columns go; every basic coefficient costs 1 in its own
-    # sign, and the tableau already holds the signed basis, so z is minus
-    # the sum of the coefficient rows
-    T = np.hstack([T[:, :n], T[:, -1:]])
-    T[m, :] = 0
-    for i in np.nonzero(basis < 2 * n)[0]:
-        T[m, :] -= T[i]
+    _price(T, basis, 2)
     total, phase2 = _run(T, R, b, basis, 2, total)
 
     lu, perm = _basis_lu(R, basis)

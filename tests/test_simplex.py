@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from schaeffer import simplex
-from schaeffer.simplex import LD, SimplexError, dense_simplex, min_l1_solution
+from schaeffer.simplex import (LD, SimplexError, _basis_lu, _lu_solve, dense_simplex,
+                               min_l1_solution)
 from schaeffer.modelspace import _malmquist_walsh_rows
 from schaeffer.spectra import SpectrumSpec
 from schaeffer.wiener_opt import (_certified_interpolate, _malmquist_walsh_resolvent_rhs,
@@ -123,7 +124,7 @@ def test_stall_raises_at_once():
     R = np.array([[1.0, 5.0], [0.0, -1e12]], dtype=LD)
     b = np.array([1.0, 0.0], dtype=LD)
     basis = np.array([0, 5])  # +R_0, and the second row's artificial at 0
-    T = simplex._reformed(R, b, basis, 2)
+    T = simplex._tableau(R, b, basis, 2)
     t0 = time.perf_counter()
     with pytest.raises(SimplexError, match="stalled: 1 column"):
         simplex._run(T, R, b, basis, 2, 0)
@@ -154,11 +155,8 @@ def _count_runs(monkeypatch):
     return runs
 
 
-def test_phi_lp_pivot_path(monkeypatch):
-    # the six programs of `growth --lambda 0.5 --n 8,16,24,32,48,64` take
-    # 94 pivots from the crash start, all of them in phase 2 (821, 732 of
-    # them in phase 1, from the all-artificial start), counted without the
-    # passes that block a column or close a phase
+def _count_pivots(monkeypatch):
+    """The pivots of every dense_simplex from now on."""
     pivots = []
     solve = simplex.dense_simplex
 
@@ -168,12 +166,22 @@ def test_phi_lp_pivot_path(monkeypatch):
         return result
 
     monkeypatch.setattr(simplex, "dense_simplex", counted)
+    return pivots
+
+
+def test_phi_lp_pivot_path(monkeypatch):
+    # the six programs of `growth --lambda 0.5 --n 8,16,24,32,48,64` take
+    # 94 pivots from the crash start, and the crash keeps no artificial, so
+    # phase 1 never runs (821 pivots, 732 of them in phase 1, from the
+    # all-artificial start), counted without the passes that block a
+    # column or close a phase
+    pivots = _count_pivots(monkeypatch)
     runs = _count_runs(monkeypatch)
     for n in (8, 16, 24, 32, 48, 64):
         phi_exact_truncated(SpectrumSpec.single(0.5, n))
     assert len(pivots) == 6
     assert sum(pivots) == 94
-    assert [made for phase, _, made in runs if phase == 1] == [0] * 6
+    assert [phase for phase, _, _ in runs] == [2] * 6
 
 
 def test_crash_start_takes_few_pricing_passes(monkeypatch):
@@ -200,6 +208,30 @@ def test_crash_keeps_the_artificial_of_a_dependent_row():
     assert float(val) == pytest.approx(_linprog_l1(rows, rhs), rel=1e-12)
 
 
+# seeds of _random_program with two rows or more, and the c that makes the
+# last row c times the first, the rhs scaled to match
+_DEPENDENT = list(zip([seed for seed in range(40) if len(_random_program(seed)[1]) >= 2][:12],
+                      [1, -2.5, 0.3] * 4))
+
+
+@pytest.mark.parametrize("seed, c", _DEPENDENT)
+def test_dependent_row_matches_linprog(monkeypatch, seed, c):
+    # the crash keeps the one artificial of the dependent row, so phase 1
+    # runs; it stays basic, at 0 up to rounding, and the optimum is HiGHS's
+    pytest.importorskip("scipy")
+    rows, rhs = _random_program(seed)
+    rows[-1], rhs[-1] = c * rows[0], c * rhs[0]
+    scale = np.max(np.abs(rows), axis=1)
+    _, basis, _ = simplex._crash((rows / scale[:, None]).astype(LD), (rhs / scale).astype(LD))
+    assert np.count_nonzero(basis >= 2 * rows.shape[1]) == 1
+    runs = _count_runs(monkeypatch)
+    val, x, y = min_l1_solution(rows, rhs)
+    assert [phase for phase, _, _ in runs] == [1, 2]
+    assert float(val) == pytest.approx(_linprog_l1(rows, rhs), rel=1e-12)
+    assert np.max(np.abs(y @ rows)) <= 1 + 1e-15
+    assert float(y @ rhs) == pytest.approx(float(val), rel=1e-15)
+
+
 # the second row is the first but for 1e-10 x_3: the crash keeps its
 # artificial, at 1 - 2 = -1
 _NEAR_DEPENDENT = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1e-10]]), np.array([2.0, 1.0])
@@ -217,6 +249,16 @@ def test_kept_artificial_starts_nonnegative():
     assert float(y @ rhs) == pytest.approx(float(val), rel=1e-15)
 
 
+def _reformed(R, b, basis, phase):
+    """The phase's tableau B^{-1} [R, b] re-formed from its basis by the
+    long-double LU, independently of the float64 solve of simplex._tableau,
+    under the objective row of simplex._price."""
+    X = _lu_solve(*_basis_lu(R, basis), np.hstack([R, b[:, None]]))
+    T = np.vstack([X, np.zeros(X.shape[1], dtype=LD)]).astype(float)
+    simplex._price(T, basis, phase)
+    return T
+
+
 @pytest.mark.parametrize("program", [_random_program(seed) for seed in range(4)] + [_NEAR_DEPENDENT])
 def test_crash_tableau_is_the_reformed_one(program):
     # the float64 solve of the crash start agrees with the long-double LU
@@ -224,8 +266,9 @@ def test_crash_tableau_is_the_reformed_one(program):
     R, b = (np.asarray(a, dtype=LD) for a in program)
     T, basis, sgn = simplex._crash(R, b)
     R, b = R * sgn[:, None], b * sgn
+    assert T.shape == (R.shape[0] + 1, R.shape[1] + 1)
     assert np.all(T[:-1, -1] >= 0)
-    assert np.max(np.abs(simplex._reformed(R, b, basis, 1) - T)) <= 1e-12
+    assert np.max(np.abs(_reformed(R, b, basis, 1) - T)) <= 1e-12
 
 
 def test_dual_solved_from_the_basis():
@@ -253,11 +296,40 @@ def test_reformed_tableau_matches_the_running_one(monkeypatch, phase):
     R = rng.standard_normal((12, 40)).astype(LD)
     b = np.abs(rng.standard_normal(12)).astype(LD)
     basis = np.arange(80, 92)  # the artificials
-    T = simplex._reformed(R, b, basis, 1)
+    T = _reformed(R, b, basis, 1)
     if phase == 2:
         simplex._run(T, R, b, basis, 1, 0)
-        T = simplex._reformed(R, b, basis, 2)
+        T = _reformed(R, b, basis, 2)
     monkeypatch.setattr(simplex, "_MAX_PIVOTS", 8)
     with pytest.raises(SimplexError, match="iteration limit"):
         simplex._run(T, R, b, basis, phase, 0)
-    assert np.max(np.abs(simplex._reformed(R, b, basis, phase) - T)) <= 1e-12
+    assert np.max(np.abs(_reformed(R, b, basis, phase) - T)) <= 1e-12
+
+
+# phi at zeta 0 for lambda (rows) by n = 8, 16, 32, 64 (columns)
+_PHI_GRID = {
+    0.35: ["2.970850551061456", "3.9142203927346859", "5.2812682084946081", "7.25679077304342"],
+    0.45: ["3.2969373880918615", "4.1876092098594322", "5.8449788741457569", "7.8008668925210731"],
+    0.5: ["3.2406219860103134", "4.4302904747886718", "5.8536096849791344", "7.9015564360118127"],
+    0.53: ["3.2927382691476179", "4.3513239864739024", "5.9269156554711406", "7.9840109690113161"],
+    0.56: ["3.3888284180268853", "4.5809634109242054", "5.9242509276030209", "8.1707746358727658"],
+    0.66: ["3.3306634410032463", "4.367782729006648", "5.921321836803858", "8.1803683225800672"],
+    0.9: ["2.5384782536037442", "3.3720853657087497", "4.5444425356498401", "6.1292128981828133"],
+}
+
+
+def test_phi_grid_is_pinned(monkeypatch):
+    # every value to 17 digits, certified, and 508 pivots in all
+    pivots = _count_pivots(monkeypatch)
+    for lam, values in _PHI_GRID.items():
+        for n, value in zip((8, 16, 32, 64), values):
+            result = phi_exact_truncated(SpectrumSpec.single(lam, n))
+            assert (format(result.value, ".17g"), result.converged) == (value, True), (lam, n)
+    assert sum(pivots) == 508
+
+
+def test_phi_at_n_256_is_pinned(monkeypatch):
+    pivots = _count_pivots(monkeypatch)
+    result = phi_exact_truncated(SpectrumSpec.single(0.5, 256))
+    assert (format(result.value, ".17g"), result.converged) == ("15.180600281935991", True)
+    assert pivots == [145]
