@@ -1,17 +1,21 @@
 """Numerical study of determinant-inverse growth over power-bounded matrices.
 
-Subpackages by topic:
+Modules by topic:
 
+* ``spectra``      finite spectra in the closed unit disk, with multiplicities
+* ``errors``       the exception types the package raises
 * ``blaschke``     coefficients and sequence norms of b_lambda^n and
                    (1 - z^2) b_lambda^n
 * ``modelspace``   the explicit lower-triangular Toeplitz counterexample and
                    the Malmquist-Walsh basis rows of the model space, which
                    ``model_matrix`` and ``wiener_opt`` both read
-* ``wiener_opt``   the truncated l1 interpolation program: the resolvent
+* ``simplex``      the dense l1 simplex, its vertex and dual in long double
+* ``wiener_opt``   the certified l1 interpolation program: the resolvent
                    interpolation norm, phi as its zeta = 0 case, the
                    coefficient-norm lower bound, sqrt(e n)
 * ``resolvent``    the rho-parameterized resolvent bound family and its four
                    closed-form cases
+* ``airy``         Ai and Ai' on the real line, for a float or an array
 * ``asymptotics``  saddle points, the seven-region decay table, stationary
                    phase and the uniform Airy expansion
 * ``acceptance``   the numbered acceptance criteria

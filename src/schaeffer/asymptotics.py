@@ -367,11 +367,6 @@ def _airy_cores(mu: float, n: float, a: list) -> list:
     return out
 
 
-def _airy_core(mu: float, n: float, a: float):
-    """``_airy_cores`` at the single ratio a: (value, gamma_sq, branch_ok)."""
-    return _airy_cores(mu, n, [a])[0]
-
-
 @dataclass
 class AiryEstimate:
     value: complex

@@ -46,6 +46,14 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _write_table(opts, path, header, rows):
+    """The rows as CSV, or as JSON records keyed by the header, per --format."""
+    if opts.format == "csv":
+        _write_csv(path, header, rows)
+    else:
+        _write_json(path, [dict(zip(header, r)) for r in rows])
+
+
 def _parse_floats(text):
     return [float(v) for v in text.split(",") if v != ""]
 
@@ -179,11 +187,8 @@ def _check_growth(opts):
 def cmd_growth(opts) -> int:
     tasks = [(lam, n, opts.phi_max_n) for lam in opts.lambdas for n in opts.n]
     rows = _pool_map(_growth_task, tasks, opts.workers)
-    header = ["lambda", "n", "L", "phi_D", "phi_converged", "sqrt_en", "L_over_sqrt_n"]
-    if opts.format == "csv":
-        _write_csv(opts.out, header, rows)
-    else:
-        _write_json(opts.out, [dict(zip(header, r)) for r in rows])
+    _write_table(opts, opts.out,
+                 ["lambda", "n", "L", "phi_D", "phi_converged", "sqrt_en", "L_over_sqrt_n"], rows)
     return 0
 
 
@@ -221,12 +226,8 @@ def cmd_bounds(opts) -> int:
              for lam in opts.lambdas for n in opts.n for z in opts.zetas]
     results = _pool_map(_bounds_task, tasks, opts.workers)
     rows = [r for res in results for r in res]
-    header = ["lambda", "n", "zeta_re", "zeta_im", "C", "rule", "value",
-              "rho_star", "dominance_ok"]
-    if opts.format == "csv":
-        _write_csv(opts.out, header, rows)
-    else:
-        _write_json(opts.out, [dict(zip(header, r)) for r in rows])
+    _write_table(opts, opts.out, ["lambda", "n", "zeta_re", "zeta_im", "C", "rule", "value",
+                                  "rho_star", "dominance_ok"], rows)
     return 0
 
 
@@ -289,12 +290,8 @@ def cmd_asymptotics(opts) -> int:
             tasks.append((lam, n, ks, opts.alpha, opts.beta))
     results = _pool_map(_asym_task, tasks, opts.workers)
     rows = [r for res in results for r in res]
-    header = ["lambda", "n", "k", "region", "estimate_re", "truth_re",
-              "rel_error", "gamma_sq", "flag"]
-    if opts.format == "csv":
-        _write_csv(opts.out, header, rows)
-    else:
-        _write_json(opts.out, [dict(zip(header, r)) for r in rows])
+    _write_table(opts, opts.out, ["lambda", "n", "k", "region", "estimate_re", "truth_re",
+                                  "rel_error", "gamma_sq", "flag"], rows)
     # per-region decay-rate summary over the n grid
     if len(opts.n) >= 4:
         fit_rows = []
@@ -333,6 +330,7 @@ def _add_common(sub, config):
     sub.add_argument("--format", choices=("csv", "json"),
                      default=config.get("format", "csv"))
     sub.add_argument("--workers", type=int, default=int(config.get("workers", "1")))
+    sub.add_argument("--n", type=_parse_ints, default=_parse_ints(config.get("n", "")))
 
 
 def build_parser(config=None):
@@ -344,19 +342,16 @@ def build_parser(config=None):
 
     c = sp.add_parser("coeffs", help="coefficient tables and sup norms")
     _add_common(c, config)
-    c.add_argument("--n", type=_parse_ints, default=_parse_ints(config.get("n", "")))
     c.add_argument("--k", dest="kmax", type=int, default=config.get("k"))
     c.set_defaults(fn=cmd_coeffs, check=_check_coeffs, needs_out=True)
 
     g = sp.add_parser("growth", help="lower-bound and truncated-phi growth study")
     _add_common(g, config)
-    g.add_argument("--n", type=_parse_ints, default=_parse_ints(config.get("n", "")))
     g.add_argument("--phi-max-n", type=int, default=int(config.get("phi_max_n", "64")))
     g.set_defaults(fn=cmd_growth, check=_check_growth, needs_out=True)
 
     b = sp.add_parser("bounds", help="resolvent bound sweep")
     _add_common(b, config)
-    b.add_argument("--n", type=_parse_ints, default=_parse_ints(config.get("n", "")))
     b.add_argument("--zeta", dest="zetas", type=_parse_complexes,
                    default=_parse_complexes(config.get("zeta", "0")))
     b.add_argument("--C", type=float, default=float(config.get("C", "1")))
@@ -364,7 +359,6 @@ def build_parser(config=None):
 
     a = sp.add_parser("asymptotics", help="estimate-vs-truth sweep and decay fits")
     _add_common(a, config)
-    a.add_argument("--n", type=_parse_ints, default=_parse_ints(config.get("n", "")))
     a.add_argument("--k", type=_parse_ints,
                    default=_parse_ints(config.get("k", "")))
     a.add_argument("--alpha", type=float, default=config.get("alpha"))
@@ -396,7 +390,7 @@ def main(argv=None) -> int:
         return 2
     opts = ap.parse_args(argv)
     if opts.needs_out:
-        if not getattr(opts, "n", None):
+        if not opts.n:
             print("error: empty n grid", file=sys.stderr)
             return 2
         if not opts.out:

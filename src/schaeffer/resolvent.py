@@ -219,7 +219,9 @@ def thm_case2_log(q: BoundQuery) -> float:
 
 
 def schaeffer_baseline(q: BoundQuery) -> float:
-    """C sqrt(e |m|) / r^|m|, the classical bound case 2 refines."""
+    """zeta = 0: C sqrt(e |m|) / r^|m|, the classical bound case 2 refines."""
+    if q.zeta != 0:
+        raise ModeError("the baseline is a zeta = 0 bound")
     r = min(abs(l) for l in q.lams)
     if r == 0:
         raise DomainError("baseline needs r > 0")
@@ -228,11 +230,12 @@ def schaeffer_baseline(q: BoundQuery) -> float:
 
 
 def thm_case3(q: BoundQuery) -> float:
-    """zeta inside the disk, pseudo-hyperbolic separation r in (0,1):
+    """zeta and the spectrum strictly inside the disk, pseudo-hyperbolic
+    separation r in (0,1):
     C e sqrt(2) sqrt(|m|) / (min_i |1 - conj(l_i) zeta| r^|m|)
       * sqrt(1/(1 - r|zeta|) + 1/(2 (1-r^2) |m|))."""
-    if abs(q.zeta) >= 1:
-        raise ModeError("case 3 needs zeta strictly inside the disk")
+    if abs(q.zeta) >= 1 or not q.spec.is_strict_interior:
+        raise ModeError("case 3 needs zeta and the spectrum strictly inside the disk")
     lams = q.lams
     r = min(pseudo_hyperbolic(q.zeta, l) for l in lams)
     if r == 0:
@@ -267,18 +270,14 @@ def thm_case4(q: BoundQuery) -> float:
 
 
 def applicable_closed_forms(q: BoundQuery) -> dict:
-    """Evaluate every closed form whose hypotheses hold for the query."""
+    """Evaluate every closed form whose hypotheses hold for the query: each
+    form states its own and raises ModeError where they fail."""
     out = {}
-    lams = q.lams
-    if all(abs(abs(l) - 1) <= 1e-12 for l in lams):
-        out[BoundRule.CASE1] = thm_case1(q)
-    if q.zeta == 0 and min(abs(l) for l in lams) > 0:
-        out[BoundRule.CASE2] = thm_case2(q)
-        out[BoundRule.SCHAEFFER_BASELINE] = schaeffer_baseline(q)
-    if abs(q.zeta) < 1 and all(abs(l) < 1 for l in lams):
-        r = min(pseudo_hyperbolic(q.zeta, l) for l in lams)
-        if 0 < r < 1:
-            out[BoundRule.CASE3] = thm_case3(q)
-    if abs(abs(q.zeta) - 1) <= 1e-12:
-        out[BoundRule.CASE4] = thm_case4(q)
+    for rule, form in ((BoundRule.CASE1, thm_case1), (BoundRule.CASE2, thm_case2),
+                       (BoundRule.SCHAEFFER_BASELINE, schaeffer_baseline),
+                       (BoundRule.CASE3, thm_case3), (BoundRule.CASE4, thm_case4)):
+        try:
+            out[rule] = form(q)
+        except ModeError:
+            pass
     return out

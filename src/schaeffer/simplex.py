@@ -22,8 +22,9 @@ from a crash basis, not from the artificials alone: a free column is
 feasible in either sign, so any nonsingular choice of columns is a
 feasible start, and one is picked by eliminating on each row's largest
 entry (Bixby, ORSA J. Comput. 1992).  On these nearly orthonormal rows
-every row gets a column and phase 1 does not run.  Problem sizes stay
-tiny: at most a few dozen rows by a few thousand columns.  Each solve also
+every row gets a column and phase 1 does not run.  Problems stay small
+and dense: one row per eigenvalue counted with multiplicity, a few hundred
+at most, by at most a few thousand columns.  Each solve also
 returns its dual, the certificate that ``wiener_opt`` prices over the
 columns a program leaves out.
 """

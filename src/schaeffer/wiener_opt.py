@@ -7,18 +7,17 @@ the pinned constant term over analytic h with h(0) = prod lambda_i and an
 m_i-fold zero at each lambda_i, is its zeta = 0 case: h = a0 (1 + z f) with
 a0 = prod lambda_i gives phi = |a0| N(0) (Remark 5).
 
-``_interpolate`` solves it over polynomials of one degree;
-``_certified_interpolate`` grows the degree as the simplex dual, priced over
-every coefficient, demands, and brackets N(zeta) to 1e-8 relative, with the
+``_certified_interpolate`` is the one entry point.  It poses the program
+once per call, for a real spectrum and real zeta, in the Malmquist-Walsh
+basis of the model space, whose rows, their rounding bound and their
+envelope are ``modelspace``'s ``_malmquist_walsh_rows``,
+``_row_error_bound`` and ``_log_envelope``; a non-real spectrum or zeta is
+a DomainError.  It grows the degree as the simplex dual, priced over every
+coefficient, demands, and brackets N(zeta) to 1e-8 relative, with the
 rounding of its long-double data bounded: a converged value lies in a
-bracket proven for the exact program.
-
-The program is posed for a real spectrum and real zeta, in the
-Malmquist-Walsh basis of the model space, whose rows, their rounding bound
-and their envelope are ``modelspace``'s ``_malmquist_walsh_rows``,
-``_row_error_bound`` and ``_log_envelope``, and solved by the simplex, whose
-vertex and dual are formed in long double from the optimal basis.  A
-non-real spectrum or zeta is a DomainError.
+bracket proven for the exact program.  ``_interpolate`` is one solve of
+the posed rows by the simplex, whose vertex and dual are formed in long
+double from the optimal basis.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -60,48 +59,12 @@ def _malmquist_walsh_resolvent_rhs(mus, zeta: float) -> np.ndarray:
     return out
 
 
-_posed: dict = {}  # the last program posed: (mus, zeta) -> (rows, rhs), read-only
-
-
-def _program(mus, zeta: float, D: int):
-    """(rows, rhs) of the real program at degree D: ``_malmquist_walsh_rows``
-    and ``_malmquist_walsh_resolvent_rhs``.  The rows at degree D are a
-    bitwise prefix of those at any larger degree (a scan step writes only
-    at or past its shift), so the last program's rows are kept, and sliced
-    while they reach D."""
-    key = (tuple(mus), zeta)
-    if key not in _posed:
-        _posed.clear()
-        _posed[key] = np.empty((len(mus), 0)), _malmquist_walsh_resolvent_rhs(mus, zeta)
-    rows, rhs = _posed[key]
-    if rows.shape[1] <= D:
-        rows = _malmquist_walsh_rows(mus, D)
-        rows.flags.writeable = rhs.flags.writeable = False
-        _posed[key] = rows, rhs
-    return rows[:, :D + 1], rhs
-
-
-def _interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
-    """min ||f||_1 over polynomials f of degree deg matching the jets of
-    1/(zeta - z) on the real spectrum, for real zeta.  Returns (coefficients
-    f_0..f_deg, dual y); the optimum is sum |f_k|.
-
-    f matches the jets exactly when f - h lies in B H^2, where
-    h = (1 - B/B(zeta))/(zeta - z), i.e. when <f, e_j> = <h, e_j> for the
-    Malmquist-Walsh basis e_1..e_N of the model space K_B.  The rows are the
-    basis's Taylor coefficients (``_malmquist_walsh_rows``), the right-hand
-    side is the closed form <h, e_j> (``_malmquist_walsh_resolvent_rhs``),
-    both posed once per program (``_program``), and the simplex solves it,
-    its vertex exact up to the long-double significand.  These rows are an
-    invertible triangular transform of the confluent-Vandermonde jet rows,
-    so the program is the same, but they stay well conditioned where the jet
-    rows (conditioning ~4^n) run out of long-double precision from n ~ 48.
-    The program is homogeneous in the data, so it is solved at unit sup norm
-    and scaled back; y does not depend on that scale.
-    """
-    if not spec.is_real or zeta.imag != 0:
-        raise DomainError("the l1 program needs a real spectrum and a real zeta")
-    rows, rhs = _program([lam.real for lam in spec.expanded()], zeta.real, deg)
+def _interpolate(rows, rhs):
+    """min ||f||_1 subject to rows @ f = rhs: (coefficients f, dual y), the
+    optimum sum |f_k|, solved by the simplex, its vertex exact up to the
+    long-double significand.  The program is homogeneous in the data, so it
+    is solved at unit sup norm and scaled back; y does not depend on that
+    scale."""
     scale = np.max(np.abs(rhs))
     _, f, y = min_l1_solution(rows, rhs / scale)
     return f * scale, y
@@ -112,7 +75,22 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     Returns (value, f, lower, upper, certified): value = sum |f_k|, the
     long-double l1 norm of the optimum f at the final degree, and
     lower <= N(zeta) <= upper, proven for the exact program; certified when
-    lower <= value and the bracket is within _CERT_REL_WIDTH.
+    lower <= value and the bracket is within _CERT_REL_WIDTH.  A non-real
+    spectrum or zeta is a DomainError.
+
+    f matches the jets exactly when f - h lies in B H^2, where
+    h = (1 - B/B(zeta))/(zeta - z), i.e. when <f, e_j> = <h, e_j> for the
+    Malmquist-Walsh basis e_1..e_N of the model space K_B.  The rows are the
+    basis's Taylor coefficients (``_malmquist_walsh_rows``) and the
+    right-hand side is the closed form <h, e_j>
+    (``_malmquist_walsh_resolvent_rhs``), each posed once per call: the rows
+    at a degree are a bitwise prefix of those at any larger one (a scan step
+    writes only at or past its shift), so every solve slices them, and they
+    are built again only when the dual prices a column past the last.  These
+    rows are an invertible triangular transform of the confluent-Vandermonde
+    jet rows, so the program is the same, but they stay well conditioned
+    where the jet rows (conditioning ~4^n) run out of long-double precision
+    from n ~ 48.
 
     With the dual y, g = sum_j y_j e_j gives y . rhs / max(1, sup_k |g_k|)
     <= N(zeta) (weak duality).  On |z| = r, 1 < r < 1/max|mu_j|, |e_j| <=
@@ -132,9 +110,12 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     float64 envelope gains _F64_MARGIN, as its logs (at most N + 3 terms
     below 20 N each, N <= _COLUMN_BUDGET for a solvable program) err < 1e-7.
     """
-    f, y = _interpolate(spec, zeta, deg)
+    if not spec.is_real or zeta.imag != 0:
+        raise DomainError("the l1 program needs a real spectrum and a real zeta")
     mus = [lam.real for lam in spec.expanded()]
-    _, rhs = _program(mus, zeta.real, deg)
+    rhs = _malmquist_walsh_resolvent_rhs(mus, zeta.real)
+    posed = _malmquist_walsh_rows(mus, deg)
+    f, y = _interpolate(posed, rhs)
     eps, mu, z = np.finfo(LD).eps, np.asarray(mus, dtype=LD), LD(zeta.real)
     with np.errstate(divide="ignore", invalid="ignore"):  # mu zeta = 1 exactly zeroes the later rhs
         exact = [Fraction(m) * Fraction(zeta.real) == 1 for m in mus]
@@ -146,7 +127,9 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
             terms = np.log(np.abs(y.astype(float)))[:, None] + log_e
         log_m = np.logaddexp.reduce(terms, axis=0)
         past = max(deg, min(math.ceil(np.min(log_m / log_r)), _COLUMN_BUDGET)) + 1
-        rows, _ = _program(mus, zeta.real, past - 1)
+        if posed.shape[1] < past:
+            posed = _malmquist_walsh_rows(mus, past - 1)
+        rows = posed[:, :past]
         delta = _row_error_bound(mus, past - 1)
         gamma = 2 * (len(mus) + past) * eps
         with np.errstate(over="ignore"):  # an infinite bound certifies nothing
@@ -165,7 +148,7 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
         if certified or beyond.size == 0 or deg + 1 >= _COLUMN_BUDGET:
             return value, f, lower, upper, bool(certified)
         deg = min(deg + 1 + int(beyond[-1]), _COLUMN_BUDGET - 1)
-        f, y = _interpolate(spec, zeta, deg)
+        f, y = _interpolate(posed[:, :deg + 1], rhs)
 
 
 def _start_degree(spec: SpectrumSpec) -> int:

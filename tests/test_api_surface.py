@@ -1,9 +1,10 @@
-"""Every public top-level function and class of the package is reached from
-outside its own definition: from another top-level statement of
-``src/schaeffer`` or from the benchmark harness in ``perfbench/``.  Tests do
-not count, so a name that only a test calls fails here; a test that needs an
-independent reference keeps it in the test file.  Likewise every field of a
-record class is read somewhere in ``src/schaeffer`` or ``perfbench/``."""
+"""Every public top-level function and class of the package, and every
+private top-level function, is reached from outside its own definition:
+from another top-level statement of ``src/schaeffer`` or from the
+benchmark harness in ``perfbench/``.  Tests do not count, so a name that
+only a test calls fails here; a test that needs an independent reference
+keeps it in the test file.  Likewise every field of a record class is read
+somewhere in ``src/schaeffer`` or ``perfbench/``."""
 
 import ast
 from pathlib import Path
@@ -23,7 +24,10 @@ def _mentioned(node) -> set:
     return out
 
 
-def _public_api_unreached() -> list:
+def _unreached(private: bool) -> list:
+    """The public top-level functions and classes, or the private top-level
+    functions, of the package that no other top-level statement mentions."""
+    kinds = ast.FunctionDef if private else (ast.FunctionDef, ast.ClassDef)
     statements = []  # (path, top-level statement)
     for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
         statements += [(path, stmt) for stmt in ast.parse(path.read_text()).body]
@@ -31,15 +35,19 @@ def _public_api_unreached() -> list:
     unreached = []
     for i, (path, stmt) in enumerate(statements):
         if (path.parent == PACKAGE
-                and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                and not stmt.name.startswith("_")
+                and isinstance(stmt, kinds)
+                and stmt.name.startswith("_") == private
                 and not any(stmt.name in m for j, m in enumerate(mentions) if j != i)):
             unreached.append(f"{path.name}:{stmt.lineno} {stmt.name}")
     return unreached
 
 
 def test_every_public_name_is_reached():
-    assert _public_api_unreached() == []
+    assert _unreached(private=False) == []
+
+
+def test_every_private_function_is_reached():
+    assert _unreached(private=True) == []
 
 
 def _is_record(cls) -> bool:

@@ -204,9 +204,9 @@ class TestUniformAiry:
 
 
 def _scalar_airy_core(mu, n, a):
-    """Reference for ``A._airy_core`` off the coalescence: the saddles, gamma
-    and z'(t_pm) computed one tracking step at a time with scalar
-    arithmetic.  Returns (value, gamma_sq, branch_ok)."""
+    """Reference for ``A._airy_cores`` at one ratio off the coalescence: the
+    saddles, gamma and z'(t_pm) computed one tracking step at a time with
+    scalar arithmetic.  Returns (value, gamma_sq, branch_ok)."""
     from schaeffer.airy import airy_ai, airy_ai_prime
 
     def saddles(asub):
@@ -265,7 +265,7 @@ def test_vectorised_branch_tracking_matches_scalar_steps(lam):
     for mu, ac in ((lam, 1 / a0), (-lam, a0)):
         for a in (ac * np.concatenate([1 - r, 1 + r])).tolist():
             for n in (256, 2048):
-                value, g2, ok = A._airy_core(mu, n, a)
+                value, g2, ok = A._airy_cores(mu, n, [a])[0]
                 ref_value, ref_g2, ref_ok = _scalar_airy_core(mu, n, a)
                 assert ok == ref_ok
                 assert g2 == ref_g2

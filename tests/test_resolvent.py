@@ -295,6 +295,35 @@ def test_dominance_spot_grid():
                     assert opt <= form + 1e-9, (lam, n, zeta, rule)
 
 
+_SPECTRA = {"unimodular": [(1.0, 2), (-1j, 1)], "interior": [(0.5, 2), (-0.3 + 0.4j, 1)],
+            "mixed": [(1.0, 1), (0.5, 1)]}
+_ZETAS = {"origin": 0.0, "inside": 0.3, "inside-complex": -0.2 + 0.4j, "on": 1j,
+          "on-real": -1.0, "outside": 1.7, "outside-complex": -1.5j}
+
+
+@pytest.mark.parametrize("spectrum", _SPECTRA)
+@pytest.mark.parametrize("zeta", _ZETAS)
+def test_each_form_raises_mode_error_exactly_where_it_is_not_offered(spectrum, zeta):
+    # each closed form states its hypotheses once: applicable_closed_forms
+    # offers exactly the forms that do not raise ModeError, at their values
+    q = BoundQuery(SpectrumSpec(_SPECTRA[spectrum]), _ZETAS[zeta], 1.0)
+    offered = applicable_closed_forms(q)
+    forms = {BoundRule.CASE1: thm_case1, BoundRule.CASE2: thm_case2,
+             BoundRule.SCHAEFFER_BASELINE: schaeffer_baseline, BoundRule.CASE3: thm_case3,
+             BoundRule.CASE4: thm_case4}
+    for rule, form in forms.items():
+        if rule in offered:
+            assert repr(form(q)) == repr(offered[rule]), rule
+        else:
+            with pytest.raises(ModeError):
+                form(q)
+    expected = {BoundRule.CASE1: spectrum == "unimodular", BoundRule.CASE2: zeta == "origin",
+                BoundRule.SCHAEFFER_BASELINE: zeta == "origin",
+                BoundRule.CASE3: spectrum == "interior" and abs(_ZETAS[zeta]) < 1,
+                BoundRule.CASE4: abs(_ZETAS[zeta]) == 1}
+    assert set(offered) == {rule for rule, holds in expected.items() if holds}
+
+
 @pytest.mark.parametrize("mult", [10 ** 6, 10 ** 7])
 def test_optimized_below_case4_at_large_multiplicity(mult):
     # the minimizer sits near rho = 1 - 0.27/|m|; a scan stopping at a fixed

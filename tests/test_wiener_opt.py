@@ -13,6 +13,7 @@ from schaeffer.spectra import SpectrumSpec
 from schaeffer.wiener_opt import (
     _certified_interpolate,
     _interpolate,
+    _malmquist_walsh_resolvent_rhs,
     _start_degree,
     phi_exact_truncated,
     phi_lower_bound,
@@ -47,9 +48,16 @@ def _jet_rows(points, D):
     return rows
 
 
+def _solve(spec, zeta, deg):
+    """(f, y) of the program over polynomials of degree deg, posed in the
+    Malmquist-Walsh basis as ``_certified_interpolate`` poses it."""
+    mus = [lam.real for lam in spec.expanded()]
+    return _interpolate(_malmquist_walsh_rows(mus, deg), _malmquist_walsh_resolvent_rhs(mus, zeta))
+
+
 def _phi_at_degree(spec, D):
     """phi_D = |a0| N_{D-1}(0) at a fixed truncation degree D."""
-    return abs(spec.eigen_product()) * float(np.sum(np.abs(_interpolate(spec, 0j, D - 1)[0])))
+    return abs(spec.eigen_product()) * float(np.sum(np.abs(_solve(spec, 0.0, D - 1)[0])))
 
 
 def _pinned_constant_lp(spec, D):
@@ -176,7 +184,7 @@ class TestRemark5Lift:
         # the zeta = 0 interpolant matches the jets of -1/z, so
         # h = prod(lam) (1 + z f) vanishes on the spectrum
         spec = SpectrumSpec([(0.5, 1), (0.25, 1)])
-        f, _ = _interpolate(spec, 0j, 8)
+        f, _ = _solve(spec, 0.0, 8)
         for lam in (0.5, 0.25):
             val = sum(float(c) * lam ** k for k, c in enumerate(f))
             assert val == pytest.approx(-1 / lam, abs=1e-12)
@@ -265,7 +273,7 @@ class TestResolventInterpolation:
         # both are well conditioned at this size
         for points, zeta in (([(0.3, 2), (0.6, 3)], 0.9), ([(0.3, 2), (-0.6, 3)], -0.5)):
             spec = SpectrumSpec(points)
-            f, _ = _interpolate(spec, complex(zeta), 64)
+            f, _ = _solve(spec, zeta, 64)
             rhs = np.array([(LD(zeta) - LD(lam.real)) ** (-LD(d + 1))
                             for lam, mult in spec.points for d in range(mult)], dtype=LD)
             jet, _, _ = min_l1_solution(_jet_rows(spec.points, 64), rhs)
@@ -391,9 +399,9 @@ class TestCertificate:
         # the dual prices in the missing columns, and the certified value is
         # the one a far longer fixed truncation reaches
         spec = SpectrumSpec.single(0.9, n)
-        start = np.sum(np.abs(_interpolate(spec, 0j, 8 * n)[0]))
+        start = np.sum(np.abs(_solve(spec, 0.0, 8 * n)[0]))
         value, _, _, _, certified = _certified_interpolate(spec, 0j, 8 * n)
-        far = np.sum(np.abs(_interpolate(spec, 0j, 2047)[0]))
+        far = np.sum(np.abs(_solve(spec, 0.0, 2047)[0]))
         assert certified
         assert float(start) > float(value) * (1 + 1e-3)
         assert float(value) == pytest.approx(float(far), rel=1e-12)
@@ -405,8 +413,8 @@ def _planted(monkeypatch, rel):
     scaled by 1 + rel, the dual untouched."""
     solve = wiener_opt._interpolate
 
-    def planted(spec, zeta, deg):
-        f, y = solve(spec, zeta, deg)
+    def planted(rows, rhs):
+        f, y = solve(rows, rhs)
         f = f.copy()
         f[np.argmax(np.abs(f))] *= 1 + rel
         return f, y
