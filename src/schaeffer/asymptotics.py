@@ -416,8 +416,6 @@ def uniform_airy_estimates(lam: float, n: int, ks) -> list:
 
     The ks of each side are estimated together: one array pass tracks all
     their branch paths, and Ai, Ai' run once per side."""
-    if not 0 < lam < 1:
-        raise DomainError("lambda must lie in (0, 1)")
     ks = list(ks)
     a0 = alpha0(lam)
     ac_right = 1 / a0

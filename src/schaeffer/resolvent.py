@@ -211,8 +211,6 @@ def thm_case2_log(q: BoundQuery) -> float:
     if q.zeta != 0:
         raise ModeError("case 2 is the zeta = 0 bound")
     r = min(abs(l) for l in q.lams)
-    if r == 0:
-        raise DomainError("case 2 needs an invertible matrix (r > 0)")
     mm = q.spec.degree
     return (math.log(q.C) + 0.5 * (math.log(mm) + math.log(_E - r ** (2 * mm)))
             - mm * math.log(r))
@@ -223,8 +221,6 @@ def schaeffer_baseline(q: BoundQuery) -> float:
     if q.zeta != 0:
         raise ModeError("the baseline is a zeta = 0 bound")
     r = min(abs(l) for l in q.lams)
-    if r == 0:
-        raise DomainError("baseline needs r > 0")
     mm = q.spec.degree
     return _exp_or_inf(math.log(q.C) + 0.5 * math.log(_E * mm) - mm * math.log(r))
 
@@ -238,8 +234,6 @@ def thm_case3(q: BoundQuery) -> float:
         raise ModeError("case 3 needs zeta and the spectrum strictly inside the disk")
     lams = q.lams
     r = min(pseudo_hyperbolic(q.zeta, l) for l in lams)
-    if r == 0:
-        raise DomainError("zeta in the spectrum")
     if r >= 1:
         raise ModeError("pseudo-hyperbolic separation must be < 1")
     mm = q.spec.degree
@@ -264,8 +258,6 @@ def thm_case4(q: BoundQuery) -> float:
     if abs(abs(q.zeta) - 1) > 1e-12:
         raise ModeError("case 4 needs |zeta| = 1")
     mind = min(abs(q.zeta - l) for l in q.lams)
-    if mind == 0:
-        raise DomainError("zeta in the spectrum closure")
     return 1.5 * q.C * math.sqrt(_E ** 2 - 1) * q.spec.degree / mind
 
 

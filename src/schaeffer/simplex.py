@@ -1,4 +1,4 @@
-"""Dense two-phase l1 simplex: a double tableau, its vertex and dual in long double.
+"""Dense l1 simplex: a double tableau, its vertex and dual in long double.
 
 The l1 interpolation programs solved here constrain a polynomial's inner
 products with the Malmquist-Walsh basis of a model space; those rows are
@@ -10,23 +10,27 @@ by one partial-pivoting LU of the basis matrix, so they are exact up to
 the 64-bit significand however far the tableau has drifted.  This is the
 scheme of Applegate, Cook, Dash & Espinoza (Oper. Res. Lett. 2007) and of
 Gleixner, Steffy & Wolter (INFORMS J. Comput. 2016): find the basis in
-fast arithmetic, recompute the basic solution in higher precision.  A
-phase that stalls re-forms its tableau from the basis by a fresh float64
-solve, which clears the tableau's drift.
+fast arithmetic, recompute the basic solution in higher precision.  A run
+that stalls re-forms its tableau from the basis by a fresh float64 solve,
+which clears the tableau's drift.
 
 The tableau holds one column per coefficient, not the usual split
 x = x+ - x- with a column each: a free coefficient enters the basis with
 the sign of its better reduced cost, and the negated column is never
-stored (Barrodale & Roberts, SIAM J. Numer. Anal. 1973).  Phase 1 starts
-from a crash basis, not from the artificials alone: a free column is
-feasible in either sign, so any nonsingular choice of columns is a
-feasible start, and one is picked by eliminating on each row's largest
-entry (Bixby, ORSA J. Comput. 1992).  On these nearly orthonormal rows
-every row gets a column and phase 1 does not run.  Problems stay small
-and dense: one row per eigenvalue counted with multiplicity, a few hundred
-at most, by at most a few thousand columns.  Each solve also
-returns its dual, the certificate that ``wiener_opt`` prices over the
-columns a program leaves out.
+stored (Barrodale & Roberts, SIAM J. Numer. Anal. 1973).  The rows must
+have full rank: a free column is feasible in either sign, so any
+nonsingular choice of columns is a feasible start, and one is picked by
+eliminating on each row's largest entry (a crash basis: Bixby, ORSA J.
+Comput. 1992).  There is no phase 1 and no artificial variable; a row
+with no usable entry left is a ``SimplexError``.  The Malmquist-Walsh
+rows of ``wiener_opt`` have full rank in exact arithmetic once there are
+at least as many columns as rows; near lambda = 1 they can still depend
+on each other to the crash's tolerance, and that program is then an
+error, not an unproven value.  Problems stay small and dense: one row per
+eigenvalue counted with multiplicity, a few hundred at most, by at most
+a few thousand columns.  Each solve also returns its dual, the
+certificate that ``wiener_opt`` prices over the columns a program leaves
+out.
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ import numpy as np
 LD = np.longdouble
 
 _RC_TOL = 1e-11
-_FEAS_TOL = 1e-9  # largest basic artificial, relative to its row |b_i| + |R_i| @ |x|
-_MAX_PIVOTS = 200_000  # pricing passes, pivots or not, of both phases together
-_BLAND_AFTER = 5000  # pricing passes of one phase before both choices take the lowest index
+_FEAS_TOL = 1e-9  # least crash pivot, relative to its row's sup norm
+_MAX_PIVOTS = 200_000  # pricing passes, pivots or not
+_BLAND_AFTER = 5000  # pricing passes before both choices take the lowest index
 
 
 class SimplexError(RuntimeError):
@@ -86,15 +90,10 @@ def _lu_solve_left(lu, perm, c):
 
 
 def _basis_matrix(R, basis, dtype):
-    """The signed basis matrix: column i is +R_j for basis[i] = j, -R_j
-    for n + j and e_k for the artificial 2n + k."""
-    m, n = R.shape
-    B = np.zeros((m, m), dtype=dtype)
-    coef = np.nonzero(basis < 2 * n)[0]
-    B[:, coef] = R[:, basis[coef] % n] * np.where(basis[coef] < n, LD(1), LD(-1))
-    art = np.nonzero(basis >= 2 * n)[0]
-    B[basis[art] - 2 * n, art] = 1
-    return B
+    """The signed basis matrix: column i is +R_j for basis[i] = j and -R_j
+    for n + j."""
+    n = R.shape[1]
+    return (R[:, basis % n] * np.where(basis < n, LD(1), LD(-1))).astype(dtype)
 
 
 def _basis_lu(R, basis):
@@ -102,92 +101,63 @@ def _basis_lu(R, basis):
     return _lu(_basis_matrix(R, basis, LD))
 
 
-def _vertex(R, b, basis, lu, perm):
-    """The basic solution x_B = B^{-1} b and its coefficients x, in long
-    double.  ``SimplexError`` when a basic artificial exceeds _FEAS_TOL of
-    its own row: the vertex does not satisfy R x = b."""
-    n = R.shape[1]
-    xb = _lu_solve(lu, perm, b)
-    x = np.zeros(n, dtype=LD)
-    coef = basis < 2 * n
-    x[basis[coef] % n] = np.where(basis[coef] < n, xb[coef], -xb[coef])
-    rows = basis[~coef] - 2 * n
-    miss = np.abs(xb[~coef])
-    scale = np.abs(b[rows]) + np.abs(R[rows]) @ np.abs(x)
-    if np.any(miss > _FEAS_TOL * scale):
-        i = np.argmax(miss - _FEAS_TOL * scale)
-        raise SimplexError(f"infeasible: row {rows[i]} missed by {float(miss[i]):.3e} "
-                           f"against a scale of {float(scale[i]):.3e}")
-    return xb, x
-
-
-def _price(T, basis, phase):
-    """Set the objective row of T to minus the sum of the cost rows: the
-    basic artificials in phase 1, the basic coefficients in phase 2 (each
-    costs 1 in the sign it is basic with, which its row already holds)."""
-    m, n = len(basis), T.shape[1] - 1
+def _price(T):
+    """Set the objective row of T to minus the sum of the other rows: each
+    basic coefficient costs 1 in the sign it is basic with, which its row
+    already holds."""
+    m = len(T) - 1
     T[m] = 0
-    for i in np.nonzero((basis < 2 * n) == (phase == 2))[0]:
+    for i in range(m):
         T[m] -= T[i]
 
 
-def _tableau(R, b, basis, phase):
+def _tableau(R, b, basis):
     """The float64 tableau B^{-1} [R, b] of the basis, by one fresh solve,
-    under the phase's objective row (``_price``)."""
+    under the objective row of ``_price``."""
     m, n = R.shape
     T = np.empty((m + 1, n + 1))
     T[:m, :n], T[:m, n] = R, b
     T[:m] = np.linalg.solve(_basis_matrix(R, basis, float), T[:m])
-    _price(T, basis, phase)
+    _price(T)
     return T
 
 
 def _crash(R, b):
-    """The start: (T, basis, sgn), the phase-1 ``_tableau`` of the program
-    with row i of R x = b multiplied by sgn_i, and its signed basis.
+    """The start: (T, basis), the ``_tableau`` of a feasible signed basis.
 
     On a float64 copy of R, each row in turn eliminates on its largest
-    remaining entry; a row left with no entry above _FEAS_TOL of its own
-    sup norm depends on the rows before it, and keeps its artificial.  The
-    chosen columns and the kept artificials form a nonsingular B
-    (triangular after the elimination).  Each basic variable starts at the
-    absolute value of its basic value: a chosen column, free, enters as
-    +R_j or -R_j by that sign, and a kept artificial negates its row
-    (sgn_i = -1), so the start is feasible and phase 1 has only the kept
-    artificials to drive out (a crash basis: Bixby, ORSA J. Comput. 1992).
-    An artificial is a basis index, 2n + i for row i, and has no tableau
-    column.  With every artificial kept, B is I and this is the textbook
-    start on the rows signed to b >= 0.
+    remaining entry, so the chosen columns form a nonsingular B (triangular
+    after the elimination).  A row left with no entry above _FEAS_TOL of
+    its own sup norm depends on the rows before it: ``SimplexError``, before
+    any pivot.  Each chosen column, free, enters as +R_j or -R_j by the sign
+    of its basic value, so the start is feasible (a crash basis: Bixby,
+    ORSA J. Comput. 1992).
     """
     m, n = R.shape
     A = R.astype(float)
     size = _FEAS_TOL * np.max(np.abs(A), axis=1)
-    basis = np.arange(2 * n, 2 * n + m)
+    basis = np.empty(m, dtype=int)
     free = np.ones(n, dtype=bool)
     for i in range(m):
         j = int(np.argmax(np.abs(A[i]) * free))
         if not abs(A[i, j]) > size[i]:
-            continue
+            raise SimplexError(f"row {i} depends on the rows before it")
         basis[i] = j
         free[j] = False
         A[i + 1:] -= A[i + 1:, j, None] / A[i, j] * A[i]
-    T = _tableau(R, b, basis, 1)
+    T = _tableau(R, b, basis)
     neg = T[:m, -1] < 0
     T[:m][neg] *= -1
-    coef = basis < 2 * n
-    basis[neg & coef] += n
-    _price(T, basis, 1)  # the flip changed the cost rows
-    return T, basis, np.where(neg & ~coef, -1, 1)
+    basis[neg] += n
+    _price(T)  # the flip changed the rows it sums
+    return T, basis
 
 
-def _run(T, R, b, basis, phase, total):
-    """Pivot the float64 tableau T = B^{-1} [R, b], under the phase's
-    objective row, to the end of the phase, in place.  Only the cost of a
-    coefficient column depends on the phase: 0 in phase 1, 1 in phase 2.
-    Returns (passes, pivots): the pricing passes with ``total`` before it,
-    which _MAX_PIVOTS limits, and the pivots this phase made."""
+def _run(T, R, b, basis):
+    """Pivot the float64 tableau T = B^{-1} [R, b], under its objective
+    row, to the optimum, in place.  Returns (passes, pivots): the pricing
+    passes, which _MAX_PIVOTS limits, and the pivots among them."""
     m, n = R.shape
-    c = 1.0 if phase == 2 else 0.0
     z = T[m, :n]
     red = np.empty(2 * n)
     blocked = np.zeros(red.size, dtype=bool)
@@ -197,11 +167,10 @@ def _run(T, R, b, basis, phase, total):
     it = pivots = 0
     while True:
         it += 1
-        total += 1
-        if total > _MAX_PIVOTS:
+        if it > _MAX_PIVOTS:
             raise SimplexError("iteration limit reached")
-        np.add(c, z, out=red[:n])
-        np.subtract(c, z, out=red[n:])
+        np.add(1.0, z, out=red[:n])
+        np.subtract(1.0, z, out=red[n:])
         # Dantzig: the least reduced cost, the smallest index on ties;
         # Bland: the smallest index below -_RC_TOL
         priced = np.where(blocked, np.inf, red) if any_blocked else red
@@ -210,12 +179,12 @@ def _run(T, R, b, basis, phase, total):
         if not priced[k] < -_RC_TOL:
             stuck = np.count_nonzero((red < -1e-7) & blocked)
             if not stuck:
-                return total, pivots
+                return it, pivots
             if reformed:
                 raise SimplexError(f"stalled: {stuck} column(s) with reduced cost below "
                                    f"-1e-7 and no acceptable pivot")
             # the blocked columns may owe their tiny pivots to the tableau's drift
-            T[:] = _tableau(R, b, basis, phase)
+            T[:] = _tableau(R, b, basis)
             reformed = True
             blocked[:] = any_blocked = False
             continue
@@ -239,11 +208,11 @@ def _run(T, R, b, basis, phase, total):
         T[i] /= col[i]
         fac = s * T[:, j]
         fac[i] = 0
-        fac[m] += c  # the entering column's reduced cost c + s z_j
+        fac[m] += 1  # the entering column's reduced cost 1 + s z_j
         T -= np.einsum("i,j->ij", fac, T[i], out=work)  # faster than multiply.outer
         T[:, j] = 0
         T[i, j] = s
-        T[m, j] = -s * c  # so that the basic column's reduced cost is 0
+        T[m, j] = -s  # so that the basic column's reduced cost is 0
         basis[i] = k
         pivots += 1
         if any_blocked:
@@ -252,64 +221,47 @@ def _run(T, R, b, basis, phase, total):
 
 
 def dense_simplex(R, b):
-    """min ||x||_1  s.t.  R x = b  over real x.
+    """min ||x||_1  s.t.  R x = b  over real x, for R of full row rank.
 
     Returns (x, value, pivots, y) in long double, formed from the final
-    basis B by one long-double LU: x_B = B^{-1} b, value the sum of x_B
-    over the basic coefficients, and the dual y B = c_B with c_B 1 on each
-    basic coefficient and 0 on each basic artificial, so |y @ R| <= 1 and
-    y @ b = value.  A degenerate basic coefficient may come out with the
-    sign opposite to the one its column entered with; x is taken as solved.
+    basis B by one long-double LU: x_B = B^{-1} b, value the sum of x_B,
+    and the dual y B = 1, so |y @ R| <= 1 and y @ b = value.  A degenerate
+    basic coefficient may come out with the sign opposite to the one its
+    column entered with; x is taken as solved.
 
-    The pivots, on the float64 tableau B^{-1} [R, b] of both phases, are
-    those of the textbook simplex on [R, -R] with x >= 0, columns indexed
-    +R first, then -R.  They start from the crash basis of ``_crash``,
-    with the rows signed so that every basic variable starts nonnegative.
-    Phase 1 runs only when the crash kept an artificial, and drives the
-    kept ones out; an artificial has no column, so one that leaves never
-    re-enters (the phase-1 optimum is the same), and one still basic at 0
-    stays so, at cost 0, in phase 2.  Dantzig pricing with the smallest
-    index on ties, and a largest-pivot tie-break on near-minimal ratios.
-    Past _BLAND_AFTER pricing passes of one phase, Bland's rule takes
-    over: the lowest entering index, and the lowest basic index among the
-    minimal ratios.  ``SimplexError`` after _MAX_PIVOTS pricing passes.
-    Every cost is 1, so phase 2 cannot be unbounded; columns without an
-    acceptable pivot are blocked until the next pivot instead.  A phase
-    whose only improving columns are blocked re-forms its tableau from the
-    basis once (``_tableau``), and has stalled, ``SimplexError``, if that
-    brings no pivot either.  Phase 1 and the final vertex are both
-    feasible only if every basic artificial is within _FEAS_TOL of its own
-    row's scale.  ``pivots`` counts the pivots of both phases: the crash
-    itself, a pass that blocks a column and a pass that ends a phase make
-    none.
+    The pivots, on the float64 tableau B^{-1} [R, b], are those of the
+    textbook simplex on [R, -R] with x >= 0, columns indexed +R first,
+    then -R, from the crash basis of ``_crash``; a row that depends on the
+    rows before it is a ``SimplexError`` there.  Dantzig pricing with the
+    smallest index on ties, and a largest-pivot tie-break on near-minimal
+    ratios.  Past _BLAND_AFTER pricing passes, Bland's rule takes over: the
+    lowest entering index, and the lowest basic index among the minimal
+    ratios.  ``SimplexError`` after _MAX_PIVOTS pricing passes.  Every cost
+    is 1, so the program cannot be unbounded; columns without an
+    acceptable pivot are blocked until the next pivot instead.  A run whose
+    only improving columns are blocked re-forms its tableau from the basis
+    once (``_tableau``), and has stalled, ``SimplexError``, if that brings
+    no pivot either.  ``pivots`` counts the pivots: the crash itself, a
+    pass that blocks a column and the pass that ends the run make none.
     """
     R = np.array(R, dtype=LD)
     b = np.array(b, dtype=LD)
     n = R.shape[1]
-    T, basis, sgn = _crash(R, b)
-    R *= sgn[:, None]
-    b *= sgn
-    total = pivots = 0
-    if np.any(basis >= 2 * n):
-        total, pivots = _run(T, R, b, basis, 1, 0)
-        _vertex(R, b, basis, *_basis_lu(R, basis))
-    _price(T, basis, 2)
-    total, phase2 = _run(T, R, b, basis, 2, total)
-
+    T, basis = _crash(R, b)
+    _, pivots = _run(T, R, b, basis)
     lu, perm = _basis_lu(R, basis)
-    xb, x = _vertex(R, b, basis, lu, perm)
-    coef = basis < 2 * n
-    value = LD(0)
-    for i in np.argsort(basis):  # summed in the signed index order
-        if coef[i]:
-            value += xb[i]
-    y = _lu_solve_left(lu, perm, coef.astype(LD))
-    return x, value, pivots + phase2, y * sgn
+    xb = _lu_solve(lu, perm, b)
+    x = np.zeros(n, dtype=LD)
+    x[basis % n] = np.where(basis < n, xb, -xb)
+    value = sum(xb[np.argsort(basis)], LD(0))  # summed in the signed index order
+    y = _lu_solve_left(lu, perm, np.ones(len(basis), dtype=LD))
+    return x, value, pivots, y
 
 
 def min_l1_solution(rows: np.ndarray, rhs: np.ndarray):
     """min ||x||_1  s.t.  rows @ x = rhs  over real x.  Rows are equilibrated
-    to unit sup norm first.
+    to unit sup norm first; a zero row, or one that depends on the rows
+    before it, is a ``SimplexError``.
 
     Returns (value, x, y) in long double; the dual y, equilibration undone,
     has |y @ rows| <= 1 and y @ rhs = value."""

@@ -11,13 +11,14 @@ a0 = prod lambda_i gives phi = |a0| N(0) (Remark 5).
 once per call, for a real spectrum and real zeta, in the Malmquist-Walsh
 basis of the model space, whose rows, their rounding bound and their
 envelope are ``modelspace``'s ``_malmquist_walsh_rows``,
-``_row_error_bound`` and ``_log_envelope``; a non-real spectrum or zeta is
-a DomainError.  It grows the degree as the simplex dual, priced over every
-coefficient, demands, and brackets N(zeta) to 1e-8 relative, with the
-rounding of its long-double data bounded: a converged value lies in a
-bracket proven for the exact program.  ``_interpolate`` is one solve of
-the posed rows by the simplex, whose vertex and dual are formed in long
-double from the optimal basis.  Nothing is cached between calls.
+``_row_error_bound`` and ``_log_envelope``; a non-real spectrum or zeta,
+or a zeta at an eigenvalue, is a DomainError.  It grows the degree as
+the simplex dual, priced over every coefficient, demands, and brackets
+N(zeta) to 1e-8 relative, with the rounding of its long-double data
+bounded: a converged value lies in a bracket proven for the exact
+program.  ``_interpolate`` is one solve of the posed rows by the simplex,
+whose vertex and dual are formed in long double from the optimal basis.
+Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -76,7 +77,10 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     long-double l1 norm of the optimum f at the final degree, and
     lower <= N(zeta) <= upper, proven for the exact program; certified when
     lower <= value and the bracket is within _CERT_REL_WIDTH.  A non-real
-    spectrum or zeta is a DomainError.
+    spectrum or zeta, or a zeta within 1e-14 of an eigenvalue, is a
+    DomainError.  Rows that the simplex finds dependent in floating point
+    (near lambda = 1, where the basis's Taylor rows decay slowly) are a
+    ``SimplexError``, not an uncertified value.
 
     f matches the jets exactly when f - h lies in B H^2, where
     h = (1 - B/B(zeta))/(zeta - z), i.e. when <f, e_j> = <h, e_j> for the
@@ -112,6 +116,8 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     """
     if not spec.is_real or zeta.imag != 0:
         raise DomainError("the l1 program needs a real spectrum and a real zeta")
+    if any(abs(zeta - l) < 1e-14 for l, _ in spec.points):
+        raise DomainError("zeta coincides with an eigenvalue")
     mus = [lam.real for lam in spec.expanded()]
     rhs = _malmquist_walsh_resolvent_rhs(mus, zeta.real)
     posed = _malmquist_walsh_rows(mus, deg)
@@ -170,7 +176,8 @@ def phi_exact_truncated(spec: SpectrumSpec) -> PhiResult:
     times the interpolation norm.  It is converged when the long-double
     ||f||_1 it is formed from lies in the verified bracket of
     ``_certified_interpolate``; |a0| and the product add ~1e-14 relative.
-    A non-real spectrum is a ``DomainError``.
+    A non-real spectrum is a ``DomainError``, and a program whose rows the
+    simplex finds dependent a ``SimplexError``.
     """
     spec.require_nonzero()
     spec.require_interior()
@@ -202,10 +209,8 @@ def resolvent_interpolation_norm(spec: SpectrumSpec, zeta: complex) -> float:
     prices in (see ``_certified_interpolate``).  Scaled by |B(zeta)| in the
     harness to exhibit resolvent growth.  ``nan`` when the bracket does not
     certify the value (the column budget ran out first).  A non-real
-    spectrum or zeta is a ``DomainError``."""
+    spectrum or zeta, or a zeta at an eigenvalue, is a ``DomainError``, and
+    a program whose rows the simplex finds dependent a ``SimplexError``."""
     spec.require_interior()
-    zeta = complex(zeta)
-    if any(abs(zeta - l) < 1e-14 for l in spec.expanded()):
-        raise DomainError("zeta coincides with an eigenvalue")
-    value, _, _, _, certified = _certified_interpolate(spec, zeta, _start_degree(spec))
+    value, _, _, _, certified = _certified_interpolate(spec, complex(zeta), _start_degree(spec))
     return float(value) if certified else math.nan

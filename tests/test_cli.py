@@ -191,6 +191,21 @@ class TestGrowth:
         assert "iteration limit reached" in err[0]
 
 
+    def test_dependent_rows_leave_a_blank_row(self, tmp_path, capsys):
+        # at lambda 0.995 the Taylor rows of n = 48 and 64 are dependent to
+        # the simplex's tolerance at the start degree: no phi is printed
+        # (a two-phase simplex printed 6.346 and 40273.6 here, uncertified,
+        # the second far above sqrt(e n))
+        out = tmp_path / "growth.csv"
+        assert main(["growth", "--lambda", "0.995", "--n", "48,64", "--out", str(out)]) == 0
+        rows = _read_csv(out)
+        assert [(r["phi_D"], r["phi_converged"]) for r in rows] == [("", "false")] * 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        for line, n in zip(err, (48, 64)):
+            assert f"lambda=0.995 n={n}: phi_D not computed" in line
+            assert "depends on the rows before it" in line
+
 class TestBounds:
     def test_rows_and_dominance(self, tmp_path):
         out = tmp_path / "bounds.csv"

@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schaeffer import simplex
 from schaeffer.simplex import (LD, SimplexError, _basis_lu, _lu_solve, dense_simplex,
@@ -17,22 +19,6 @@ def test_small_equality_lp():
     x, val, _, _ = dense_simplex(np.array([[1.0, 2.0]]), np.array([3.0]))
     assert val == pytest.approx(1.5, abs=1e-12)
     assert np.allclose(np.asarray(x, dtype=float), [0.0, 1.5], atol=1e-12)
-
-
-def test_infeasible_detected():
-    # x = 1 and x = 2 at once; the crash keeps the second row's artificial,
-    # which starts at +1 or at -1
-    A = np.array([[1.0], [1.0]])
-    for rhs in ([1.0, 2.0], [2.0, 1.0]):
-        with pytest.raises(SimplexError, match="infeasible: row 1"):
-            dense_simplex(A, np.array(rhs))
-
-
-def test_infeasibility_is_relative_to_each_row():
-    # x1 + x2 = 1e-15 and x1 + x2 = 2e-15 at once: the second row would be
-    # missed by half its size, far under any absolute tolerance
-    with pytest.raises(SimplexError, match="infeasible"):
-        dense_simplex(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1e-15, 2e-15]))
 
 
 def test_min_l1_single_row():
@@ -115,40 +101,56 @@ def test_bland_rule_from_the_first_pivot_reaches_the_same_optimum(monkeypatch):
     assert phi_exact_truncated(SpectrumSpec.single(0.5, 16)).value == pytest.approx(phi, rel=1e-13)
 
 
-def test_stall_raises_at_once():
-    # a phase-2 tableau whose one improving column, +R_1 at reduced cost -4,
-    # has B^{-1} R_1 = (5, -1e12): its positive entry is under 1e-11 of the
-    # column, so it has no acceptable pivot, and the tableau re-formed from
-    # the basis is the same; without a pivot the tableau cannot change, so
-    # the phase ends here instead of cycling to the iteration limit
-    R = np.array([[1.0, 5.0], [0.0, -1e12]], dtype=LD)
+def _drifted():
+    """(T, R, b, basis): the tableau of the basis (+R_0, +R_1) = I with its
+    objective row drifted at column 2, so that +R_2 prices at -4; but
+    B^{-1} R_2 = (5, -1e12) has its positive entry under 1e-11 of the
+    column, so +R_2 has no acceptable pivot."""
+    R = np.array([[1.0, 0.0, 5.0], [0.0, 1.0, -1e12]], dtype=LD)
     b = np.array([1.0, 0.0], dtype=LD)
-    basis = np.array([0, 5])  # +R_0, and the second row's artificial at 0
-    T = simplex._tableau(R, b, basis, 2)
+    basis = np.array([0, 1])
+    T = simplex._tableau(R, b, basis)
+    T[2, 2] = -5.0
+    return T, R, b, basis
+
+
+def test_stall_raises_at_once(monkeypatch):
+    # the drifted tableau's only improving column is blocked, so the run
+    # re-forms the tableau from its basis, which clears the drift, and goes
+    # on to the optimum x = (1, 0, 0); were the re-formed tableau the same,
+    # the run could not change it, so it stops at once instead of cycling to
+    # the iteration limit
+    T, R, b, basis = _drifted()
+    simplex._run(T, R, b, basis)
+    assert float(-T[2, -1]) == pytest.approx(1.0, rel=1e-15)
+    T, R, b, basis = _drifted()
+    monkeypatch.setattr(simplex, "_tableau", lambda R, b, basis, same=T.copy(): same.copy())
     t0 = time.perf_counter()
     with pytest.raises(SimplexError, match="stalled: 1 column"):
-        simplex._run(T, R, b, basis, 2, 0)
+        simplex._run(T, R, b, basis)
     assert time.perf_counter() - t0 < 0.5
 
 
 def test_once_stalled_program_certifies():
-    # lambda = 0.97, n = 32 posed on 256 columns stalled from the
-    # all-artificial start; from the crash start it solves, and the degree
-    # the dual asks for certifies the value phi_exact_truncated prints
+    # lambda = 0.97, n = 32 stalled from the all-artificial start; from its
+    # coefficient support, degree 2133, it certifies.  Posed on 256 columns,
+    # three of its Taylor rows depend on the others to _FEAS_TOL, and the
+    # crash says so before any pivot
     spec = SpectrumSpec.single(0.97, 32)
-    value, _, _, _, certified = _certified_interpolate(spec, 0j, 255)
-    assert certified
-    assert format(float(LD(abs(spec.eigen_product())) * value), ".17g") == "3.0466231208942358"
+    result = phi_exact_truncated(spec)
+    assert (format(result.value, ".17g"), result.converged) == ("3.0466231208942358", True)
+    with pytest.raises(SimplexError, match="depends on the rows before it"):
+        _certified_interpolate(spec, 0j, 255)
 
 
 def _count_runs(monkeypatch):
-    """(phase, passes, pivots) of every simplex._run from now on."""
+    """(passes, pivots) of every simplex._run from now on."""
     runs = []
     run = simplex._run
 
-    def counted(T, R, b, basis, phase, total):
-        passes, pivots = run(T, R, b, basis, phase, total)
-        runs.append((phase, passes, pivots))
+    def counted(T, R, b, basis):
+        passes, pivots = run(T, R, b, basis)
+        runs.append((passes, pivots))
         return passes, pivots
 
     monkeypatch.setattr(simplex, "_run", counted)
@@ -171,104 +173,98 @@ def _count_pivots(monkeypatch):
 
 def test_phi_lp_pivot_path(monkeypatch):
     # the six programs of `growth --lambda 0.5 --n 8,16,24,32,48,64` take
-    # 94 pivots from the crash start, and the crash keeps no artificial, so
-    # phase 1 never runs (821 pivots, 732 of them in phase 1, from the
-    # all-artificial start), counted without the passes that block a
-    # column or close a phase
+    # one run each and 94 pivots from the crash start (821 from the
+    # all-artificial start of a two-phase simplex, 732 of them in its
+    # phase 1), counted without the passes that block a column or end the
+    # run
     pivots = _count_pivots(monkeypatch)
     runs = _count_runs(monkeypatch)
     for n in (8, 16, 24, 32, 48, 64):
         phi_exact_truncated(SpectrumSpec.single(0.5, n))
-    assert len(pivots) == 6
-    assert sum(pivots) == 94
-    assert [phase for phase, _, _ in runs] == [2] * 6
+    assert len(pivots) == len(runs) == 6
+    assert sum(pivots) == sum(p for _, p in runs) == 94
 
 
 def test_crash_start_takes_few_pricing_passes(monkeypatch):
     # lambda = 0.66, n = 64, zeta = 0.9 from degree 511: 2932 pricing passes
-    # from the all-artificial start, 2826 of them in phase 1
+    # from the all-artificial start of a two-phase simplex, 2826 of them in
+    # its phase 1
     runs = _count_runs(monkeypatch)
     *_, certified = _certified_interpolate(SpectrumSpec.single(0.66, 64), 0.9 + 0j, 511)
     assert certified
-    assert sum(passes for phase, passes, _ in runs if phase == 2) < 100
+    assert sum(passes for passes, _ in runs) < 100
 
 
-def test_crash_keeps_the_artificial_of_a_dependent_row():
-    # the third row repeats the first: the crash keeps its artificial, and
-    # the optimum is the hand value, x = (0, 17/11, -2/11), and HiGHS's
-    rows = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0], [1.0, 2.0, 0.5]])
-    rhs = np.array([3.0, 1.0, 3.0])
-    _, basis, _ = simplex._crash(rows.astype(LD), rhs.astype(LD))
-    assert list(basis >= 6) == [False, False, True]
-    val, x, y = min_l1_solution(rows, rhs)
-    assert float(val) == pytest.approx(19 / 11, rel=1e-15)
-    assert np.allclose(np.asarray(x, dtype=float), [0, 17 / 11, -2 / 11], atol=1e-15)
-    assert float(y @ rhs) == pytest.approx(19 / 11, rel=1e-15)
-    pytest.importorskip("scipy")
-    assert float(val) == pytest.approx(_linprog_l1(rows, rhs), rel=1e-12)
-
-
-# seeds of _random_program with two rows or more, and the c that makes the
-# last row c times the first, the rhs scaled to match
-_DEPENDENT = list(zip([seed for seed in range(40) if len(_random_program(seed)[1]) >= 2][:12],
-                      [1, -2.5, 0.3] * 4))
-
-
-@pytest.mark.parametrize("seed, c", _DEPENDENT)
-def test_dependent_row_matches_linprog(monkeypatch, seed, c):
-    # the crash keeps the one artificial of the dependent row, so phase 1
-    # runs; it stays basic, at 0 up to rounding, and the optimum is HiGHS's
-    pytest.importorskip("scipy")
+def _dependent(seed, c):
+    """(program, row): _random_program(seed), two rows or more, with its
+    last row c times its first and the rhs scaled to match."""
     rows, rhs = _random_program(seed)
     rows[-1], rhs[-1] = c * rows[0], c * rhs[0]
-    scale = np.max(np.abs(rows), axis=1)
-    _, basis, _ = simplex._crash((rows / scale[:, None]).astype(LD), (rhs / scale).astype(LD))
-    assert np.count_nonzero(basis >= 2 * rows.shape[1]) == 1
+    return (rows, rhs), len(rhs) - 1
+
+
+_SEEDS = [seed for seed in range(40) if len(_random_program(seed)[1]) >= 2][:12]
+
+# (program, the row the crash finds dependent)
+_DEPENDENT_ROWS = {
+    # the third row repeats the first
+    "hand": ((np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0], [1.0, 2.0, 0.5]]),
+              np.array([3.0, 1.0, 3.0])), 2),
+    **{f"dependent-{seed}-{c}": _dependent(seed, c)
+       for seed, c in zip(_SEEDS, [1, -2.5, 0.3] * 4)},
+    # the second row is the first but for 1e-10 x_3, under _FEAS_TOL of it
+    "near-dependent": ((np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1e-10]]), np.array([2.0, 1.0])), 1),
+    # x = 1 and x = 2 at once, in either order
+    "inconsistent-1-2": ((np.array([[1.0], [1.0]]), np.array([1.0, 2.0])), 1),
+    "inconsistent-2-1": ((np.array([[1.0], [1.0]]), np.array([2.0, 1.0])), 1),
+    # x1 + x2 = 1e-15 and x1 + x2 = 2e-15: the test is on the rows alone
+    "inconsistent-tiny": ((np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1e-15, 2e-15])), 1),
+}
+
+
+@pytest.mark.parametrize("program, row", _DEPENDENT_ROWS.values(), ids=_DEPENDENT_ROWS.keys())
+def test_dependent_row_raises_before_any_pivot(monkeypatch, program, row):
+    # the rows must have full rank: the crash finds the first row with no
+    # entry left above _FEAS_TOL of its own sup norm, consistent or not
     runs = _count_runs(monkeypatch)
-    val, x, y = min_l1_solution(rows, rhs)
-    assert [phase for phase, _, _ in runs] == [1, 2]
-    assert float(val) == pytest.approx(_linprog_l1(rows, rhs), rel=1e-12)
-    assert np.max(np.abs(y @ rows)) <= 1 + 1e-15
-    assert float(y @ rhs) == pytest.approx(float(val), rel=1e-15)
+    with pytest.raises(SimplexError, match=f"^row {row} depends on the rows before it$"):
+        min_l1_solution(*program)
+    assert runs == []
 
 
-# the second row is the first but for 1e-10 x_3: the crash keeps its
-# artificial, at 1 - 2 = -1
-_NEAR_DEPENDENT = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1e-10]]), np.array([2.0, 1.0])
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(-0.95, 0.95), st.integers(1, 16)), min_size=1, max_size=4))
+def test_crash_takes_a_column_for_every_row_at_the_start_degree(points):
+    # a nonzero element of K_B is p(z)/prod(1 - mu_i z) with deg p < N, so
+    # its first N Taylor coefficients cannot all vanish: the rows have full
+    # rank once there are N columns, and the start degree, at least the
+    # coefficient support ~N/alpha0, leaves the crash a column for every row
+    spec = SpectrumSpec(points)
+    rows = _malmquist_walsh_rows([lam.real for lam in spec.expanded()], _start_degree(spec))
+    _, basis = simplex._crash(rows, np.ones(len(rows), dtype=LD))
+    assert len(set(basis % rows.shape[1])) == len(rows)
 
 
-def test_kept_artificial_starts_nonnegative():
-    # the kept artificial's row is negated instead, and phase 1 drives it
-    # out at x = (2, 0, -1e10), not at a negative "optimum"
-    rows, rhs = _NEAR_DEPENDENT
-    _, basis, sgn = simplex._crash(rows.astype(LD), rhs.astype(LD))
-    assert list(basis) == [0, 7] and list(sgn) == [1, -1]
-    x, val, _, y = dense_simplex(rows, rhs)
-    assert np.allclose(np.asarray(x, dtype=float), [2, 0, -1e10], rtol=1e-15, atol=0)
-    assert float(val) == pytest.approx(2 + 1e10, rel=1e-15)
-    assert float(y @ rhs) == pytest.approx(float(val), rel=1e-15)
-
-
-def _reformed(R, b, basis, phase):
-    """The phase's tableau B^{-1} [R, b] re-formed from its basis by the
-    long-double LU, independently of the float64 solve of simplex._tableau,
-    under the objective row of simplex._price."""
+def _reformed(R, b, basis):
+    """The tableau B^{-1} [R, b] re-formed from its basis by the long-double
+    LU, independently of the float64 solve of simplex._tableau, under the
+    objective row of simplex._price."""
     X = _lu_solve(*_basis_lu(R, basis), np.hstack([R, b[:, None]]))
     T = np.vstack([X, np.zeros(X.shape[1], dtype=LD)]).astype(float)
-    simplex._price(T, basis, phase)
+    simplex._price(T)
     return T
 
 
-@pytest.mark.parametrize("program", [_random_program(seed) for seed in range(4)] + [_NEAR_DEPENDENT])
+@pytest.mark.parametrize("program", [_random_program(seed) for seed in range(5)])
 def test_crash_tableau_is_the_reformed_one(program):
     # the float64 solve of the crash start agrees with the long-double LU
-    # that re-forms a phase-1 tableau from its basis, on the signed rows
+    # that re-forms a tableau from its basis, and every basic value starts
+    # nonnegative
     R, b = (np.asarray(a, dtype=LD) for a in program)
-    T, basis, sgn = simplex._crash(R, b)
-    R, b = R * sgn[:, None], b * sgn
+    T, basis = simplex._crash(R, b)
     assert T.shape == (R.shape[0] + 1, R.shape[1] + 1)
     assert np.all(T[:-1, -1] >= 0)
-    assert np.max(np.abs(_reformed(R, b, basis, 1) - T)) <= 1e-12
+    assert np.max(np.abs(_reformed(R, b, basis) - T)) <= 1e-12
 
 
 def test_dual_solved_from_the_basis():
@@ -288,22 +284,18 @@ def test_dual_solved_from_the_basis():
     assert abs(y @ rhs - val) <= 1e-17 * val
 
 
-@pytest.mark.parametrize("phase", [1, 2])
-def test_reformed_tableau_matches_the_running_one(monkeypatch, phase):
-    # stopped after 8 pivots of the phase, the float64 tableau agrees with
-    # the one re-formed from its basis by the long-double LU
+def test_reformed_tableau_matches_the_running_one(monkeypatch):
+    # stopped after 8 pricing passes from the crash start, the float64
+    # tableau agrees with the one re-formed from its basis by the
+    # long-double LU
     rng = np.random.default_rng(3)
     R = rng.standard_normal((12, 40)).astype(LD)
-    b = np.abs(rng.standard_normal(12)).astype(LD)
-    basis = np.arange(80, 92)  # the artificials
-    T = _reformed(R, b, basis, 1)
-    if phase == 2:
-        simplex._run(T, R, b, basis, 1, 0)
-        T = _reformed(R, b, basis, 2)
+    b = rng.standard_normal(12).astype(LD)
+    T, basis = simplex._crash(R, b)
     monkeypatch.setattr(simplex, "_MAX_PIVOTS", 8)
     with pytest.raises(SimplexError, match="iteration limit"):
-        simplex._run(T, R, b, basis, phase, 0)
-    assert np.max(np.abs(_reformed(R, b, basis, phase) - T)) <= 1e-12
+        simplex._run(T, R, b, basis)
+    assert np.max(np.abs(_reformed(R, b, basis) - T)) <= 1e-12
 
 
 # phi at zeta 0 for lambda (rows) by n = 8, 16, 32, 64 (columns)

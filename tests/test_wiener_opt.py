@@ -258,6 +258,11 @@ class TestResolventInterpolation:
         with pytest.raises(DomainError):
             resolvent_interpolation_norm(SpectrumSpec.single(0.5, 2), 0.5)
 
+    def test_certified_interpolate_rejects_zeta_in_spectrum(self):
+        # the one entry point checks it, not only the norm that wraps it
+        with pytest.raises(DomainError, match="zeta coincides with an eigenvalue"):
+            _certified_interpolate(SpectrumSpec.single(0.9, 1), 0.9 + 0j, 63)
+
     def test_complex_zeta_rejected(self):
         with pytest.raises(DomainError):
             resolvent_interpolation_norm(SpectrumSpec.single(0.5, 2), 0.3 + 0.4j)
