@@ -13,7 +13,6 @@ any of them loads.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -41,6 +40,8 @@ def _write_csv(path, header, rows):
 
 
 def _write_json(path, payload):
+    import json
+
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -172,6 +173,11 @@ def _growth_task(args):
             print(f"growth lambda={lam} n={n}: phi_D not computed: {ex}", file=sys.stderr)
             conv = False
     upper = wiener_opt.schaeffer_upper(n)
+    if conv is False and phi is not None and not L <= phi <= upper:
+        # an uncertified optimum outside the proven bracket is no estimate of phi
+        print(f"growth lambda={lam} n={n}: phi_D not printed: uncertified value {phi:.17g} "
+              f"outside [L, sqrt_en] = [{L:.17g}, {upper:.17g}]", file=sys.stderr)
+        phi = None
     return (lam, n, L, phi, "" if conv is None else str(conv).lower(),
             upper, L / math.sqrt(n))
 

@@ -10,9 +10,13 @@ by one partial-pivoting LU of the basis matrix, so they are exact up to
 the 64-bit significand however far the tableau has drifted.  This is the
 scheme of Applegate, Cook, Dash & Espinoza (Oper. Res. Lett. 2007) and of
 Gleixner, Steffy & Wolter (INFORMS J. Comput. 2016): find the basis in
-fast arithmetic, recompute the basic solution in higher precision.  A run
-that stalls re-forms its tableau from the basis by a fresh float64 solve,
-which clears the tableau's drift.
+fast arithmetic, recompute the basic solution in higher precision.  An
+improving column with no acceptable pivot re-forms the tableau from the
+basis by a fresh float64 solve and prices again.  Only drift leads there:
+every cost is 1, so a freshly priced objective row is minus the column
+sums, an improving column's positive entries exceed 1 plus the size of its
+negative ones, and its largest entry clears the pivot tolerance, 1e-11 of
+its largest magnitude, for any m below 1e11.
 
 The tableau holds one column per coefficient, not the usual split
 x = x+ - x- with a column each: a free coefficient enters the basis with
@@ -160,10 +164,7 @@ def _run(T, R, b, basis):
     m, n = R.shape
     z = T[m, :n]
     red = np.empty(2 * n)
-    blocked = np.zeros(red.size, dtype=bool)
-    any_blocked = False
     work = np.empty_like(T)  # the rank-1 update, without a fresh array per pivot
-    reformed = False  # since the last pivot
     it = pivots = 0
     while True:
         it += 1
@@ -173,28 +174,17 @@ def _run(T, R, b, basis):
         np.subtract(1.0, z, out=red[n:])
         # Dantzig: the least reduced cost, the smallest index on ties;
         # Bland: the smallest index below -_RC_TOL
-        priced = np.where(blocked, np.inf, red) if any_blocked else red
         bland = it > _BLAND_AFTER
-        k = int(np.argmax(priced < -_RC_TOL) if bland else np.argmin(priced))
-        if not priced[k] < -_RC_TOL:
-            stuck = np.count_nonzero((red < -1e-7) & blocked)
-            if not stuck:
-                return it, pivots
-            if reformed:
-                raise SimplexError(f"stalled: {stuck} column(s) with reduced cost below "
-                                   f"-1e-7 and no acceptable pivot")
-            # the blocked columns may owe their tiny pivots to the tableau's drift
-            T[:] = _tableau(R, b, basis)
-            reformed = True
-            blocked[:] = any_blocked = False
-            continue
+        k = int(np.argmax(red < -_RC_TOL) if bland else np.argmin(red))
+        if not red[k] < -_RC_TOL:
+            return it, pivots
         j = k % n  # the tableau column of +R_j or -R_j
         s = -1.0 if k >= n else 1.0
         col = s * T[:m, j]
         cmax = float(col.max())
         tol = max(1e-13, 1e-11 * max(cmax, -float(col.min())))  # 1e-11 max|col|
-        if not cmax > tol:
-            blocked[k] = any_blocked = True
+        if not cmax > tol:  # only a drifted objective row prices this column
+            T[:] = _tableau(R, b, basis)
             continue
         pos = col > tol
         ratios = np.full(m, np.inf)
@@ -215,9 +205,6 @@ def _run(T, R, b, basis):
         T[m, j] = -s  # so that the basic column's reduced cost is 0
         basis[i] = k
         pivots += 1
-        if any_blocked:
-            blocked[:] = any_blocked = False
-        reformed = False
 
 
 def dense_simplex(R, b):
@@ -237,12 +224,11 @@ def dense_simplex(R, b):
     ratios.  Past _BLAND_AFTER pricing passes, Bland's rule takes over: the
     lowest entering index, and the lowest basic index among the minimal
     ratios.  ``SimplexError`` after _MAX_PIVOTS pricing passes.  Every cost
-    is 1, so the program cannot be unbounded; columns without an
-    acceptable pivot are blocked until the next pivot instead.  A run whose
-    only improving columns are blocked re-forms its tableau from the basis
-    once (``_tableau``), and has stalled, ``SimplexError``, if that brings
-    no pivot either.  ``pivots`` counts the pivots: the crash itself, a
-    pass that blocks a column and the pass that ends the run make none.
+    is 1, so the program cannot be unbounded, and in a freshly priced
+    tableau every improving column has an acceptable pivot; a column
+    without one re-forms the tableau from the basis (``_tableau``) and
+    prices again.  ``pivots`` counts the pivots: the crash itself, a
+    re-formation and the pass that ends the run make none.
     """
     R = np.array(R, dtype=LD)
     b = np.array(b, dtype=LD)

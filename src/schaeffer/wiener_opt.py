@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -124,7 +123,8 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     f, y = _interpolate(posed, rhs)
     eps, mu, z = np.finfo(LD).eps, np.asarray(mus, dtype=LD), LD(zeta.real)
     with np.errstate(divide="ignore", invalid="ignore"):  # mu zeta = 1 exactly zeroes the later rhs
-        exact = [Fraction(m) * Fraction(zeta.real) == 1 for m in mus]
+        zn, zd = zeta.real.as_integer_ratio()
+        exact = [mn * zn == md * zd for mn, md in map(float.as_integer_ratio, mus)]
         q = np.where(exact, 0, abs(mu * z / (1 - mu * z)))
         rhs_err = eps * (3 + 1 / (1 - mu * mu) + np.cumsum(np.r_[0, 3 + q][:-1])) * np.abs(rhs)
     log_r, log_e = _log_envelope(mus)

@@ -206,6 +206,20 @@ class TestGrowth:
             assert f"lambda=0.995 n={n}: phi_D not computed" in line
             assert "depends on the rows before it" in line
 
+    def test_uncertified_value_outside_the_bracket_is_blank(self, tmp_path, capsys):
+        # at lambda 0.99 both programs run into the column budget: n = 48
+        # keeps its uncertified value, inside [L, sqrt_en], and n = 56, whose
+        # truncated optimum is 852.98 against sqrt_en = 12.34, prints none
+        out = tmp_path / "growth.csv"
+        assert main(["growth", "--lambda", "0.99", "--n", "48,56", "--out", str(out)]) == 0
+        rows = _read_csv(out)
+        assert [(r["phi_D"], r["phi_converged"]) for r in rows] == [
+            ("2.5981036772863035", "false"), ("", "false")]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert "lambda=0.99 n=56: phi_D not printed: uncertified value 852.98" in err[0]
+        assert "outside [L, sqrt_en]" in err[0]
+
 class TestBounds:
     def test_rows_and_dominance(self, tmp_path):
         out = tmp_path / "bounds.csv"
@@ -397,10 +411,11 @@ class TestValidateAndConfig:
 
 
 @pytest.mark.parametrize("argv, code, absent", [
-    (["--help"], 0, ["numpy"]),
+    (["--help"], 0, ["numpy", "json"]),
     (["growth", "--lambda", "0.5", "--n", "4", "--workers", "0"], 2, ["numpy"]),
     (["growth", "--lambda", "0.5", "--n", "8,256", "--workers", "1"], 0,
-     ["schaeffer.acceptance", "schaeffer.asymptotics", "concurrent.futures.process"]),
+     ["schaeffer.acceptance", "schaeffer.asymptotics", "concurrent.futures.process", "json",
+      "fractions"]),
     (["bounds", "--lambda", "0.5", "--n", "4", "--zeta", "0,0.9", "--workers", "1"], 0,
      ["numpy", "schaeffer.simplex", "schaeffer.blaschke", "concurrent.futures.process"]),
 ], ids=["help", "usage-error", "growth", "bounds"])
