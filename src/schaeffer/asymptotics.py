@@ -71,6 +71,11 @@ def phase_value(lam: float, a, z):
     return a * np.log(z) + np.log(1 - lam * z) - np.log(z - lam)
 
 
+def _phase_f1(lam: float, a: float, z: complex) -> complex:
+    """f'(z) without the pole check."""
+    return -1 / (z - lam) + a / z - lam / (1 - lam * z)
+
+
 def _phase_f2(lam: float, a, z):
     """f''(z) without the pole check; elementwise for arrays a and z."""
     return 1 / (z - lam) ** 2 - a / z ** 2 - lam ** 2 / (1 - lam * z) ** 2
@@ -81,7 +86,7 @@ def phase_derivatives(lam: float, a: float, z: complex):
     _check_pole(lam, z)
     z = complex(z)
     f = a * np.log(z) + np.log(1 - lam * z) - np.log(z - lam)
-    f1 = -1 / (z - lam) + a / z - lam / (1 - lam * z)
+    f1 = _phase_f1(lam, a, z)
     f2 = _phase_f2(lam, a, z)
     f3 = -2 / (z - lam) ** 3 + 2 * a / z ** 3 - 2 * lam ** 3 / (1 - lam * z) ** 3
     return f, f1, f2, f3

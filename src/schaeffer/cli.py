@@ -320,6 +320,7 @@ def cmd_validate(opts) -> int:
     results = acceptance.run_all(numbers)
     for r in results:
         print(r.line())
+        print(f"criterion {r.number}: {r.elapsed:.3f} s", file=sys.stderr)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     return 1 if failed else 0

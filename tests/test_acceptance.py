@@ -6,7 +6,12 @@ certified exact values, pinned in schaeffer.acceptance; the bracket that
 certifies them is recomputed in tests/test_wiener_opt.py.
 """
 
-from schaeffer import acceptance
+import math
+
+import numpy as np
+
+from schaeffer import acceptance, asymptotics
+from schaeffer._saddle_draws import DRAWS_HEX
 
 
 def _run(fn):
@@ -43,6 +48,24 @@ def test_criterion_06_bound_dominance():
 
 def test_criterion_07_saddle_correctness():
     _run(acceptance.criterion_7)
+
+
+def test_saddle_draws_are_the_generator_draws_bitwise():
+    stored = np.frombuffer(bytes.fromhex(DRAWS_HEX), "<f8")
+    assert stored.tobytes() == np.random.default_rng(20250810).random(2000).tobytes()
+
+
+def test_saddle_samples_are_the_scalar_uniform_draws_bitwise():
+    # criterion 7 once drew each sample with two scalar Generator.uniform
+    # calls; the stored draws must give the same 1000 pairs
+    rng = np.random.default_rng(20250810)
+    expected = []
+    for _ in range(1000):
+        lam = float(rng.uniform(0.05, 0.95))
+        a0 = asymptotics.alpha0(lam)
+        a = float(math.exp(rng.uniform(math.log(0.3 * a0), math.log(3.0 / a0))))
+        expected.append((lam.hex(), a.hex()))
+    assert [(lam.hex(), a.hex()) for lam, a in acceptance._saddle_samples()] == expected
 
 
 def test_criterion_08_airy_quality():

@@ -196,12 +196,13 @@ def test_cli_paths_other_than_validate_import_no_mpmath(tmp_path):
     assert (tmp_path / "a.csv.fits.csv").exists()
 
 
-def test_validate_imports_no_mpmath():
-    # criterion 8 reads its oracle from literals, so validate runs without mpmath
+def test_validate_imports_neither_mpmath_nor_numpy_random():
+    # criterion 8 reads its oracle and criterion 7 its sample draws from
+    # literals, so validate runs without mpmath and without numpy.random
     code = ("import sys\n"
             "from schaeffer.cli import main\n"
             "assert main(['validate']) == 0\n"
-            "print('mpmath' in sys.modules)\n")
+            "print('mpmath' in sys.modules or 'numpy.random' in sys.modules)\n")
     paths = [str(Path(schaeffer.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -78,6 +78,25 @@ class TestPhaseDerivatives:
     def test_pole_rejected(self):
         with pytest.raises(DomainError):
             A.phase_derivatives(0.5, 1.0, 0.5)
+        with pytest.raises(DomainError):
+            A.phase_derivatives(0.5, 1.0, 0j)
+
+    def test_first_derivative_equals_phase_derivatives_bitwise(self):
+        # criterion 7 calls _phase_f1 directly, without the logs and the
+        # pole check of phase_derivatives; both must give the same f'
+        rng = np.random.default_rng(11)
+        kinds = set()
+        for _ in range(400):
+            lam = float(rng.uniform(0.05, 0.95))
+            a0 = A.alpha0(lam)
+            a = float(np.exp(rng.uniform(np.log(0.3 * a0), np.log(3 / a0))))
+            sd = A.stationary_points(lam, a)
+            kinds.add(sd.kind)
+            for z in (sd.z_plus, sd.z_minus):
+                f1 = A._phase_f1(lam, a, z)
+                ref = A.phase_derivatives(lam, a, z)[1]
+                assert (f1.real.hex(), f1.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+        assert kinds >= {A.SaddleKind.CIRCLE_CONJUGATE_PAIR, A.SaddleKind.REAL_RECIPROCAL_PAIR}
 
 
 class TestRegions:
