@@ -1,14 +1,15 @@
-"""Dense l1 simplex: a double tableau, its vertex and dual in long double.
+"""Dense l1 simplex: a double tableau, its vertex and dual refined in long double.
 
 The l1 interpolation programs solved here constrain a polynomial's inner
 products with the Malmquist-Walsh basis of a model space; those rows are
 O(1) and nearly orthonormal, but the data spans many orders of magnitude
 and the optimal vertex must be exact, not merely within an interior-point
 feasibility tolerance.  A float64 tableau finds the optimal basis; the
-vertex and its dual are then formed from that basis in numpy longdouble,
-by one partial-pivoting LU of the basis matrix, so they are exact up to
-the 64-bit significand however far the tableau has drifted.  This is the
-scheme of Applegate, Cook, Dash & Espinoza (Oper. Res. Lett. 2007) and of
+vertex and its dual are then solved from that basis by float64 LAPACK
+and refined with residuals in numpy longdouble, so for a basis far from
+float64 singularity they are exact to a few units of the 64-bit
+significand however far the tableau has drifted.  This is the scheme of
+Applegate, Cook, Dash & Espinoza (Oper. Res. Lett. 2007) and of
 Gleixner, Steffy & Wolter (INFORMS J. Comput. 2016): find the basis in
 fast arithmetic, recompute the basic solution in higher precision.  An
 improving column with no acceptable pivot re-forms the tableau from the
@@ -53,46 +54,6 @@ class SimplexError(RuntimeError):
     pass
 
 
-def _lu(B):
-    """Partial-pivoting LU of the square long-double matrix B: (lu, perm)
-    with B[perm] = L U, L unit lower triangular below the diagonal of lu
-    and U on and above it."""
-    lu = B.copy()
-    perm = np.arange(len(lu))
-    for k in range(len(lu)):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if lu[p, k] == 0:
-            raise SimplexError("singular basis")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[k, k + 1:]
-    return lu, perm
-
-
-def _lu_solve(lu, perm, rhs):
-    """X with B X = rhs (rhs one vector or one column per right-hand side)."""
-    x = np.array(rhs, dtype=LD)[perm]
-    for i in range(1, len(x)):
-        x[i] -= lu[i, :i] @ x[:i]
-    for i in reversed(range(len(x))):
-        x[i] = (x[i] - lu[i, i + 1:] @ x[i + 1:]) / lu[i, i]
-    return x
-
-
-def _lu_solve_left(lu, perm, c):
-    """y with y B = c: U^T L^T (y[perm]) = c, forward then back."""
-    w = np.array(c, dtype=LD)
-    for i in range(len(w)):
-        w[i] = (w[i] - lu[:i, i] @ w[:i]) / lu[i, i]
-    for i in reversed(range(len(w) - 1)):
-        w[i] -= lu[i + 1:, i] @ w[i + 1:]
-    y = np.empty_like(w)
-    y[perm] = w
-    return y
-
-
 def _basis_matrix(R, basis, dtype):
     """The signed basis matrix: column i is +R_j for basis[i] = j and -R_j
     for n + j."""
@@ -100,9 +61,25 @@ def _basis_matrix(R, basis, dtype):
     return (R[:, basis % n] * np.where(basis < n, LD(1), LD(-1))).astype(dtype)
 
 
-def _basis_lu(R, basis):
-    """Long-double LU of the signed basis matrix."""
-    return _lu(_basis_matrix(R, basis, LD))
+def _refined_solve(B, rhs):
+    """x with B x = rhs, for the long-double B and rhs: one float64 LAPACK
+    solve, then mixed-precision iterative refinement (Wilkinson 1963;
+    Moler, J. ACM 1967; Higham, Accuracy and Stability, ch. 12).  Each step
+    forms the residual rhs - B x in long double and adds its float64
+    solve; the last iterate whose residual sup norm shrank is returned.  An
+    exactly singular B is a ``SimplexError``."""
+    B64 = B.astype(float)
+    try:
+        x = np.linalg.solve(B64, rhs.astype(float)).astype(LD)
+        r = rhs - B @ x
+        while True:
+            step = x + np.linalg.solve(B64, r.astype(float))
+            r_step = rhs - B @ step
+            if not np.max(np.abs(r_step)) < np.max(np.abs(r)):
+                return x
+            x, r = step, r_step
+    except np.linalg.LinAlgError:
+        raise SimplexError("singular basis") from None
 
 
 def _price(T):
@@ -210,11 +187,12 @@ def _run(T, R, b, basis):
 def dense_simplex(R, b):
     """min ||x||_1  s.t.  R x = b  over real x, for R of full row rank.
 
-    Returns (x, value, pivots, y) in long double, formed from the final
-    basis B by one long-double LU: x_B = B^{-1} b, value the sum of x_B,
-    and the dual y B = 1, so |y @ R| <= 1 and y @ b = value.  A degenerate
-    basic coefficient may come out with the sign opposite to the one its
-    column entered with; x is taken as solved.
+    Returns (x, value, pivots, y) in long double, solved from the final
+    basis B by ``_refined_solve``: x_B with B x_B = b, value the sum of
+    x_B, and the dual y B = 1, so |y @ R| <= 1 and y @ b = value, each to
+    the refined solve's accuracy; an exactly singular B is a
+    ``SimplexError``.  A degenerate basic coefficient may come out with the
+    sign opposite to the one its column entered with; x is taken as solved.
 
     The pivots, on the float64 tableau B^{-1} [R, b], are those of the
     textbook simplex on [R, -R] with x >= 0, columns indexed +R first,
@@ -235,12 +213,12 @@ def dense_simplex(R, b):
     n = R.shape[1]
     T, basis = _crash(R, b)
     _, pivots = _run(T, R, b, basis)
-    lu, perm = _basis_lu(R, basis)
-    xb = _lu_solve(lu, perm, b)
+    B = _basis_matrix(R, basis, LD)
+    xb = _refined_solve(B, b)
     x = np.zeros(n, dtype=LD)
     x[basis % n] = np.where(basis < n, xb, -xb)
     value = sum(xb[np.argsort(basis)], LD(0))  # summed in the signed index order
-    y = _lu_solve_left(lu, perm, np.ones(len(basis), dtype=LD))
+    y = _refined_solve(B.T, np.ones(len(basis), dtype=LD))
     return x, value, pivots, y
 
 

@@ -17,8 +17,8 @@ the simplex dual, priced over every coefficient, demands, and brackets
 N(zeta) to 1e-8 relative, with the rounding of its long-double data
 bounded: a converged value lies in a bracket proven for the exact
 program.  ``_interpolate`` is one solve of the posed rows by the simplex,
-whose vertex and dual are formed in long double from the optimal basis.
-Nothing is cached between calls.
+whose vertex and dual are solved from the optimal basis in float64 and
+refined with long-double residuals.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -61,10 +61,10 @@ def _malmquist_walsh_resolvent_rhs(mus, zeta: float) -> np.ndarray:
 
 def _interpolate(rows, rhs):
     """min ||f||_1 subject to rows @ f = rhs: (coefficients f, dual y), the
-    optimum sum |f_k|, solved by the simplex, its vertex exact up to the
-    long-double significand.  The program is homogeneous in the data, so it
-    is solved at unit sup norm and scaled back; y does not depend on that
-    scale."""
+    optimum sum |f_k|, solved by the simplex, its vertex refined to a few
+    units of the long-double significand.  The program is homogeneous in
+    the data, so it is solved at unit sup norm and scaled back; y does not
+    depend on that scale."""
     scale = np.max(np.abs(rhs))
     _, f, y = min_l1_solution(rows, rhs / scale)
     return f * scale, y

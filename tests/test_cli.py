@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -206,19 +207,30 @@ class TestGrowth:
             assert f"lambda=0.995 n={n}: phi_D not computed" in line
             assert "depends on the rows before it" in line
 
-    def test_uncertified_value_outside_the_bracket_is_blank(self, tmp_path, capsys):
-        # at lambda 0.99 both programs run into the column budget: n = 48
-        # keeps its uncertified value, inside [L, sqrt_en], and n = 56, whose
-        # truncated optimum is 852.98 against sqrt_en = 12.34, prints none
+    def test_uncertified_rows_are_blank(self, tmp_path, capsys):
+        # at lambda 0.99 both programs run into the column budget: their
+        # truncated optima are only upper ends, which move with the last
+        # digits of the vertex solve, so neither is printed
         out = tmp_path / "growth.csv"
         assert main(["growth", "--lambda", "0.99", "--n", "48,56", "--out", str(out)]) == 0
         rows = _read_csv(out)
-        assert [(r["phi_D"], r["phi_converged"]) for r in rows] == [
-            ("2.5981036772863035", "false"), ("", "false")]
+        assert [(r["phi_D"], r["phi_converged"]) for r in rows] == [("", "false")] * 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert "lambda=0.99 n=56: phi_D not printed: uncertified value 852.98" in err[0]
-        assert "outside [L, sqrt_en]" in err[0]
+        assert len(err) == 2
+        for line, n in zip(err, (48, 56)):
+            assert re.fullmatch(rf"growth lambda=0\.99 n={n}: phi_D not printed: "
+                                r"value \d+\.\d+ is not certified", line)
+
+    def test_only_certified_phi_is_printed(self, tmp_path):
+        # near lambda = 1 some programs certify and some run into the column
+        # budget; every printed phi_D is certified
+        out = tmp_path / "growth.csv"
+        assert main(["growth", "--lambda", "0.98,0.99", "--n", "16,32,48,64",
+                     "--out", str(out)]) == 0
+        rows = _read_csv(out)
+        assert len(rows) == 8 and any(r["phi_D"] for r in rows)
+        assert all(r["phi_converged"] == "true" for r in rows if r["phi_D"])
+
 
 class TestBounds:
     def test_rows_and_dominance(self, tmp_path):

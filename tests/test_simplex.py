@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schaeffer import simplex
-from schaeffer.simplex import (LD, SimplexError, _basis_lu, _lu_solve, dense_simplex,
-                               min_l1_solution)
+from schaeffer.simplex import LD, SimplexError, dense_simplex, min_l1_solution
 from schaeffer.modelspace import _malmquist_walsh_rows
 from schaeffer.spectra import SpectrumSpec
 from schaeffer.wiener_opt import (_certified_interpolate, _malmquist_walsh_resolvent_rhs,
@@ -234,11 +233,26 @@ def test_crash_takes_a_column_for_every_row_at_the_start_degree(points):
     assert len(set(basis % rows.shape[1])) == len(rows)
 
 
+def _ld_solve(B, rhs):
+    """X with B X = rhs (one column per right-hand side), by long-double
+    Gaussian elimination with partial pivoting on [B, rhs]."""
+    m = len(B)
+    A = np.hstack([np.asarray(B, dtype=LD), np.asarray(rhs, dtype=LD)])
+    for k in range(m):
+        p = k + int(np.argmax(np.abs(A[k:, k])))
+        A[[k, p]] = A[[p, k]]
+        A[k + 1:] -= A[k + 1:, k, None] / A[k, k] * A[k]
+    X = A[:, m:]
+    for k in reversed(range(m)):
+        X[k] = (X[k] - A[k, k + 1:m] @ X[k + 1:]) / A[k, k]
+    return X
+
+
 def _reformed(R, b, basis):
-    """The tableau B^{-1} [R, b] re-formed from its basis by the long-double
-    LU, independently of the float64 solve of simplex._tableau, under the
-    objective row of simplex._price."""
-    X = _lu_solve(*_basis_lu(R, basis), np.hstack([R, b[:, None]]))
+    """The tableau B^{-1} [R, b] re-formed from its basis by a long-double
+    elimination, independently of the float64 solve of simplex._tableau,
+    under the objective row of simplex._price."""
+    X = _ld_solve(simplex._basis_matrix(R, basis, LD), np.hstack([R, b[:, None]]))
     T = np.vstack([X, np.zeros(X.shape[1], dtype=LD)]).astype(float)
     simplex._price(T)
     return T
@@ -246,14 +260,63 @@ def _reformed(R, b, basis):
 
 @pytest.mark.parametrize("program", [_random_program(seed) for seed in range(5)])
 def test_crash_tableau_is_the_reformed_one(program):
-    # the float64 solve of the crash start agrees with the long-double LU
-    # that re-forms a tableau from its basis, and every basic value starts
-    # nonnegative
+    # the float64 solve of the crash start agrees with the long-double
+    # elimination that re-forms a tableau from its basis, and every basic
+    # value starts nonnegative
     R, b = (np.asarray(a, dtype=LD) for a in program)
     T, basis = simplex._crash(R, b)
     assert T.shape == (R.shape[0] + 1, R.shape[1] + 1)
     assert np.all(T[:-1, -1] >= 0)
     assert np.max(np.abs(_reformed(R, b, basis) - T)) <= 1e-12
+
+
+@pytest.mark.parametrize("points, zeta", [([(0.5, 32)], 0.9), ([(0.9, 16)], 0.0),
+                                          ([(0.3, 3), (-0.7, 5), (0.6, 4)], 0.0)])
+def test_refined_vertex_and_dual_match_a_40_digit_solve(monkeypatch, points, zeta):
+    # in the final basis B of every solve, x_B (B x_B = b) and y (y B = 1)
+    # lie within 8 long-double eps, relative to their sup norm, of the same
+    # systems solved at 40 digits from the same long-double data
+    import mpmath as mp
+
+    solves, solve, run = [], simplex.dense_simplex, simplex._run
+
+    def recorded_run(T, R, b, basis):
+        result = run(T, R, b, basis)
+        solves.append([R, b, basis])  # the basis is final once the run returns
+        return result
+
+    def recorded(R, b):
+        x, value, pivots, y = solve(R, b)
+        solves[-1] += [x, y]
+        return x, value, pivots, y
+
+    monkeypatch.setattr(simplex, "_run", recorded_run)
+    monkeypatch.setattr(simplex, "dense_simplex", recorded)
+    spec = SpectrumSpec(points)
+    *_, certified = _certified_interpolate(spec, complex(zeta), _start_degree(spec))
+    assert certified and solves
+    eps = np.finfo(LD).eps
+    with mp.workdps(40):
+        def exact(a):  # the long-double entries as exact mpmath numbers, a list per row
+            return [[mp.mpf(p) / q for p, q in map(LD.as_integer_ratio, row)]
+                    for row in np.atleast_2d(a)]
+
+        for R, b, basis, x, y in solves:
+            n = R.shape[1]
+            B = simplex._basis_matrix(R, basis, LD)
+            xb = np.where(basis < n, x[basis % n], -x[basis % n])
+            for got, M, rhs in ((xb, B, b), (y, B.T, np.ones(len(b), dtype=LD))):
+                ref = mp.lu_solve(mp.matrix(exact(M)), mp.matrix(exact(rhs)[0]))
+                err = max(abs(v - r) for v, r in zip(exact(got)[0], ref))
+                assert err <= 8 * eps * max(abs(r) for r in ref)
+
+
+def test_singular_basis_is_a_simplex_error():
+    # LAPACK's LinAlgError on an exactly singular basis matrix surfaces as
+    # the simplex's own error
+    B = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=LD)
+    with pytest.raises(SimplexError, match="^singular basis$"):
+        simplex._refined_solve(B, np.ones(2, dtype=LD))
 
 
 def test_dual_solved_from_the_basis():
@@ -276,7 +339,7 @@ def test_dual_solved_from_the_basis():
 def test_reformed_tableau_matches_the_running_one(monkeypatch):
     # stopped after 8 pricing passes from the crash start, the float64
     # tableau agrees with the one re-formed from its basis by the
-    # long-double LU
+    # long-double elimination
     rng = np.random.default_rng(3)
     R = rng.standard_normal((12, 40)).astype(LD)
     b = rng.standard_normal(12).astype(LD)
