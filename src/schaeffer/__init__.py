@@ -16,8 +16,8 @@ Modules by topic:
 * ``resolvent``    the rho-parameterized resolvent bound family and its four
                    closed-form cases
 * ``airy``         Ai and Ai' on the real line, for a float or an array
-* ``asymptotics``  saddle points, the seven-region decay table, stationary
-                   phase and the uniform Airy expansion
+* ``asymptotics``  saddle points from one picker, the seven-region decay
+                   table, stationary phase and the uniform Airy expansion
 * ``acceptance``   the numbered acceptance criteria
 * ``cli``          the ``schaeffer`` command-line harness
 """

@@ -213,8 +213,10 @@ def _saddle_samples() -> list:
 
 
 def criterion_7() -> CriterionResult:
-    """Saddle correctness on 1000 random samples (``_saddle_samples``) plus
-    the coalesced third derivative in closed form."""
+    """Saddle correctness of ``asymptotics._pick_saddles``, the routine the
+    stationary-phase and uniform Airy estimates take their saddles from, on
+    1000 random samples (``_saddle_samples``), plus the coalesced third
+    derivative ``asymptotics._phase_f3`` in closed form."""
     t0 = time.perf_counter()
     ok = True
     msgs = []
@@ -223,16 +225,13 @@ def criterion_7() -> CriterionResult:
         a0 = asymptotics.alpha0(lam)
         if min(abs(a - a0), abs(a - 1 / a0)) < 1e-9:
             continue
-        sd = asymptotics.stationary_points(lam, a)
-        for z in (sd.z_plus, sd.z_minus):
+        zp, zm = map(complex, asymptotics._pick_saddles(lam, a))
+        for z in (zp, zm):
             worst_f1 = max(worst_f1, abs(asymptotics._phase_f1(lam, a, z)))
         if a0 < a < 1 / a0:
-            good = (sd.kind is asymptotics.SaddleKind.CIRCLE_CONJUGATE_PAIR
-                    and abs(abs(sd.z_plus) - 1) < 1e-12
-                    and abs(sd.z_minus - sd.z_plus.conjugate()) < 1e-12)
+            good = abs(abs(zp) - 1) < 1e-12 and abs(zm - zp.conjugate()) < 1e-12
         else:
-            good = (sd.kind is asymptotics.SaddleKind.REAL_RECIPROCAL_PAIR
-                    and abs(sd.z_plus * sd.z_minus - 1) < 1e-12)
+            good = zp.imag == zm.imag == 0 and abs(zp * zm - 1) < 1e-12
         if not good:
             ok = False
             msgs.append(f"trichotomy fails at lam={lam:.4f} a={a:.4f}")
@@ -241,7 +240,7 @@ def criterion_7() -> CriterionResult:
         msgs.append(f"worst |f'(saddle)| = {worst_f1:.2e}")
     for lam in (0.2, 0.5, 0.8):
         ac = 1 / asymptotics.alpha0(lam)
-        f3 = asymptotics.phase_derivatives(lam, ac, 1.0 + 0j)[3]
+        f3 = asymptotics._phase_f3(lam, ac, 1.0 + 0j)
         closed = -2 * lam * (1 + lam) / (1 - lam) ** 3
         if abs(f3 - closed) > 1e-10 * abs(closed):
             ok = False

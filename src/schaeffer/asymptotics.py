@@ -81,63 +81,44 @@ def _phase_f2(lam: float, a, z):
     return 1 / (z - lam) ** 2 - a / z ** 2 - lam ** 2 / (1 - lam * z) ** 2
 
 
-def phase_derivatives(lam: float, a: float, z: complex):
-    """(f, f', f'', f''') at z."""
-    _check_pole(lam, z)
-    z = complex(z)
-    f = a * np.log(z) + np.log(1 - lam * z) - np.log(z - lam)
-    f1 = _phase_f1(lam, a, z)
-    f2 = _phase_f2(lam, a, z)
-    f3 = -2 / (z - lam) ** 3 + 2 * a / z ** 3 - 2 * lam ** 3 / (1 - lam * z) ** 3
-    return f, f1, f2, f3
-
-
-class SaddleKind(Enum):
-    CIRCLE_CONJUGATE_PAIR = "circle-conjugate-pair"
-    COALESCED = "coalesced"
-    REAL_RECIPROCAL_PAIR = "real-reciprocal-pair"
-
-
-@dataclass(frozen=True)
-class SaddleData:
-    z_plus: complex
-    z_minus: complex
-    kind: SaddleKind
+def _phase_f3(lam: float, a, z):
+    """f'''(z) without the pole check; elementwise for arrays a and z."""
+    return -2 / (z - lam) ** 3 + 2 * a / z ** 3 - 2 * lam ** 3 / (1 - lam * z) ** 3
 
 
 def _midpoint(lam: float, a: float) -> float:
     return (a * (1 + lam ** 2) - (1 - lam ** 2)) / (2 * lam * a)
 
 
-def stationary_points(lam: float, a: float) -> SaddleData:
-    """Both roots of f' = 0 with their configuration.
-
-    The trichotomy is decided by a against [alpha0, 1/alpha0]: conjugate
-    circle pair inside, coalesced double point at the ends (z0 = -1 left,
-    z0 = +1 right), reciprocal real pair outside.
-    """
-    a0 = alpha0(lam)  # rejects lambda outside (0, 1)
-    if a <= 0:
-        raise DomainError("index ratio a must be positive")
-    tol = 1e-12
-    if abs(a - a0) <= tol * a0:
-        z0 = -1.0 + 0j
-        return SaddleData(z0, z0, SaddleKind.COALESCED)
-    if abs(a - 1 / a0) <= tol / a0:
-        z0 = 1.0 + 0j
-        return SaddleData(z0, z0, SaddleKind.COALESCED)
-    M = _midpoint(lam, a)
-    if a0 < a < 1 / a0:
-        s = math.sqrt(max(0.0, 1 - M * M))
+def _pick_saddles(mu: float, a: float):
+    """The two roots z_pm = M +- sqrt(M^2 - 1) of f' = 0: a conjugate pair
+    on the unit circle for a inside [alpha0, 1/alpha0], a reciprocal real
+    pair outside.  z_plus is the saddle mapped to t = +gamma: the upper
+    circle saddle inside, the saddle with Re f >= 0 outside."""
+    M = _midpoint(mu, a)
+    if M * M <= 1:
+        s = math.sqrt(1 - M * M)
         zp = complex(M, s)
-        zm = complex(M, -s)
-        kind = SaddleKind.CIRCLE_CONJUGATE_PAIR
-    else:
-        s = math.sqrt(M * M - 1)
-        zp = complex(M + s)
-        zm = complex(M - s)
-        kind = SaddleKind.REAL_RECIPROCAL_PAIR
-    return SaddleData(zp, zm, kind)
+        return zp, np.conj(zp)
+    s = math.sqrt(M * M - 1)
+    c1, c2 = complex(M + s), complex(M - s)
+    if phase_value(mu, a, c1).real >= 0:
+        return c1, c2
+    return c2, c1
+
+
+def _pick_saddles_along(mu: float, a: np.ndarray):
+    """``_pick_saddles`` at each ratio of the array a (any shape), as two
+    complex arrays.  The ratio a of the estimate itself keeps the scalar
+    version, whose Python complex results the amplitudes are computed from."""
+    M = _midpoint(mu, a)
+    circle = M * M <= 1
+    s = np.sqrt(np.abs(1 - M * M))
+    # Re f at the real candidate M + s; on the circle at a stand-in off every pole
+    c1_first = phase_value(mu, a, np.where(circle, 1j, M + s)).real >= 0
+    zp = np.where(circle, M + 1j * s, np.where(c1_first, M + s, M - s))
+    zm = np.where(circle, M - 1j * s, np.where(c1_first, M - s, M + s))
+    return zp, zm
 
 
 # ---------------------------------------------------------------------------
@@ -218,42 +199,17 @@ def _coalescence_ratio(mu: float) -> float:
     return (1 + mu) / (1 - mu)
 
 
-def _pick_saddles(mu: float, a: float):
-    """(z_plus, z_minus) with z_plus the saddle mapped to t = +gamma:
-    the upper circle saddle inside the critical range, the saddle with
-    f > 0 outside it."""
-    M = _midpoint(mu, a)
-    if M * M <= 1:
-        s = math.sqrt(1 - M * M)
-        zp = complex(M, s)
-        return zp, np.conj(zp)
-    s = math.sqrt(M * M - 1)
-    c1, c2 = complex(M + s), complex(M - s)
-    if phase_value(mu, a, c1).real >= 0:
-        return c1, c2
-    return c2, c1
-
-
-def _pick_saddles_along(mu: float, a: np.ndarray):
-    """``_pick_saddles`` at each ratio of the array a (any shape), as two
-    complex arrays.  The ratio a of the estimate itself keeps the scalar
-    version, whose Python complex results the amplitudes are computed from."""
-    M = _midpoint(mu, a)
-    circle = M * M <= 1
-    s = np.sqrt(np.abs(1 - M * M))
-    # Re f at the real candidate M + s; on the circle at a stand-in off every pole
-    c1_first = phase_value(mu, a, np.where(circle, 1j, M + s)).real >= 0
-    zp = np.where(circle, M + 1j * s, np.where(c1_first, M + s, M - s))
-    zm = np.where(circle, M - 1j * s, np.where(c1_first, M - s, M + s))
-    return zp, zm
+def _cube_roots(x) -> list:
+    """The three cube roots of x; elementwise for an array x."""
+    mag = abs(x) ** (1 / 3)
+    ang = np.angle(x)
+    return [mag * np.exp(1j * (ang + 2 * math.pi * i) / 3) for i in range(3)]
 
 
 def _real_gamma2_root(g3):
     """The cube root gamma of g3 for which gamma^2 is real; elementwise for
     an array g3."""
-    mag = abs(g3) ** (1 / 3)
-    ang = np.angle(g3)
-    roots = [mag * np.exp(1j * (ang + 2 * math.pi * i) / 3) for i in range(3)]
+    roots = _cube_roots(g3)
     pick = np.argmin(np.abs([(r * r).imag for r in roots]), axis=0)
     return np.choose(pick, roots)[()]
 
@@ -261,11 +217,7 @@ def _real_gamma2_root(g3):
 def _zprime_seed(mu: float, ac: float) -> complex:
     """z'(0) at the coalesced saddle: the minimal-imaginary cube root of
     -2/f'''(1, ac); real positive for mu > 0, real negative for mu < 0."""
-    f3 = phase_derivatives(mu, ac, 1.0 + 0j)[3]
-    target = -2 / f3
-    mag = abs(target) ** (1 / 3)
-    ang = np.angle(target)
-    roots = [mag * np.exp(1j * (ang + 2 * math.pi * i) / 3) for i in range(3)]
+    roots = _cube_roots(-2 / _phase_f3(mu, ac, 1.0 + 0j))
     return min(roots, key=lambda r: abs(r.imag))
 
 
@@ -479,8 +431,7 @@ def stationary_phase_estimate(lam: float, n: int, k: float,
     a = k / n
     if not beta < a < 1 / beta:
         raise ModeError(f"k/n = {a} outside the mid range ({beta}, {1 / beta})")
-    M = _midpoint(lam, a)
-    zp = complex(M, math.sqrt(max(0.0, 1 - M * M)))
+    zp, _ = _pick_saddles(lam, a)
     phi_p = float(np.angle(zp))
     h_at = float(phase_value(lam, a, zp).imag)
     return stationary_phase_envelope(lam, n, k) * math.cos(n * h_at - phi_p + 3 * math.pi / 4)

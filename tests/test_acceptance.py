@@ -47,7 +47,22 @@ def test_criterion_06_bound_dominance():
 
 
 def test_criterion_07_saddle_correctness():
-    _run(acceptance.criterion_7)
+    result = _run(acceptance.criterion_7)
+    # the line README documents, byte for byte
+    assert result.line() == (
+        "PASS criterion  7 [saddle correctness]: worst |f'(z_pm)| = 6.13e-12; "
+        "trichotomy and coalesced f''' closed form verified")
+
+
+def test_criterion_07_checks_the_saddles_the_estimates_use(monkeypatch):
+    pick = asymptotics._pick_saddles
+
+    def wrong(mu, a):
+        zp, zm = pick(mu, a)
+        return zp, 2 * zm
+
+    monkeypatch.setattr(asymptotics, "_pick_saddles", wrong)
+    assert not acceptance.criterion_7().passed
 
 
 def test_saddle_draws_are_the_generator_draws_bitwise():

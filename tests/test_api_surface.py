@@ -4,7 +4,8 @@ from another top-level statement of ``src/schaeffer`` or from the
 benchmark harness in ``perfbench/``.  Tests do not count, so a name that
 only a test calls fails here; a test that needs an independent reference
 keeps it in the test file.  Likewise every field of a record class is read
-somewhere in ``src/schaeffer`` or ``perfbench/``."""
+somewhere in ``src/schaeffer`` or ``perfbench/``, and every name an import
+binds in a package module is used in that module."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,30 @@ def _fields_unread() -> list:
 
 def test_every_record_field_is_read():
     assert _fields_unread() == []
+
+
+def _unused_imports() -> list:
+    """Names that an ``import`` anywhere in a module of ``src/schaeffer``
+    binds but the module never uses, apart from ``__future__`` features and
+    the names of the module's ``__all__``."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        exported = {elt.value for stmt in tree.body if isinstance(stmt, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+                    for elt in stmt.value.elts}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and name not in exported:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_imported_name_is_used():
+    assert _unused_imports() == []
