@@ -349,7 +349,7 @@ def _truth_series(lam: float, n: int, kmax: int):
 def weighted_truth(lam: float, n: int, k):
     """FFT coefficient of (1-z^2) b_lambda^n at integer k, or at each k of an
     integer array (cached per (lambda, n); one extraction covers max(k))."""
-    arr = _truth_series(lam, n, int(np.max(k))).coeffs.real
+    arr = _truth_series(lam, n, int(np.max(k))).coeffs
     return arr[k] if np.ndim(k) else float(arr[k])
 
 

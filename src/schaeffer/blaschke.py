@@ -4,26 +4,33 @@ The Moebius factor b_lambda(z) = (z - lambda)/(1 - conj(lambda) z) is inner,
 so on the unit circle |b_lambda| = 1 and the coefficient sequence of
 b_lambda^n has unit l2 norm (Parseval).  The one entry point,
 ``blaschke_power_coeffs(points, K)``, extracts the coefficients of a product
-prod_i b_{lambda_i}^{m_i} by an FFT of samples on the circle; a sup norm is
-read up to K >= ``support_estimate``, past the dominant region.  Only the
-phase is sampled, arg b_lambda(e^{it}) = t - 2 arg(1 - conj(lambda) e^{it}),
-so b^n = exp(i n arg b) is unimodular to rounding and far cheaper than the
-complex power.  One transform runs, sized in advance: b^n is analytic in
-|z| < 1/|lambda| and bounded there by ``log_max_modulus``, so the aliasing
-of an N-point transform is at most min_r M(r) r^-N / (1 - r^-N)
-(Trefethen & Weideman, SIAM Rev. 2014; Bornemann, Found. Comput. Math.
-2011), and the size is the smallest power of two past K at which that is
-<= ALIAS_TOL.  It returns a stated error bound with the coefficients.
+prod_i b_{lambda_i}^{m_i} of a real spectrum by a real inverse FFT of
+samples on the circle; a sup norm is read up to K >= ``support_estimate``,
+past the dominant region.  Only the phase is sampled,
+arg b_lambda(e^{it}) = t - 2 arg(1 - lambda e^{it}), so b^n = exp(i n arg b)
+is unimodular to rounding and far cheaper than the complex power.  For real
+lambda_i the product has real coefficients, so its samples are Hermitian,
+B(e^{-it}) = conj B(e^{it}): the samples at j = 0..N/2 of the N-th roots of
+unity determine the rest, and ``np.fft.irfft`` of their conjugates returns
+the real coefficients (Trefethen & Weideman, SIAM Rev. 2014).  One
+transform runs, sized in advance: b^n is analytic in |z| < 1/|lambda| and
+bounded there by ``log_max_modulus``, so the aliasing of an N-point
+transform is at most min_r M(r) r^-N / (1 - r^-N) (Trefethen & Weideman;
+Bornemann, Found. Comput. Math. 2011), and the size is the smallest power
+of two past K at which that is <= ALIAS_TOL.  It returns a stated error
+bound with the coefficients, which are stored as real numbers.
 
 For coefficients far outside the dominant index range [alpha0*n, n/alpha0]
 (alpha0 = (1-lambda)/(1+lambda)) the values underflow double precision.
 ``log_weighted_coeff_magnitude`` extracts them on a circle |z| = r through
 the decaying saddle of the coefficient integral instead, where the
 integrand maximum matches the coefficient size and only log-magnitudes are
-formed.  Its transform is sized by the same Cauchy bound, taken on both
-sides of r: with M(R) the maximum of |b^n| on |z| = R, the coefficients of
-(1-z^2) b^n obey |c_i| <= (1+R^2) M(R) R^-i for every 0 < R < 1/lambda, so
-bins lo..hi of an N-point transform scaled by M(r) alias at most
+formed.  It samples the upper half of that circle and reads the bins of
+one real inverse FFT, for the same reason.  Its transform is sized by the
+same Cauchy bound, taken on both sides of r: with M(R) the maximum of
+|b^n| on |z| = R, the coefficients of (1-z^2) b^n obey
+|c_i| <= (1+R^2) M(R) R^-i for every 0 < R < 1/lambda, so bins lo..hi of
+an N-point transform scaled by M(r) alias at most
 min_{r<R<1/lambda} (1+R^2) M(R)/M(r) (r/R)^(lo+N) / (1 - (r/R)^N) from
 above, plus, once N <= hi, min_{0<R<r} (1+R^2) M(R)/M(r) (r/R)^(hi-N) /
 (1 - (R/r)^N) from below.  N is the smallest power of two past hi - lo at
@@ -44,14 +51,16 @@ MAX_FFT_SIZE = 1 << 26
 
 @dataclass
 class CoefficientSeries:
-    """Finite coefficient vector c[0..K]; ``error`` bounds the error of
-    every stored coefficient."""
+    """Finite real coefficient vector c[0..K]; ``error`` bounds the error
+    of every stored coefficient.  A complex vector is a DomainError."""
 
     coeffs: np.ndarray
     error: float
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        if np.iscomplexobj(self.coeffs):
+            raise DomainError("coefficient vector must be real")
+        self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.coeffs.ndim != 1 or self.coeffs.size == 0:
             raise DomainError("coefficient vector must be 1-d and nonempty")
 
@@ -61,7 +70,7 @@ class CoefficientSeries:
 
     @property
     def l2(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
+        return float(np.sqrt(np.sum(self.coeffs ** 2)))
 
     @property
     def linf(self) -> float:
@@ -81,9 +90,10 @@ def support_estimate(points) -> int:
 
 
 def circle_phase(points, size: int) -> np.ndarray:
-    """Phase of prod_i b_{lambda_i}^{m_i} at the size-th roots of unity, for
-    points [(lambda_i, m_i)]: sum_i m_i (t - 2 arg(1 - conj(lambda_i) e^{it}))."""
-    j = np.arange(size)
+    """Phase of prod_i b_{lambda_i}^{m_i} at e^{it}, t = 2 pi j/size for
+    j = 0..size/2 (the upper half circle), for points [(lambda_i, m_i)]:
+    sum_i m_i (t - 2 arg(1 - conj(lambda_i) e^{it}))."""
+    j = np.arange(size // 2 + 1)
     winding = sum(m for _, m in points)
     phase = (2 * np.pi / size) * ((winding * j) % size)
     z = np.exp((2j * np.pi / size) * j)
@@ -129,11 +139,14 @@ def _alias_size(span: int, tails):
 
 
 def blaschke_power_coeffs(points, K: int) -> CoefficientSeries:
-    """Coefficients c[0..K] of B = prod_i b_{lambda_i}^{m_i} from its phase
-    samples by one FFT, for points [(lambda_i, m_i)], with a bound err on
-    |c_k - exact c_k| for every k as the series' ``error``.  The size is
-    the smallest power of two >= K+1 whose alias bound is <= ALIAS_TOL
-    (``_alias_size``): by Cauchy
+    """Real coefficients c[0..K] of B = prod_i b_{lambda_i}^{m_i} from its
+    phase samples by one real inverse FFT, for points [(lambda_i, m_i)] of a
+    real spectrum, with a bound err on |c_k - exact c_k| for every k as the
+    series' ``error``.  B has real coefficients, so its samples at
+    z_j = e^{2 pi i j/size} and at z_{size-j} are conjugate: those at
+    j = 0..size/2 are formed, and irfft of their conjugates reads them as
+    the whole circle.  The size is the smallest power of two >= K+1 whose
+    alias bound is <= ALIAS_TOL (``_alias_size``): by Cauchy
     |c_k| <= M(r) r^-k for 1 < r < 1/max|lambda_i|, M(r) =
     exp(log_max_modulus(points, r)), and a size-point FFT adds c_{k+t size},
     t >= 1, to c_k, so min_r M(r) r^-size / (1 - r^-size), over 256 radii
@@ -151,23 +164,32 @@ def blaschke_power_coeffs(points, K: int) -> CoefficientSeries:
       (4.2 + 3.3 |lambda_i|/(1 - |lambda_i|)) m_i eps, so each point costs
       below 16 m_i eps/(1 - |lambda_i|); exp adds one eps.  A unimodular
       sample is off by at most its phase error, and the DFT, an average,
-      keeps that bound on every coefficient;
-    * the FFT's rounding, log2(size) eta with eta = 7u = 3.5 eps: the
-      normwise bound Higham proves for radix-2 Cooley-Tukey with accurate
-      twiddles (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-      sec. 24.1), which numpy's power-of-two transform is taken to meet.
-      The samples' l2 norm is sqrt(size), so after the exact division by
-      size that bound holds for each coefficient.
-    K < 1, any |lambda_i| >= 1 or any m_i < 1 is a DomainError.  A K + 1
-    or a chosen size past MAX_FFT_SIZE is a ResourceError, raised before
-    any sample is formed."""
+      keeps that bound on every coefficient.  A mirrored sample
+      conj B(z_j) stands for B(z_{size-j}) and is off by as much as
+      B(z_j), so the bound covers the whole circle.  irfft ignores the
+      imaginary parts of the samples at z = 1 and z = -1, which can only
+      bring them closer, as B(1) = 1 and B(-1) = (-1)^|m| exactly;
+    * the transform's rounding, log2(size) eta with eta = 7u = 3.5 eps:
+      the normwise bound Higham proves for radix-2 Cooley-Tukey with
+      accurate twiddles (Accuracy and Stability of Numerical Algorithms,
+      2nd ed., sec. 24.1).  numpy's power-of-two irfft is taken to meet it
+      as the complex transform of the full Hermitian sequence would, i.e.
+      the real algorithm is assumed to round no worse than the complex
+      transform it halves.  The samples' l2 norm is sqrt(size), so after
+      the exact division by size that bound holds for each coefficient.
+    K < 1, any |lambda_i| >= 1, any non-real lambda_i or any m_i < 1 is a
+    DomainError.  A K + 1 or a chosen size past MAX_FFT_SIZE is a
+    ResourceError, raised before any sample is formed."""
     if K < 1 or any(abs(lam) >= 1 or m < 1 for lam, m in points):
         raise DomainError(f"K = {K} must be >= 1, every |lambda| < 1 and every power >= 1")
+    if any(complex(lam).imag != 0 for lam, _ in points):
+        raise DomainError("the spectrum must be real")
+    points = [(complex(lam).real, m) for lam, m in points]
     rho = max(max(abs(lam) for lam, _ in points), 1e-3)
     log_r = -np.log(rho) * np.geomspace(1e-4, 0.999, 256)
     log_m = log_max_modulus(points, np.exp(log_r))
     size, alias = _alias_size(K, lambda size: [(log_m, log_r, 0)])
-    c = np.fft.fft(np.exp(1j * circle_phase(points, size)))[: K + 1] / size
+    c = np.fft.irfft(np.exp(-1j * circle_phase(points, size)), size)[: K + 1]
     eps = np.finfo(float).eps
     degree = sum(m for _, m in points)
     sample = eps * (len(points) * np.pi * (degree + 2)
@@ -227,12 +249,14 @@ def _contour_tails(lam: float, n: int, r: float, lo: int, hi: int):
 def log_weighted_coeff_magnitude(lam: float, n: int, k: int, window: int = 0) -> np.ndarray:
     """log |c_w(j)| for 0 <= j in [k-window, k+window], far below underflow.
 
-    Samples (1-z^2) b_lambda^n on the circle |z| = r through the decaying
-    saddle of the coefficient integral, rescaled by its maximum modulus
-    M(r) so that all intermediate values stay representable; only
-    logarithms are returned.  The transform is the smallest power of two
-    past the window whose Cauchy alias bound (``_contour_tails``) is
-    <= ALIAS_TOL, and c_w(j) is read from bin j mod size.
+    Samples (1-z^2) b_lambda^n on the upper half of the circle |z| = r
+    through the decaying saddle of the coefficient integral, rescaled by
+    its maximum modulus M(r) so that all intermediate values stay
+    representable; only logarithms are returned.  The coefficients are
+    real, so the samples are Hermitian and one irfft of their conjugates
+    reads them.  The transform is the smallest power of two past the
+    window whose Cauchy alias bound (``_contour_tails``) is <= ALIAS_TOL,
+    and c_w(j) is read from bin j mod size.
     Requires real lambda in (0,1) and k/n outside the dominant region.
     """
     if not (0 < lam < 1):
@@ -240,13 +264,13 @@ def log_weighted_coeff_magnitude(lam: float, n: int, k: int, window: int = 0) ->
     r = _decaying_saddle_radius(lam, k / n)
     lo, hi = max(0, k - window), k + window
     size, _ = _alias_size(hi - lo, _contour_tails(lam, n, r, lo, hi))
-    z = r * np.exp(1j * (2 * np.pi * np.arange(size) / size))
+    z = r * np.exp(1j * (2 * np.pi * np.arange(size // 2 + 1) / size))
     num, den = z - lam, 1 - lam * z
     log_mod = n * (np.log(np.abs(num)) - np.log(np.abs(den)))
     scale = log_mod.max()  # log M(r): z = r is a sample, and z = -r for even size
     phase = n * (np.angle(num) - np.angle(den))
     vals = (1 - z * z) * np.exp(log_mod - scale + 1j * phase)
-    c = np.fft.fft(vals) / size
+    c = np.fft.irfft(vals.conj(), size)
     js = np.arange(lo, hi + 1)
     mags = np.maximum(np.abs(c[js % size]), 1e-300)
     return np.log(mags) + scale - js * np.log(r)

@@ -108,8 +108,7 @@ def _coeff_task(args):
     K = kmax if kmax is not None else blaschke.support_estimate(points)
     base = blaschke.blaschke_power_coeffs(points, K)
     series = blaschke.weight_series(base)
-    c = series.coeffs
-    block = (lam, n, c.real.tolist(), c.imag.tolist())
+    block = (lam, n, series.coeffs.tolist())
     return block, (lam, n, series.max_index, series.linf, 1.0 - base.l2 ** 2)
 
 
@@ -124,16 +123,16 @@ def _check_coeffs(opts):
 def _write_coeff_csv(path, blocks):
     with open(path, "w") as fh:
         fh.write("lambda,n,k,coeff_re,coeff_im\n")
-        for lam, n, re, im in blocks:
+        for lam, n, re in blocks:
             # lambda and n are fixed along a block, so each block formats them
             # once into its own row template and renders all its rows in one
-            # % call; '%d' prints k as _write_csv's '%.17g' does
+            # % call; '%d' prints k as _write_csv's '%.17g' does, and the
+            # coefficients of a real spectrum are real, so coeff_im is 0
             m = len(re)
-            cells = [None] * (3 * m)
-            cells[0::3] = range(m)
-            cells[1::3] = re
-            cells[2::3] = im
-            template = "%.17g,%.17g," % (lam, n) + "%d,%.17g,%.17g\n"
+            cells = [None] * (2 * m)
+            cells[0::2] = range(m)
+            cells[1::2] = re
+            template = "%.17g,%.17g," % (lam, n) + "%d,%.17g,0\n"
             fh.write((template * m) % tuple(cells))
 
 
@@ -147,8 +146,7 @@ def cmd_coeffs(opts) -> int:
         _write_csv(opts.out + ".norms.csv",
                    ["lambda", "n", "K", "linf_A", "parseval_defect"], norms)
     else:
-        rows = [(lam, n, k, r, i) for lam, n, re, im in blocks
-                for k, (r, i) in enumerate(zip(re, im))]
+        rows = [(lam, n, k, r, 0.0) for lam, n, re in blocks for k, r in enumerate(re)]
         _write_json(opts.out, {
             "coefficients": [dict(zip(("lambda", "n", "k", "re", "im"), r)) for r in rows],
             "norms": [dict(zip(("lambda", "n", "K", "linf_A", "parseval_defect"), r))

@@ -189,7 +189,7 @@ def phi_lower_bound(spec: SpectrumSpec) -> float:
     """Coefficient-norm lower bound for phi:
     max(0, 1/||(1-z^2) B||_linfA - prod |lambda_i|) with B the full
     Blaschke product of the spectrum, its coefficients extracted up to
-    ``blaschke.support_estimate``."""
+    ``blaschke.support_estimate``.  A non-real spectrum is a DomainError."""
     spec.require_interior()
     K = blaschke.support_estimate(spec.points)
     norm = blaschke.weight_series(blaschke.blaschke_power_coeffs(spec.points, K)).linf

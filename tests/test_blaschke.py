@@ -41,19 +41,12 @@ class TestMoebiusCoeff:
         c = blaschke_power_coeffs([(0.5, 1)], 40).coeffs
         assert np.allclose(c, [_moebius_coeff(0.5, k) for k in range(41)], rtol=0, atol=1e-15)
 
-    def test_complex_conjugation(self):
-        lam = 0.3 + 0.4j
-        a = blaschke_power_coeffs([(lam, 1)], 30).coeffs
-        b = blaschke_power_coeffs([(np.conj(lam), 1)], 30).coeffs
-        closed = np.array([_moebius_coeff(lam, k) for k in range(31)])
-        assert np.allclose(a, closed, rtol=0, atol=1e-15)
-        assert np.allclose(b, np.conj(closed), rtol=0, atol=1e-15)
-
     def test_domain(self):
-        # a point on or outside the unit circle, anywhere in the spectrum,
-        # and a K below 1 are domain errors
+        # a point on or outside the unit circle or off the real axis,
+        # anywhere in the spectrum, and a K below 1 are domain errors
         for points in ([(1.0, 1)], [(1.2, 1)], [(0.3, 2), (-1.0, 1)],
-                       [(0.6j, 1), (0.8 + 0.6j, 3)]):
+                       [(0.6j, 1), (0.8 + 0.6j, 3)], [(0.3 + 0.4j, 1)],
+                       [(0.5, 2), (0.2 - 1e-9j, 1)]):
             with pytest.raises(DomainError):
                 blaschke_power_coeffs(points, 8)
         for K in (0, -1):
@@ -99,12 +92,6 @@ class TestPowerCoeffs:
         s = blaschke_power_coeffs([(0.5, 32)], 256)
         assert np.max(np.abs(s.coeffs.imag)) < 1e-12 * np.max(np.abs(s.coeffs.real))
 
-    def test_conjugate_parameter_conjugates_series(self):
-        lam = 0.35 + 0.3j
-        a = blaschke_power_coeffs([(lam, 5)], 40).coeffs
-        b = blaschke_power_coeffs([(np.conj(lam), 5)], 40).coeffs
-        assert np.max(np.abs(a - np.conj(b))) < 1e-12
-
     def test_resource_budget(self, monkeypatch):
         # raised before any sample is formed, for a K past the budget and for
         # a support (~2e9 coefficients) whose alias bound needs a longer FFT
@@ -126,25 +113,34 @@ class TestCircleSamples:
 
     @pytest.mark.parametrize("lam", [0.65, -0.4, 0.35 + 0.3j])
     def test_samples_match_complex_power(self, lam):
+        # the phases cover the upper half circle, j = 0..size/2
         n, size = 7, 256
-        z = np.exp(2j * np.pi * np.arange(size) / size)
+        z = np.exp(2j * np.pi * np.arange(size // 2 + 1) / size)
         direct = ((z - lam) / (1 - np.conj(lam) * z)) ** n
         vals = np.exp(1j * blaschke.circle_phase([(lam, n)], size))
         assert np.max(np.abs(vals - direct)) < 1e-13
 
 
+# real spectra, whose coefficients the circle transforms extract
 SPECTRA = {
     "positive": [(0.5, 7)],
     "negative": [(-0.65, 5)],
+    "two-point": [(0.35, 4), (-0.45, 3)],
+    "mixed": [(0.3, 2), (-0.6, 3), (0.2, 1)],
+}
+# log_max_modulus bounds the product for any spectrum inside the disk
+ENVELOPE_SPECTRA = {
+    "positive": SPECTRA["positive"],
+    "negative": SPECTRA["negative"],
     "complex": [(0.35 + 0.3j, 4)],
     "mixed": [(0.3, 2), (-0.6, 3), (0.2 - 0.5j, 1)],
 }
 
 
 class TestCircleFFT:
-    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    @pytest.mark.parametrize("name", sorted(ENVELOPE_SPECTRA))
     def test_envelope_dominates_sampled_maximum(self, name):
-        points = SPECTRA[name]
+        points = ENVELOPE_SPECTRA[name]
         rho = max(abs(lam) for lam, _ in points)
         # the circle, and the directions lam/|lam| where each factor peaks
         z = np.append(np.exp(2j * np.pi * np.arange(1 << 14) / (1 << 14)),
@@ -188,13 +184,14 @@ class TestCircleFFT:
     def test_one_transform_sized_by_the_bound(self, monkeypatch):
         # lambda 0.5, n 8192: K = 24744 fits one 32768-point transform
         sizes = []
-        fft = np.fft.fft
+        irfft = np.fft.irfft
 
         def counted(a, *args, **kwargs):
-            sizes.append(np.shape(a)[-1])
-            return fft(a, *args, **kwargs)
+            c = irfft(a, *args, **kwargs)
+            sizes.append(c.size)
+            return c
 
-        monkeypatch.setattr(np.fft, "fft", counted)
+        monkeypatch.setattr(np.fft, "irfft", counted)
         s = _weighted(0.5, 8192, support_estimate([(0.5, 8192)]))
         assert sizes == [32768]
         assert s.error < 1e-9
@@ -205,6 +202,25 @@ class TestCircleFFT:
         base = blaschke_power_coeffs([(0.5, 64)], 256)
         assert 0 < base.error < 1e-12
         assert weight_series(base).error == 2 * base.error + np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("lam", [0.35, 0.5, 0.65])
+    def test_within_stated_bound_of_exact_binomial_sums(self, lam, n):
+        # b^n = (z - lam)^n (1 - lam z)^-n, so c(k) = sum_j a(j) g(k-j) with
+        # a(j) = C(n, j) (-lam)^(n-j) and g(i) = C(n-1+i, i) lam^i; the sum
+        # cancels terms up to ((1+lam)/(1-lam))^n, which 0.8 n + 60 digits
+        # hold for lam <= 0.65
+        K = support_estimate([(lam, n)])
+        s = blaschke_power_coeffs([(lam, n)], K)
+        with mp.workdps(int(0.8 * n) + 60):
+            L = mp.mpf(lam)
+            a = [mp.binomial(n, j) * (-L) ** (n - j) for j in range(n + 1)]
+            g = [mp.mpf(1)]
+            for i in range(1, K + 1):
+                g.append(g[-1] * L * (n - 1 + i) / i)
+            exact = [float(mp.fdot(a[: min(n, k) + 1], g[k::-1])) for k in range(K + 1)]
+        assert s.coeffs.dtype == np.float64
+        assert np.max(np.abs(s.coeffs - exact)) <= s.error
 
 
 class TestWeightedCoeffs:
@@ -326,13 +342,14 @@ class TestExponentialRegions:
         # 4x larger transform reads the same coefficients unwrapped
         lam, n, k = 0.5, 256, 1843
         sizes = []
-        fft = np.fft.fft
+        fft, irfft = np.fft.fft, np.fft.irfft
 
         def counted(a, *args, **kwargs):
-            sizes.append(np.shape(a)[-1])
-            return fft(a, *args, **kwargs)
+            c = irfft(a, *args, **kwargs)
+            sizes.append(c.size)
+            return c
 
-        monkeypatch.setattr(np.fft, "fft", counted)
+        monkeypatch.setattr(np.fft, "irfft", counted)
         lw = log_weighted_coeff_magnitude(lam, n, k, window=3)
         assert sizes[0] < k
         size = 4 * sizes[0]
@@ -374,6 +391,14 @@ class TestSeriesContainer:
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             CoefficientSeries(np.array([]), 0.0)
+
+    def test_rejects_complex(self):
+        # coefficients of a real spectrum are stored as real numbers; a
+        # complex vector, even with zero imaginary parts, is refused
+        for vals in (np.array([0.5, 0.25j]), np.array([1.0, 2.0], dtype=complex)):
+            with pytest.raises(DomainError):
+                CoefficientSeries(vals, 0.0)
+        assert CoefficientSeries(np.array([1, 2]), 0.0).coeffs.dtype == np.float64
 
     @given(st.lists(st.floats(-10, 10), min_size=1, max_size=12),
            st.integers(min_value=1, max_value=8))

@@ -121,6 +121,22 @@ class TestCoeffs:
         assert any(row["k"] == 2 and abs(row["re"] - 0.875) < 1e-15
                    for row in payload["coefficients"])
 
+    def test_imaginary_parts_are_exact_zeros(self, tmp_path):
+        # the coefficients of a real spectrum are real: coeff_im is written
+        # as an exact 0 on every row, not as the noise of a complex transform
+        out = tmp_path / "coeffs.csv"
+        argv = ["coeffs", "--lambda", "0.5,-0.35", "--n", "7,64"]
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = _read_csv(out)
+        assert len(rows) > 100
+        assert all(r["coeff_im"] == "0" for r in rows)
+        assert any(float(r["coeff_re"]) != 0 for r in rows)
+        js = tmp_path / "coeffs.json"
+        assert main(argv + ["--format", "json", "--out", str(js)]) == 0
+        coefficients = json.loads(js.read_text())["coefficients"]
+        assert len(coefficients) == len(rows)
+        assert all(row["im"] == 0.0 and isinstance(row["im"], float) for row in coefficients)
+
 
 class TestGrowth:
     def test_sandwich_columns(self, tmp_path):
