@@ -6,13 +6,15 @@ Modules by topic:
 * ``errors``       the exception types the package raises
 * ``blaschke``     coefficients and sequence norms of b_lambda^n and
                    (1 - z^2) b_lambda^n
-* ``modelspace``   the explicit lower-triangular Toeplitz counterexample and
-                   the Malmquist-Walsh basis rows of the model space, which
-                   ``model_matrix`` and ``wiener_opt`` both read
+* ``modelspace``   the compressed shift of the model space in closed form
+                   (the explicit lower-triangular Toeplitz counterexample
+                   for a singleton spectrum) and the Malmquist-Walsh basis
+                   rows, which ``model_matrix`` and ``wiener_opt`` both read
 * ``simplex``      the dense l1 simplex, its vertex and dual in long double
-* ``wiener_opt``   the certified l1 interpolation program: the resolvent
-                   interpolation norm, phi as its zeta = 0 case, the
-                   coefficient-norm lower bound, sqrt(e n)
+* ``wiener_opt``   the certified l1 interpolation program, its tails bounded
+                   by the compressed shift: the resolvent interpolation
+                   norm, phi as its zeta = 0 case, the coefficient-norm
+                   lower bound, sqrt(e n)
 * ``resolvent``    the rho-parameterized resolvent bound family and its four
                    closed-form cases
 * ``airy``         Ai and Ai' on the real line, for a float or an array

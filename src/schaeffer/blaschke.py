@@ -111,7 +111,7 @@ def log_max_modulus(points, r):
     r >= 1 max |b_mu| is reached where |1 - conj(mu) z| is least, at
     z = r mu/|mu|, and for r < 1 where it is largest, at z = -r mu/|mu|.
     Exact for a single factor, and for factors on one ray; a sum of maxima
-    otherwise.  A lambda_i may be an array, broadcast against r."""
+    otherwise."""
     r = np.asarray(r, dtype=float)
     sign = np.where(r < 1, 1.0, -1.0)
     return sum(m * (np.log(r + sign * abs(lam)) - np.log1p(sign * abs(lam) * r))

@@ -313,6 +313,11 @@ def cmd_validate(opts) -> int:
     from . import acceptance
 
     numbers = set(opts.criteria) if opts.criteria else None
+    unknown = sorted((numbers or set()) - set(range(1, len(acceptance.ALL_CRITERIA) + 1)))
+    if unknown:
+        print(f"error: validate: no criterion {', '.join(map(str, unknown))} "
+              f"(criteria are 1..{len(acceptance.ALL_CRITERIA)})", file=sys.stderr)
+        return 2
     results = acceptance.run_all(numbers)
     for r in results:
         print(r.line())

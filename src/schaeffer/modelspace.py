@@ -1,12 +1,11 @@
-"""The explicit Toeplitz counterexample matrix and the Malmquist-Walsh basis.
+"""The compressed shift of the model space and its Malmquist-Walsh basis.
 
-``build_toeplitz`` writes down the lower-triangular Toeplitz matrix with
-diagonal lambda, first subdiagonal 1 - lambda^2 and d-th subdiagonal
-(-conj(lambda))^(d-1) (1 - lambda^2); it is the compression of
-multiplication-by-z to the model space K_B spanned by the Malmquist-Walsh
-basis of a singleton spectrum.  ``_malmquist_walsh_rows`` generates that
-basis, as Taylor rows, for any real spectrum; ``model_matrix`` reads the
-compression off them, and ``wiener_opt`` poses its l1 programs with them.
+``_compressed_shift`` is the compression of multiplication-by-z to the
+model space K_B of a real spectrum, in closed form; for a singleton
+spectrum it is the paper's Toeplitz counterexample (``build_toeplitz``).
+``_malmquist_walsh_rows`` generates the basis as Taylor rows;
+``model_matrix`` reads the compression off them, and ``wiener_opt`` poses
+its l1 programs with them and bounds their tails by the shift.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import blaschke
 from .errors import ConsistencyError, DomainError
 from .simplex import LD
 from .spectra import SpectrumSpec
@@ -27,33 +25,35 @@ GRAM_TOL = 1e-10
 @dataclass(frozen=True)
 class ToeplitzMatrix:
     entries: np.ndarray
-    lam: complex
+    lam: float
     n: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=complex))
+
+def _compressed_shift(mus) -> np.ndarray:
+    """M[i, j] = <z e_j, e_i> for the Malmquist-Walsh basis e_0..e_{N-1} of
+    the real expanded spectrum mu_0..mu_{N-1}, in closed form and float64:
+    M[i, i] = mu_i and, for i > j, M[i, j] = sqrt(w_i w_j) prod_{j<l<i}
+    (-mu_l) with w = (1 - mu)(1 + mu) (Takenaka 1925, Malmquist 1926; Garcia,
+    Mashreghi & Ross, *Introduction to Model Spaces and their Operators*,
+    CUP 2016).  An entry errs by at most (N + 4) u relative, u = 2^-53, the
+    diagonal not at all, and equal mu_i give equal subdiagonals bit for bit
+    (sqrt(fl(w^2)) = w)."""
+    mu = np.asarray(mus, dtype=float)
+    w = (1 - mu) * (1 + mu)
+    i, j = np.indices((mu.size, mu.size))
+    product = np.cumprod(np.where(i > j + 1, -mu[i - 1], 1.0), axis=0)
+    return np.where(i > j, np.sqrt(w[:, None] * w) * product, np.diag(mu))
 
 
-def build_toeplitz(lam: complex, n: int) -> ToeplitzMatrix:
-    """Lower-triangular Toeplitz counterexample of dimension n for eigenvalue
-    lambda; det = lambda^n by triangularity."""
+def build_toeplitz(lam: float, n: int) -> ToeplitzMatrix:
+    """Lower-triangular Toeplitz counterexample of dimension n for a real
+    eigenvalue lambda: the compressed shift of the singleton spectrum,
+    diagonal lambda and d-th subdiagonal (-lambda)^(d-1) (1 - lambda^2);
+    det = lambda^n by triangularity.  A non-real lambda is a DomainError."""
     lam = complex(lam)
-    if lam == 0 or abs(lam) >= 1:
-        raise DomainError("lambda must satisfy 0 < |lambda| < 1")
-    if n < 1:
-        raise DomainError("dimension n must be >= 1")
-    T = np.zeros((n, n), dtype=complex)
-    w = 1 - lam ** 2
-    for d in range(n):
-        if d == 0:
-            value = lam
-        elif d == 1:
-            value = w
-        else:
-            value = (-np.conj(lam)) ** (d - 1) * w
-        for i in range(n - d):
-            T[i + d, i] = value
-    return ToeplitzMatrix(T, lam, n)
+    if lam.imag != 0 or lam == 0 or abs(lam) >= 1 or n < 1:
+        raise DomainError("need a real lambda with 0 < |lambda| < 1 and a dimension n >= 1")
+    return ToeplitzMatrix(_compressed_shift([lam.real] * n), lam.real, n)
 
 
 def _first_order_scan(r: np.ndarray, mu) -> np.ndarray:
@@ -71,11 +71,8 @@ def _malmquist_walsh_rows(mus, D: int) -> np.ndarray:
     """Taylor coefficients 0..D of the Malmquist-Walsh basis of the model
     space K_B, one row per e_j(z) = sqrt(1-mu_j^2)/(1 - mu_j z) prod_{i<j}
     b_{mu_i}(z), for the real expanded spectrum mu_1..mu_N; long double.
-
-    Row j holds the coefficients of e_j, so rows @ a is the vector of inner
-    products <h, e_j> for the degree-D polynomial h with coefficients a.  The
-    rows are O(1) and nearly orthonormal, unlike the jet rows.
-    """
+    rows @ a holds the <h, e_j> of the polynomial h with coefficients a; the
+    rows are O(1) and nearly orthonormal, unlike the jet rows."""
     rows = np.empty((len(mus), D + 1), dtype=LD)
     prefix = np.zeros(D + 1, dtype=LD)  # prod_{i<j} b_{mu_i}
     prefix[0] = 1
@@ -116,33 +113,21 @@ def _row_error_bound(mus, D: int) -> np.ndarray:
     return np.where(bound * kappa <= 1e-6, bound, np.inf)
 
 
-def _log_envelope(mus):
-    """(log r, log E_j(r)), one row per mu_j, on the radii r = rho^-t,
-    0.05 <= t <= 0.95, rho = max|mu_j|: on |z| = r, |e_j| <= E_j(r) =
-    sqrt(1-mu_j^2)/(1 - |mu_j| r) prod_{i<j} max |b_{mu_i}|, the maxima from
-    ``blaschke.log_max_modulus``, so |e_{j,k}| <= E_j(r) r^-k (Cauchy)."""
-    a = np.abs(np.asarray(mus, dtype=float))
-    log_r = -np.linspace(0.05, 0.95, 19) * math.log(max(np.max(a), 1e-3))
-    r = np.exp(log_r)
-    blaschke_max = blaschke.log_max_modulus([(a[:, None], 1)], r)  # one row per mu_j
-    log_e = (0.5 * np.log1p(-a * a)[:, None] - np.log1p(-np.outer(a, r))
-             + np.cumsum(blaschke_max, axis=0) - blaschke_max)
-    return log_r, log_e
-
-
 def model_matrix(spec: SpectrumSpec) -> np.ndarray:
     """Matrix of the multiplication-by-z compression in the Malmquist-Walsh
     basis of a real spectrum, M[i, j] = <z e_{j+1}, e_{i+1}>, from the rows
-    R of ``_malmquist_walsh_rows`` at the least degree D where the tail
-    bound min_r max_j E_j(r) r^-(D+1) / (1 - 1/r) is below GRAM_TOL.  A Gram
-    residual max|R R^T - I| not below GRAM_TOL is a ConsistencyError."""
+    R of ``_malmquist_walsh_rows`` at the least degree D whose l2 row tails,
+    the rows of M^(D+1) from ``_compressed_shift`` (M^T is the backward
+    shift), are all at most GRAM_TOL.  A Gram residual max|R R^T - I| not
+    below GRAM_TOL is a ConsistencyError."""
     spec.require_interior()
     if not spec.is_real:
         raise DomainError("the Malmquist-Walsh rows need a real spectrum")
     mus = [lam.real for lam in spec.expanded()]
-    log_r, log_e = _log_envelope(mus)
-    tail = np.max(log_e, axis=0) - np.log1p(-np.exp(-log_r)) - math.log(GRAM_TOL)
-    R = _malmquist_walsh_rows(mus, int(np.min(np.floor(tail / log_r))))
+    shift, power, D = _compressed_shift(mus), np.eye(len(mus)), -1
+    while np.max(np.linalg.norm(power, axis=1)) > GRAM_TOL:
+        power, D = power @ shift, D + 1
+    R = _malmquist_walsh_rows(mus, D)
     if np.max(np.abs(R @ R.T - np.eye(len(mus)))) >= GRAM_TOL:
         raise ConsistencyError("Gram matrix did not reach identity; basis bug")
     return (R[:, 1:] @ R[:, :-1].T).astype(float)
@@ -160,8 +145,7 @@ def minimal_poly_check(T: ToeplitzMatrix):
     norm1 = float(np.linalg.norm(N))
     if norm1 == 0:
         return (1, 0.0)
-    P = np.eye(T.n, dtype=complex)
-    prev = math.sqrt(T.n)
+    P, prev = np.eye(T.n), math.sqrt(T.n)
     for p in range(1, T.n + 1):
         P = P @ N
         cur = float(np.linalg.norm(P))

@@ -7,22 +7,17 @@ the pinned constant term over analytic h with h(0) = prod lambda_i and an
 m_i-fold zero at each lambda_i, is its zeta = 0 case: h = a0 (1 + z f) with
 a0 = prod lambda_i gives phi = |a0| N(0) (Remark 5).
 
-``_certified_interpolate`` is the one entry point.  It poses the program
-once per call, for a real spectrum and real zeta, in the Malmquist-Walsh
-basis of the model space, whose rows, their rounding bound and their
-envelope are ``modelspace``'s ``_malmquist_walsh_rows``,
-``_row_error_bound`` and ``_log_envelope``; a non-real spectrum or zeta,
-or a zeta at an eigenvalue, is a DomainError.  It grows the degree as
-the simplex dual, priced over every coefficient, demands, and brackets
-N(zeta) to 1e-8 relative, with the rounding of its long-double data
-bounded: a converged value lies in a bracket proven for the exact
-program.  ``_interpolate`` is one solve of the posed rows by the simplex,
-whose vertex and dual are solved from the optimal basis in float64 and
-refined with long-double residuals.  Nothing is cached between calls.
+``_certified_interpolate`` is the one entry point.  For a real spectrum and
+real zeta it poses the program in the Malmquist-Walsh basis of the model
+space K_B (``modelspace``), grows the degree as the simplex dual demands,
+and brackets N(zeta) to 1e-8 relative with every rounding bounded; past the
+priced columns, the compressed shift of K_B bounds the Taylor tails
+(``_shift_tail``).  Nothing is cached between calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,13 +25,12 @@ import numpy as np
 
 from . import blaschke
 from .errors import DomainError
-from .modelspace import _log_envelope, _malmquist_walsh_rows, _row_error_bound
+from .modelspace import _compressed_shift, _malmquist_walsh_rows, _row_error_bound
 from .simplex import LD, min_l1_solution
 from .spectra import SpectrumSpec
 
 _COLUMN_BUDGET = 4096  # most columns an LP may grow to
 _CERT_REL_WIDTH = 1e-8  # widest certified bracket, relative to its upper end
-_F64_MARGIN = 1e-6  # relative slack on the float64 envelope terms of the bracket
 
 
 @dataclass
@@ -49,69 +43,104 @@ def _malmquist_walsh_resolvent_rhs(mus, zeta: float) -> np.ndarray:
     """<h, e_j> for every analytic h that matches the jets of 1/(zeta - z)
     on the spectrum: sqrt(1-mu_j^2) / ((zeta - mu_j) prod_{i<j} b_{mu_i}(zeta)),
     with 1/b_mu(zeta) = (1 - mu zeta)/(zeta - mu) (zero at zeta = 1/mu)."""
-    z = LD(zeta)
-    out = np.empty(len(mus), dtype=LD)
-    inv_prefix = LD(1)
-    for j, mu in enumerate(mus):
-        mu = LD(mu)
-        out[j] = np.sqrt(1 - mu * mu) / (z - mu) * inv_prefix
-        inv_prefix *= (1 - mu * z) / (z - mu)
-    return out
+    mu, z = np.asarray(mus, dtype=LD), LD(zeta)
+    inv_prefix = np.cumprod(np.r_[LD(1), ((1 - mu * z) / (z - mu))[:-1]])
+    return np.sqrt(1 - mu * mu) / (z - mu) * inv_prefix
 
 
 def _interpolate(rows, rhs):
-    """min ||f||_1 subject to rows @ f = rhs: (coefficients f, dual y), the
-    optimum sum |f_k|, solved by the simplex, its vertex refined to a few
-    units of the long-double significand.  The program is homogeneous in
-    the data, so it is solved at unit sup norm and scaled back; y does not
-    depend on that scale."""
+    """min ||f||_1 subject to rows @ f = rhs by the simplex: (coefficients f,
+    dual y), the vertex refined to a few long-double units.  It is solved at
+    unit sup norm of rhs and f scaled back; y does not depend on the scale."""
     scale = np.max(np.abs(rhs))
     _, f, y = min_l1_solution(rows, rhs / scale)
     return f * scale, y
 
 
+def _shift_tail(mus):
+    """(index, bound, L) from the compressed shift M of the model space K_B
+    of the real expanded spectrum (``_compressed_shift``).  M^T is the
+    backward shift S* on K_B (Garcia, Mashreghi & Ross 2016), so
+    g = sum_j x_j e_j has g_k = (S*^k g)(0) = <x M^k, v>, v_j = e_j(0) the
+    kernel at 0: |g_k| <= sqrt(1 - B(0)^2) ||x M^k||_2, not increasing in k
+    as ||M||_2 <= 1.  bound(x, k) bounds it for each row of a float64 x;
+    index(x) is the least k with bound(x, k) <= 1, by binary lifting over
+    the squares M^(2^s); L, the least power of two with ||M^L||_2 <= 1/2
+    proven by the Frobenius norm (or inf), gives sum_{k>=p} |g_k| <= 2 L
+    bound(x, p), as [p + qL, p + (q+1) L) adds at most L 2^-q bound(x, p).
+
+    Rounding, with u = 2^-53 and eps = 4 N (N + 4) u: M's entries err by
+    (N + 4) u relative, ||fl(M) - M||_2 <= (N + 4) sqrt(N) u, and a product
+    of two computed powers adds N u ||X||_F ||Y||_F <= N^2 u.  The errors
+    add, as exact powers are contractions: M^k, formed by at most k - 1
+    products, errs by k eps / 2 to first order, doubled for the rest.  With
+    N^1.5 u ||x|| per vector product and u ||x|| from x's conversion from
+    long double, x M^k errs by 2 (k + 1) eps ||x||; the norms, v and the
+    products add under eps relative."""
+    N = len(mus)
+    eps = 4 * N * (N + 4) * 2.0 ** -53
+    mu = np.asarray(mus, dtype=float)
+    kernel = (1 + eps) * np.linalg.norm(np.sqrt((1 - mu) * (1 + mu)) * np.cumprod(np.r_[1, -mu[:-1]]))
+
+    def halves(s):  # ||M^(2^s)||_2 <= 1/2, proven
+        return (1 + eps) * np.linalg.norm(powers[s]) + 2 ** s * eps <= 0.5
+
+    powers = [_compressed_shift(mus)]  # M^(2^s), past the budget and on to a halving one
+    while (len(powers) <= _COLUMN_BUDGET.bit_length()
+           or not (halves(len(powers) - 1) or 2 ** len(powers) * eps >= 1)):
+        powers.append(powers[-1] @ powers[-1])
+    L = next((2 ** s for s in range(len(powers)) if halves(s)), math.inf)
+
+    def bound(x, k, lifted=None):  # lifted: x M^k as formed, else formed from the bits of k
+        if lifted is None:
+            lifted = functools.reduce(np.matmul, [A for s, A in enumerate(powers) if k >> s & 1], x)
+        return kernel * (np.linalg.norm(lifted, axis=-1) + 2 * (k + 1) * eps * np.linalg.norm(x, axis=-1))
+
+    def index(x):  # binary lifting, kept at the largest k whose bound is > 1
+        if bound(x, 0, x) <= 1:
+            return 0
+        k, at_k = 0, x
+        for s in reversed(range(len(powers))):
+            lifted = at_k @ powers[s]
+            if bound(x, k + 2 ** s, lifted) > 1:
+                k, at_k = k + 2 ** s, lifted
+        return k + 1
+
+    return index, bound, L
+
+
 def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     """N(zeta) = min ||f||_1 over all analytic f, from degree deg up.
-    Returns (value, f, lower, upper, certified): value = sum |f_k|, the
-    long-double l1 norm of the optimum f at the final degree, and
-    lower <= N(zeta) <= upper, proven for the exact program; certified when
-    lower <= value and the bracket is within _CERT_REL_WIDTH.  A non-real
-    spectrum or zeta, or a zeta within 1e-14 of an eigenvalue, is a
-    DomainError.  Rows that the simplex finds dependent in floating point
-    (near lambda = 1, where the basis's Taylor rows decay slowly) are a
-    ``SimplexError``, not an uncertified value.
+    Returns (value, f, lower, upper, certified): value = sum |f_k| of the
+    long-double optimum f at the final degree, lower <= N(zeta) <= upper
+    proven for the exact program, certified when lower <= value and the
+    bracket is within _CERT_REL_WIDTH.  A non-real spectrum or zeta, or a
+    zeta within 1e-14 of an eigenvalue, is a DomainError; rows the simplex
+    finds dependent in floating point (near lambda = 1) a ``SimplexError``.
 
     f matches the jets exactly when f - h lies in B H^2, where
     h = (1 - B/B(zeta))/(zeta - z), i.e. when <f, e_j> = <h, e_j> for the
-    Malmquist-Walsh basis e_1..e_N of the model space K_B.  The rows are the
-    basis's Taylor coefficients (``_malmquist_walsh_rows``) and the
-    right-hand side is the closed form <h, e_j>
-    (``_malmquist_walsh_resolvent_rhs``), each posed once per call: the rows
-    at a degree are a bitwise prefix of those at any larger one (a scan step
-    writes only at or past its shift), so every solve slices them, and they
-    are built again only when the dual prices a column past the last.  These
-    rows are an invertible triangular transform of the confluent-Vandermonde
-    jet rows, so the program is the same, but they stay well conditioned
-    where the jet rows (conditioning ~4^n) run out of long-double precision
-    from n ~ 48.
+    Malmquist-Walsh basis e_1..e_N of K_B: the rows are its Taylor
+    coefficients (``_malmquist_walsh_rows``), well conditioned where the
+    jet rows (~4^n) are not, and the right-hand side the closed form
+    ``_malmquist_walsh_resolvent_rhs``.  The rows at a degree are a bitwise
+    prefix of those at any larger one, so every solve slices them, and they
+    are built again only when the dual prices a column past the last.
 
     With the dual y, g = sum_j y_j e_j gives y . rhs / max(1, sup_k |g_k|)
-    <= N(zeta) (weak duality).  On |z| = r, 1 < r < 1/max|mu_j|, |e_j| <=
-    E_j(r), on the grid of radii of ``_log_envelope``; by Cauchy |g_k| <=
-    M(r) r^-k with M(r) = sum_j |y_j| E_j(r), so |g_k| <= 1 past
-    k* = min_r log M(r) / log r, and the columns
-    up to max(k*, deg) are priced exactly.  f - sum_j res_j e_j, with the
-    residual res = rows @ f - rhs, is exactly feasible (the e_j are
-    orthonormal), so N(zeta) <= ||f||_1 + sum_j |res_j| ||e_j||_1.  Until
-    the bracket is within _CERT_REL_WIDTH, the degree grows to the last
-    column with |g_k| > 1, up to _COLUMN_BUDGET columns.
+    <= N(zeta) (weak duality): the columns up to max(deg, K) are priced
+    exactly, K the index of g's shift bound (``_shift_tail``), and that
+    bound covers the later ones.  With res = rows @ f - rhs, f - sum_j res_j
+    e_j is exactly feasible, so N(zeta) <= ||f||_1 + sum_j |res_j|
+    ||e_j||_1, the tail of e_j at most 2 L times its shift bound.  Until the
+    bracket is within _CERT_REL_WIDTH, the degree grows to the last column
+    with |g_k| > 1, up to _COLUMN_BUDGET columns.
 
     Only y and f are taken as exact.  The rows gain ``_row_error_bound``;
     rhs_j, a product of j + 1 factors, gains (3 + 1/(1 - mu_j^2) +
     sum_{i<j} (3 + |mu_i zeta / (1 - mu_i zeta)|)) eps relative; gamma is
     twice every n u of an n-term sum, covering the bounds' own rounding; the
-    float64 envelope gains _F64_MARGIN, as its logs (at most N + 3 terms
-    below 20 N each, N <= _COLUMN_BUDGET for a solvable program) err < 1e-7.
+    shift bounds carry theirs (``_shift_tail``).
     """
     if not spec.is_real or zeta.imag != 0:
         raise DomainError("the l1 program needs a real spectrum and a real zeta")
@@ -127,24 +156,20 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
         exact = [mn * zn == md * zd for mn, md in map(float.as_integer_ratio, mus)]
         q = np.where(exact, 0, abs(mu * z / (1 - mu * z)))
         rhs_err = eps * (3 + 1 / (1 - mu * mu) + np.cumsum(np.r_[0, 3 + q][:-1])) * np.abs(rhs)
-    log_r, log_e = _log_envelope(mus)
+    index, bound, L = _shift_tail(mus)
     while True:
-        with np.errstate(divide="ignore"):  # a zero y_j drops out of M
-            terms = np.log(np.abs(y.astype(float)))[:, None] + log_e
-        log_m = np.logaddexp.reduce(terms, axis=0)
-        past = max(deg, min(math.ceil(np.min(log_m / log_r)), _COLUMN_BUDGET)) + 1
+        y64 = y.astype(float)
+        past = max(deg, min(index(y64), _COLUMN_BUDGET)) + 1
         if posed.shape[1] < past:
             posed = _malmquist_walsh_rows(mus, past - 1)
         rows = posed[:, :past]
         delta = _row_error_bound(mus, past - 1)
         gamma = 2 * (len(mus) + past) * eps
-        with np.errstate(over="ignore"):  # an infinite bound certifies nothing
-            tail = (1 + _F64_MARGIN) * np.exp(np.min(log_m - past * log_r))
-            norms = (np.sum(np.abs(rows), axis=1) + np.sqrt(past) * delta + (1 + _F64_MARGIN)
-                     * np.exp(np.min(log_e - past * log_r - np.log1p(-np.exp(-log_r)), axis=1)))
+        tails = bound(np.vstack([y64, np.eye(len(mus))]), past)  # g's, then each e_j's
+        norms = np.sum(np.abs(rows), axis=1) + np.sqrt(past) * delta + 2 * L * tails[1:]
         g = np.abs(y @ rows) + gamma * (np.abs(y) @ np.abs(rows)) + np.abs(y) @ delta
         lower = ((y @ rhs - gamma * (np.abs(y) @ np.abs(rhs)) - np.abs(y) @ rhs_err)
-                 / (max(LD(1), np.max(g), LD(tail)) * (1 + gamma)))
+                 / (max(LD(1), np.max(g), LD(tails[0])) * (1 + gamma)))
         res = (np.abs(rows[:, :deg + 1] @ f - rhs) + delta * np.sqrt(f @ f) + rhs_err
                + gamma * (np.abs(rows[:, :deg + 1]) @ np.abs(f) + np.abs(rhs)))
         value = np.sum(np.abs(f))
@@ -167,18 +192,11 @@ def _start_degree(spec: SpectrumSpec) -> int:
 def phi_exact_truncated(spec: SpectrumSpec) -> PhiResult:
     """Truncated phi: min over polynomials h of sum_{k>=1} |h_k| subject to
     h(0) = a0 = prod lambda_i and an m_i-fold zero at each lambda_i, from
-    the coefficient support (``_start_degree``) with the columns its dual
-    prices in.
-
-    This is the zeta = 0 resolvent program (Remark 5): h = a0 (1 + z f) is
-    feasible exactly when f matches the jets of 1/(0 - z) = -1/z on the
-    spectrum, and then sum_{k>=1} |h_k| = |a0| ||f||_1, so phi is |a0|
-    times the interpolation norm.  It is converged when the long-double
-    ||f||_1 it is formed from lies in the verified bracket of
-    ``_certified_interpolate``; |a0| and the product add ~1e-14 relative.
-    A non-real spectrum is a ``DomainError``, and a program whose rows the
-    simplex finds dependent a ``SimplexError``.
-    """
+    ``_start_degree`` with the columns its dual prices in: |a0| times the
+    zeta = 0 interpolation norm (Remark 5, h = a0 (1 + z f)), converged when
+    the long-double ||f||_1 lies in the verified bracket of
+    ``_certified_interpolate`` (|a0| and the product add ~1e-14 relative).
+    Raises as ``_certified_interpolate`` does."""
     spec.require_nonzero()
     spec.require_interior()
     norm, _, _, _, certified = _certified_interpolate(spec, 0j, _start_degree(spec))
@@ -186,9 +204,8 @@ def phi_exact_truncated(spec: SpectrumSpec) -> PhiResult:
 
 
 def phi_lower_bound(spec: SpectrumSpec) -> float:
-    """Coefficient-norm lower bound for phi:
-    max(0, 1/||(1-z^2) B||_linfA - prod |lambda_i|) with B the full
-    Blaschke product of the spectrum, its coefficients extracted up to
+    """Coefficient-norm lower bound for phi, max(0, 1/||(1-z^2) B||_linfA -
+    prod |lambda_i|), B the Blaschke product of the spectrum extracted up to
     ``blaschke.support_estimate``.  A non-real spectrum is a DomainError."""
     spec.require_interior()
     K = blaschke.support_estimate(spec.points)
@@ -205,12 +222,10 @@ def schaeffer_upper(n: int) -> float:
 
 def resolvent_interpolation_norm(spec: SpectrumSpec, zeta: complex) -> float:
     """inf{||f||_W : f matches the jets of 1/(zeta - z) on the spectrum},
-    from the coefficient support (``_start_degree``) with the columns its dual
-    prices in (see ``_certified_interpolate``).  Scaled by |B(zeta)| in the
-    harness to exhibit resolvent growth.  ``nan`` when the bracket does not
-    certify the value (the column budget ran out first).  A non-real
-    spectrum or zeta, or a zeta at an eigenvalue, is a ``DomainError``, and
-    a program whose rows the simplex finds dependent a ``SimplexError``."""
+    from ``_start_degree`` with the columns its dual prices in, scaled by
+    |B(zeta)| in the harness to exhibit resolvent growth; ``nan`` when the
+    bracket does not certify it (the column budget ran out first).  Raises
+    as ``_certified_interpolate`` does."""
     spec.require_interior()
     value, _, _, _, certified = _certified_interpolate(spec, complex(zeta), _start_degree(spec))
     return float(value) if certified else math.nan

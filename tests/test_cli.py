@@ -237,6 +237,24 @@ class TestGrowth:
             assert re.fullmatch(rf"growth lambda=0\.99 n={n}: phi_D not printed: "
                                 r"value \d+\.\d+ is not certified", line)
 
+    def test_near_unit_single_point_certified(self, tmp_path):
+        # phi = 1 exactly for n = 1; the dual's shift bound is exact there,
+        # so the lower end closes on it
+        out = tmp_path / "growth.csv"
+        assert main(["growth", "--lambda", "0.999", "--n", "1", "--out", str(out)]) == 0
+        (row,) = _read_csv(out)
+        assert row["phi_converged"] == "true"
+        assert abs(float(row["phi_D"]) - 1) <= 1e-12
+
+    def test_shift_tail_certifies_inside_the_budget(self, tmp_path):
+        # the dual's coefficients fall below 1 at column ~3500, inside the
+        # 4096-column budget, where a Cauchy tail needed ~4700 columns
+        out = tmp_path / "growth.csv"
+        assert main(["growth", "--lambda", "0.99", "--n", "16", "--out", str(out)]) == 0
+        (row,) = _read_csv(out)
+        assert row["phi_converged"] == "true"
+        assert float(row["L"]) <= float(row["phi_D"]) <= float(row["sqrt_en"])
+
     def test_only_certified_phi_is_printed(self, tmp_path):
         # near lambda = 1 some programs certify and some run into the column
         # budget; every printed phi_D is certified
@@ -365,6 +383,14 @@ class TestValidateAndConfig:
         assert main(["validate", "--criteria", "5"]) == 0
         out = capsys.readouterr().out
         assert "PASS criterion  5" in out
+
+    @pytest.mark.parametrize("criteria, unknown", [("12", "12"), ("0,2", "0"), ("2,13,0", "0, 13")])
+    def test_validate_unknown_criterion_is_a_usage_error(self, capsys, criteria, unknown):
+        # an unknown number runs no criterion, not a silent subset
+        assert main(["validate", "--criteria", criteria]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"no criterion {unknown} " in err
 
     def test_config_file_defaults(self, tmp_path):
         cfg = tmp_path / "study.cfg"

@@ -4,6 +4,7 @@ import pytest
 from schaeffer import modelspace
 from schaeffer.errors import ConsistencyError, DomainError
 from schaeffer.modelspace import (
+    _compressed_shift,
     _malmquist_walsh_rows,
     build_toeplitz,
     minimal_poly_check,
@@ -43,6 +44,10 @@ class TestBuildToeplitz:
             build_toeplitz(0.0, 3)
         with pytest.raises(DomainError):
             build_toeplitz(1.1, 3)
+
+    def test_non_real_eigenvalue_rejected(self):
+        with pytest.raises(DomainError):
+            build_toeplitz(0.3 + 0.2j, 3)
 
 
 def _evaluate(lambdas, j, z):
@@ -138,6 +143,15 @@ class TestModelMatrix:
     def test_one_by_one_is_eigenvalue(self):
         M = model_matrix(SpectrumSpec.single(0.5, 1))
         assert abs(M[0, 0] - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("spec", [SpectrumSpec.single(0.5, 64),
+                                      SpectrumSpec([(0.3, 2), (-0.7, 3), (0.6, 1), (0.1, 1),
+                                                    (-0.2, 2), (0.9, 1)])])
+    def test_closed_form_matches_the_rows(self, spec):
+        # the compressed shift in closed form against <z e_j, e_i> read off
+        # the long-double Taylor rows
+        M = _compressed_shift([lam.real for lam in spec.expanded()])
+        assert np.max(np.abs(M - model_matrix(spec))) <= 1e-14
 
     def test_two_point_spectrum_eigenvalues(self):
         M = model_matrix(SpectrumSpec([(0.3, 1), (0.6, 1)]))

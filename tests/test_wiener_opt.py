@@ -14,6 +14,7 @@ from schaeffer.wiener_opt import (
     _certified_interpolate,
     _interpolate,
     _malmquist_walsh_resolvent_rhs,
+    _shift_tail,
     _start_degree,
     phi_exact_truncated,
     phi_lower_bound,
@@ -108,8 +109,7 @@ class TestPhi:
         assert max(vals.values()) / min(vals.values()) < 1.5
 
     def test_near_unit_programs_certified(self):
-        # priced with the exact maximum of each Blaschke factor on |z| = r,
-        # the dual's Cauchy index stays inside the column budget, so these
+        # the dual's shift index stays inside the column budget, so these
         # brackets close (~1e-11 wide) on the values printed before they did
         pinned = {(0.97, 32): "3.0466231208942358", (0.95, 64): "4.750100159255676"}
         for (lam, n), value in pinned.items():
@@ -268,9 +268,10 @@ class TestResolventInterpolation:
             resolvent_interpolation_norm(SpectrumSpec.single(0.5, 2), 0.3 + 0.4j)
 
     def test_uncertified_norm_is_nan(self):
-        # budget-bound: the dual's Cauchy index runs past the column budget,
-        # the bracket is 0.95 wide, so no value is returned
-        assert math.isnan(resolvent_interpolation_norm(SpectrumSpec.single(0.99, 16), 0.0))
+        # budget-bound: |g_k| passes 1 beyond column 4096, so the dual's
+        # shift index runs past the column budget; the lower end is 2.8e-4
+        # against an upper end of 2.61, so no value is returned
+        assert math.isnan(resolvent_interpolation_norm(SpectrumSpec.single(0.99, 32), 0.0))
 
     def test_model_space_rows_match_jet_rows(self):
         # the Malmquist-Walsh rows and their closed-form right-hand side pose
@@ -411,6 +412,34 @@ class TestCertificate:
         assert float(start) > float(value) * (1 + 1e-3)
         assert float(value) == pytest.approx(float(far), rel=1e-12)
         assert phi_exact_truncated(spec).converged
+
+
+class TestShiftTail:
+    @pytest.mark.parametrize("points, zeta", [([(0.5, 64)], 0.0), ([(0.9, 16)], 0.0),
+                                              ([(0.3, 2), (-0.6, 3), (0.8, 2)], 0.9)])
+    def test_bound_dominates_the_dual_coefficients(self, points, zeta):
+        # |g_k| of the optimal dual, from rows built to twice the shift
+        # index K, under the shift bound at every k in [K, 2K]
+        spec = SpectrumSpec(points)
+        mus = [lam.real for lam in spec.expanded()]
+        _, y = _solve(spec, zeta, _start_degree(spec))
+        index, bound, _ = _shift_tail(mus)
+        y64 = y.astype(float)
+        K = index(y64)
+        assert 0 < K < _start_degree(spec)
+        g = np.abs(y @ _malmquist_walsh_rows(mus, 2 * K)).astype(float)
+        bounds = np.array([bound(y64, k) for k in range(K, 2 * K + 1)])
+        assert bounds[0] <= 1 < bound(y64, K - 1)
+        assert np.all(g[K:] <= bounds)
+
+    def test_exact_for_one_point(self):
+        # n = 1: g_k = y e_1(0) mu^k and the bound is |y| sqrt(1 - mu^2) mu^k
+        index, bound, L = _shift_tail([0.5])
+        assert bound(np.array([2.0]), 3) == pytest.approx(2 * np.sqrt(0.75) / 8, rel=1e-14)
+        # the bound is 4 (1/2)^k here: 1 at k = 2, which the slack lifts past 1
+        assert index(np.array([4 / np.sqrt(0.75)])) == 3
+        # ||M|| = 1/2 exactly, which the slack does not prove; ||M^2|| = 1/4
+        assert L == 2
 
 
 def _planted(monkeypatch, rel):
