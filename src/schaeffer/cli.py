@@ -166,14 +166,15 @@ def _growth_task(args):
     if n <= phi_max_n:
         try:
             res = wiener_opt.phi_exact_truncated(spec)
-            phi, conv = res.value, res.converged
         except SimplexError as ex:  # blank phi_D, phi_converged=false; the sweep goes on
             print(f"growth lambda={lam} n={n}: phi_D not computed: {ex}", file=sys.stderr)
             conv = False
-    if conv is False and phi is not None:  # a truncated optimum is no estimate of phi
-        print(f"growth lambda={lam} n={n}: phi_D not printed: value {phi:.17g} "
-              "is not certified", file=sys.stderr)
-        phi = None
+        else:  # a truncated optimum is no estimate of phi, but its bracket is proven
+            phi, conv = (res.value if res.converged else None), res.converged
+            if not conv:
+                print(f"growth lambda={lam} n={n}: phi_D not printed: value {res.value:.17g} "
+                      f"is not certified; proven {res.lower:.17g} <= phi <= {res.upper:.17g}",
+                      file=sys.stderr)
     return (lam, n, L, phi, "" if conv is None else str(conv).lower(),
             wiener_opt.schaeffer_upper(n), L / math.sqrt(n))
 
@@ -312,10 +313,10 @@ def cmd_asymptotics(opts) -> int:
 def cmd_validate(opts) -> int:
     from . import acceptance
 
-    numbers = set(opts.criteria) if opts.criteria else None
+    numbers = None if opts.criteria is None else set(opts.criteria)
     unknown = sorted((numbers or set()) - set(range(1, len(acceptance.ALL_CRITERIA) + 1)))
-    if unknown:
-        print(f"error: validate: no criterion {', '.join(map(str, unknown))} "
+    if unknown or numbers == set():  # an unknown or empty selection runs no criterion
+        print(f"error: validate: no criterion {', '.join(map(str, unknown)) or 'selected'} "
               f"(criteria are 1..{len(acceptance.ALL_CRITERIA)})", file=sys.stderr)
         return 2
     results = acceptance.run_all(numbers)

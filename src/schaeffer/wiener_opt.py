@@ -12,7 +12,8 @@ real zeta it poses the program in the Malmquist-Walsh basis of the model
 space K_B (``modelspace``), grows the degree as the simplex dual demands,
 and brackets N(zeta) to 1e-8 relative with every rounding bounded; past the
 priced columns, the compressed shift of K_B bounds the Taylor tails
-(``_shift_tail``).  Nothing is cached between calls.
+(``_shift_tail``).  Each program's result is one ``Bracket``, phi's and
+the resolvent norm's alike.  Nothing is cached between calls.
 """
 
 from __future__ import annotations
@@ -33,9 +34,15 @@ _COLUMN_BUDGET = 4096  # most columns an LP may grow to
 _CERT_REL_WIDTH = 1e-8  # widest certified bracket, relative to its upper end
 
 
-@dataclass
-class PhiResult:
+@dataclass(frozen=True)
+class Bracket:
+    """One l1 program's result times a scale (|a0| for phi), scaled in long
+    double and rounded to float once: value = ||f||_1 of the optimum f at the
+    final degree, lower <= N <= upper proven for the exact program, converged
+    when lower <= value and the bracket is within _CERT_REL_WIDTH of upper."""
     value: float
+    lower: float
+    upper: float
     converged: bool
 
 
@@ -109,14 +116,11 @@ def _shift_tail(mus):
     return index, bound, L
 
 
-def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
-    """N(zeta) = min ||f||_1 over all analytic f, from degree deg up.
-    Returns (value, f, lower, upper, certified): value = sum |f_k| of the
-    long-double optimum f at the final degree, lower <= N(zeta) <= upper
-    proven for the exact program, certified when lower <= value and the
-    bracket is within _CERT_REL_WIDTH.  A non-real spectrum or zeta, or a
-    zeta within 1e-14 of an eigenvalue, is a DomainError; rows the simplex
-    finds dependent in floating point (near lambda = 1) a ``SimplexError``.
+def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int, scale=1) -> Bracket:
+    """N(zeta) = min ||f||_1 over all analytic f, from degree deg up, as a
+    ``Bracket`` times scale.  A non-real spectrum or zeta, or a zeta within
+    1e-14 of an eigenvalue, is a DomainError; rows the simplex finds
+    dependent in floating point (near lambda = 1) a ``SimplexError``.
 
     f matches the jets exactly when f - h lies in B H^2, where
     h = (1 - B/B(zeta))/(zeta - z), i.e. when <f, e_j> = <h, e_j> for the
@@ -140,8 +144,7 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
     rhs_j, a product of j + 1 factors, gains (3 + 1/(1 - mu_j^2) +
     sum_{i<j} (3 + |mu_i zeta / (1 - mu_i zeta)|)) eps relative; gamma is
     twice every n u of an n-term sum, covering the bounds' own rounding; the
-    shift bounds carry theirs (``_shift_tail``).
-    """
+    shift bounds carry theirs (``_shift_tail``)."""
     if not spec.is_real or zeta.imag != 0:
         raise DomainError("the l1 program needs a real spectrum and a real zeta")
     if any(abs(zeta - l) < 1e-14 for l, _ in spec.points):
@@ -177,7 +180,7 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int):
         certified = (1 - _CERT_REL_WIDTH) * upper <= lower <= value
         beyond = np.nonzero(g[deg + 1:] > 1)[0]
         if certified or beyond.size == 0 or deg + 1 >= _COLUMN_BUDGET:
-            return value, f, lower, upper, bool(certified)
+            return Bracket(*(float(scale * v) for v in (value, lower, upper)), bool(certified))
         deg = min(deg + 1 + int(beyond[-1]), _COLUMN_BUDGET - 1)
         f, y = _interpolate(posed[:, :deg + 1], rhs)
 
@@ -189,18 +192,15 @@ def _start_degree(spec: SpectrumSpec) -> int:
     return min(max(blaschke.support_estimate(spec.points), 64), _COLUMN_BUDGET) - 1
 
 
-def phi_exact_truncated(spec: SpectrumSpec) -> PhiResult:
+def phi_exact_truncated(spec: SpectrumSpec) -> Bracket:
     """Truncated phi: min over polynomials h of sum_{k>=1} |h_k| subject to
     h(0) = a0 = prod lambda_i and an m_i-fold zero at each lambda_i, from
     ``_start_degree`` with the columns its dual prices in: |a0| times the
-    zeta = 0 interpolation norm (Remark 5, h = a0 (1 + z f)), converged when
-    the long-double ||f||_1 lies in the verified bracket of
-    ``_certified_interpolate`` (|a0| and the product add ~1e-14 relative).
+    zeta = 0 interpolation norm's ``Bracket`` (Remark 5, h = a0 (1 + z f)).
     Raises as ``_certified_interpolate`` does."""
     spec.require_nonzero()
     spec.require_interior()
-    norm, _, _, _, certified = _certified_interpolate(spec, 0j, _start_degree(spec))
-    return PhiResult(value=float(LD(abs(spec.eigen_product())) * norm), converged=certified)
+    return _certified_interpolate(spec, 0j, _start_degree(spec), LD(abs(spec.eigen_product())))
 
 
 def phi_lower_bound(spec: SpectrumSpec) -> float:
@@ -220,12 +220,10 @@ def schaeffer_upper(n: int) -> float:
     return math.sqrt(math.e * n)
 
 
-def resolvent_interpolation_norm(spec: SpectrumSpec, zeta: complex) -> float:
-    """inf{||f||_W : f matches the jets of 1/(zeta - z) on the spectrum},
-    from ``_start_degree`` with the columns its dual prices in, scaled by
-    |B(zeta)| in the harness to exhibit resolvent growth; ``nan`` when the
-    bracket does not certify it (the column budget ran out first).  Raises
-    as ``_certified_interpolate`` does."""
+def resolvent_interpolation_norm(spec: SpectrumSpec, zeta: complex) -> Bracket:
+    """The ``Bracket`` of inf{||f||_W : f matches the jets of 1/(zeta - z)
+    on the spectrum}, from ``_start_degree`` with the columns its dual
+    prices in, which the harness scales by |B(zeta)| to exhibit resolvent
+    growth.  Raises as ``_certified_interpolate`` does."""
     spec.require_interior()
-    value, _, _, _, certified = _certified_interpolate(spec, complex(zeta), _start_degree(spec))
-    return float(value) if certified else math.nan
+    return _certified_interpolate(spec, complex(zeta), _start_degree(spec))

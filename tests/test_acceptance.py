@@ -7,10 +7,11 @@ certifies them is recomputed in tests/test_wiener_opt.py.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from schaeffer import acceptance, asymptotics
+from schaeffer import acceptance, asymptotics, wiener_opt
 from schaeffer._saddle_draws import DRAWS_HEX
 
 
@@ -97,3 +98,17 @@ def test_criterion_10_region_decay_rates():
 
 def test_criterion_11_resolvent_growth():
     _run(acceptance.criterion_11)
+
+
+def test_criterion_11_requires_every_norm_certified(monkeypatch):
+    # the n = 16 norm keeps its value but loses its certificate
+    norm = wiener_opt.resolvent_interpolation_norm
+
+    def uncertified(spec, zeta):
+        res = norm(spec, zeta)
+        return replace(res, converged=False) if spec.degree == 16 else res
+
+    monkeypatch.setattr(wiener_opt, "resolvent_interpolation_norm", uncertified)
+    result = acceptance.criterion_11()
+    assert not result.passed
+    assert result.details.endswith(", uncertified n = [16]")

@@ -226,16 +226,23 @@ class TestGrowth:
     def test_uncertified_rows_are_blank(self, tmp_path, capsys):
         # at lambda 0.99 both programs run into the column budget: their
         # truncated optima are only upper ends, which move with the last
-        # digits of the vertex solve, so neither is printed
+        # digits of the vertex solve, so neither is printed; stderr names
+        # the proven bracket instead, whose upper end bounds phi above L
         out = tmp_path / "growth.csv"
         assert main(["growth", "--lambda", "0.99", "--n", "48,56", "--out", str(out)]) == 0
         rows = _read_csv(out)
         assert [(r["phi_D"], r["phi_converged"]) for r in rows] == [("", "false")] * 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
-        for line, n in zip(err, (48, 56)):
-            assert re.fullmatch(rf"growth lambda=0\.99 n={n}: phi_D not printed: "
-                                r"value \d+\.\d+ is not certified", line)
+        number = r"(-?\d+\.\d+(?:e[-+]\d+)?)"
+        for line, n, row in zip(err, (48, 56), rows):
+            match = re.fullmatch(rf"growth lambda=0\.99 n={n}: phi_D not printed: "
+                                 rf"value {number} is not certified; "
+                                 rf"proven {number} <= phi <= {number}", line)
+            assert match, line
+            value, lower, upper = map(float, match.groups())
+            assert lower <= value <= upper
+            assert float(row["L"]) <= upper
 
     def test_near_unit_single_point_certified(self, tmp_path):
         # phi = 1 exactly for n = 1; the dual's shift bound is exact there,
@@ -384,9 +391,11 @@ class TestValidateAndConfig:
         out = capsys.readouterr().out
         assert "PASS criterion  5" in out
 
-    @pytest.mark.parametrize("criteria, unknown", [("12", "12"), ("0,2", "0"), ("2,13,0", "0, 13")])
+    @pytest.mark.parametrize("criteria, unknown", [("12", "12"), ("0,2", "0"), ("2,13,0", "0, 13"),
+                                                   ("", "selected"), (",", "selected")])
     def test_validate_unknown_criterion_is_a_usage_error(self, capsys, criteria, unknown):
-        # an unknown number runs no criterion, not a silent subset
+        # an unknown number runs no criterion, not a silent subset, and an
+        # empty selection runs none, not all of them
         assert main(["validate", "--criteria", criteria]) == 2
         out, err = capsys.readouterr()
         assert out == ""

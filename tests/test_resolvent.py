@@ -342,7 +342,8 @@ def test_interpolation_norm_sits_under_case3():
                     continue
                 q = BoundQuery(SpectrumSpec.single(lam, n), zeta, 1.0)
                 interp = resolvent_interpolation_norm(SpectrumSpec.single(lam, n), zeta)
-                assert interp <= thm_case3(q) + 1e-9
+                assert interp.converged
+                assert interp.value <= thm_case3(q) + 1e-9
 
 
 def test_query_validation():

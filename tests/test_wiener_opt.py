@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -142,6 +141,10 @@ class TestPhi:
         for n, (value, converged) in pinned.items():
             res = phi_exact_truncated(SpectrumSpec.single(0.5, n))
             assert (format(res.value, ".17g"), res.converged) == (value, converged), n
+            # the proven bracket holds the value after the |a0| scaling and
+            # the rounding to float
+            assert res.lower <= res.value <= res.upper, n
+            assert res.upper - res.lower <= 1e-8 * res.upper, n
 
     def test_one_program_from_the_coefficient_support(self, monkeypatch):
         # started at the coefficient support, ~|m|/alpha0 = 2134 columns,
@@ -233,26 +236,30 @@ class TestSchaefferUpper:
 
 class TestResolventInterpolation:
     def test_constant_interpolant_zeta_zero(self):
-        v = resolvent_interpolation_norm(SpectrumSpec.single(0.5, 1), 0.0)
-        assert v == pytest.approx(2.0, abs=1e-12)
+        res = resolvent_interpolation_norm(SpectrumSpec.single(0.5, 1), 0.0)
+        assert res.converged
+        assert res.value == pytest.approx(2.0, abs=1e-12)
 
     def test_constant_interpolant_zeta_two(self):
-        v = resolvent_interpolation_norm(SpectrumSpec.single(0.5, 1), 2.0)
-        assert v == pytest.approx(2 / 3, abs=1e-12)
+        res = resolvent_interpolation_norm(SpectrumSpec.single(0.5, 1), 2.0)
+        assert res.converged
+        assert res.value == pytest.approx(2 / 3, abs=1e-12)
 
     def test_zeta_at_reciprocal_eigenvalue_certified(self):
         # 1 - lambda zeta = 0 exactly, so the right-hand side past the first
         # row is exactly 0 and its rounding bound must not void the bracket
-        v = resolvent_interpolation_norm(SpectrumSpec.single(0.5, 2), 2.0)
-        assert v == pytest.approx(8 / 9, rel=1e-12)
+        res = resolvent_interpolation_norm(SpectrumSpec.single(0.5, 2), 2.0)
+        assert res.converged
+        assert res.value == pytest.approx(8 / 9, rel=1e-12)
 
     def test_cross_check_against_phi(self):
         # at zeta = 0 the jets of 1/(0 - z) are minus those of 1/z, so the
         # program matches the pinned-constant one up to the factor lam^n
         n = 8
-        v = resolvent_interpolation_norm(SpectrumSpec.single(0.5, n), 0.0)
+        res = resolvent_interpolation_norm(SpectrumSpec.single(0.5, n), 0.0)
         phi = phi_exact_truncated(SpectrumSpec.single(0.5, n)).value
-        assert v * 0.5 ** n >= phi - 1e-6
+        assert res.converged
+        assert res.value * 0.5 ** n >= phi - 1e-6
 
     def test_zeta_in_spectrum_rejected(self):
         with pytest.raises(DomainError):
@@ -267,11 +274,14 @@ class TestResolventInterpolation:
         with pytest.raises(DomainError):
             resolvent_interpolation_norm(SpectrumSpec.single(0.5, 2), 0.3 + 0.4j)
 
-    def test_uncertified_norm_is_nan(self):
+    def test_uncertified_norm_is_not_converged(self):
         # budget-bound: |g_k| passes 1 beyond column 4096, so the dual's
         # shift index runs past the column budget; the lower end is 2.8e-4
-        # against an upper end of 2.61, so no value is returned
-        assert math.isnan(resolvent_interpolation_norm(SpectrumSpec.single(0.99, 32), 0.0))
+        # against an upper end of 2.61, so the value is not certified
+        res = resolvent_interpolation_norm(SpectrumSpec.single(0.99, 32), 0.0)
+        assert not res.converged
+        assert 2.7e-4 <= res.lower <= 2.9e-4 and 2.6 <= res.upper <= 2.62
+        assert res.lower <= res.value <= res.upper
 
     def test_model_space_rows_match_jet_rows(self):
         # the Malmquist-Walsh rows and their closed-form right-hand side pose
@@ -360,7 +370,9 @@ def test_resolvent_norm_inside_certified_bracket():
     b = abs((zeta - lam) / (1 - lam * zeta))
     for n in (8, 32, 48, 64):
         lo, hi = _resolvent_bracket(lam, n, zeta)
-        v = b ** n * resolvent_interpolation_norm(SpectrumSpec.single(lam, n), zeta)
+        res = resolvent_interpolation_norm(SpectrumSpec.single(lam, n), zeta)
+        v = b ** n * res.value
+        assert res.converged, n
         assert lo * (1 - 1e-8) <= v <= hi * (1 + 1e-8), (n, lo, v, hi)
         if n in acceptance._RESOLVENT_EXACT:
             pinned = acceptance._RESOLVENT_EXACT[n]
@@ -393,11 +405,10 @@ class TestCertificate:
     def test_bracket_is_tight(self, lam, n, zeta):
         # the dual, priced over every k, and the repaired primal bracket the
         # untruncated norm
-        value, _, lower, upper, certified = _certified_interpolate(
-            SpectrumSpec.single(lam, n), zeta, 8 * n)
-        assert certified
-        assert lower <= value <= upper
-        assert upper - lower <= 1e-8 * upper
+        res = _certified_interpolate(SpectrumSpec.single(lam, n), zeta, 8 * n)
+        assert res.converged
+        assert res.lower <= res.value <= res.upper
+        assert res.upper - res.lower <= 1e-8 * res.upper
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_columns_priced_in_past_the_start(self, n):
@@ -406,11 +417,11 @@ class TestCertificate:
         # the one a far longer fixed truncation reaches
         spec = SpectrumSpec.single(0.9, n)
         start = np.sum(np.abs(_solve(spec, 0.0, 8 * n)[0]))
-        value, _, _, _, certified = _certified_interpolate(spec, 0j, 8 * n)
+        res = _certified_interpolate(spec, 0j, 8 * n)
         far = np.sum(np.abs(_solve(spec, 0.0, 2047)[0]))
-        assert certified
-        assert float(start) > float(value) * (1 + 1e-3)
-        assert float(value) == pytest.approx(float(far), rel=1e-12)
+        assert res.converged
+        assert float(start) > res.value * (1 + 1e-3)
+        assert res.value == pytest.approx(float(far), rel=1e-12)
         assert phi_exact_truncated(spec).converged
 
 
@@ -472,10 +483,10 @@ class TestVerifiedBracket:
         # bracket to ~6e-10: the printed value is still certified to 1e-8
         spec = SpectrumSpec.single(0.5, 16)
         _planted(monkeypatch, 1e-9)
-        value, _, lower, upper, certified = _certified_interpolate(spec, 0j, _start_degree(spec))
-        assert certified
-        assert lower <= value <= upper
-        assert 1e-10 <= (upper - lower) / upper <= 1e-9
+        res = _certified_interpolate(spec, 0j, _start_degree(spec))
+        assert res.converged
+        assert res.lower <= res.value <= res.upper
+        assert 1e-10 <= (res.upper - res.lower) / res.upper <= 1e-9
 
     @pytest.mark.parametrize("points, D", [([(0.5, 64)], 400), ([(0.9, 24)], 1200),
                                            ([(0.3, 3), (-0.7, 5), (0.6, 4)], 300)])
