@@ -27,6 +27,7 @@ and move onto the real axis outside it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -35,9 +36,8 @@ import numpy as np
 
 from . import blaschke
 from .airy import airy_ai, airy_ai_prime
-from .errors import ConfigError, DomainError, ModeError
+from .errors import DomainError, ModeError
 
-TRUTH_FLOOR = 1e-14
 _BRANCH_STEPS = 24
 _BRANCH_JUMP_LIMIT = 0.5
 
@@ -142,9 +142,9 @@ def _resolve_alpha_beta(lam: float, alpha, beta):
     if beta is None:
         beta = (a0 + 1) / 2
     if not 0 < alpha < a0:
-        raise ConfigError(f"alpha must lie in (0, {a0}); got {alpha}")
+        raise DomainError(f"alpha must lie in (0, {a0}); got {alpha}")
     if not a0 < beta < 1:
-        raise ConfigError(f"beta must lie in ({a0}, 1); got {beta}")
+        raise DomainError(f"beta must lie in ({a0}, 1); got {beta}")
     return alpha, beta
 
 
@@ -156,12 +156,7 @@ def region_thresholds(lam: float, n: int, alpha: float | None = None,
     a0 = alpha0(lam)
     w = n ** (1 / 3)
     raw = [alpha * n, a0 * n - w, a0 * n + w, n / a0 - w, n / a0 + w, n / alpha]
-    out = []
-    cur = -math.inf
-    for b in raw:
-        cur = max(cur, b)
-        out.append(cur)
-    return tuple(out)
+    return tuple(itertools.accumulate(raw, max))
 
 
 def classify_region(lam: float, n: int, k: float, alpha: float | None = None,
@@ -502,7 +497,8 @@ def decay_exponent_fit(lam: float, region: Region, n_list,
             peak = float(np.max(np.abs(weighted_truth(lam, n, js))))
             logs.append(math.log(max(peak, 1e-300)))
         else:
-            lw = blaschke.log_weighted_coeff_magnitude(lam, n, k, window=_FIT_WINDOW)
+            r = abs(_pick_saddles(lam, k / n)[0])
+            lw = blaschke.log_weighted_coeff_magnitude(lam, n, k, r, window=_FIT_WINDOW)
             logs.append(float(np.max(lw)))
     y = np.array(logs)
     if region in _POWER_REGIONS:

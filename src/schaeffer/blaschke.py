@@ -22,13 +22,13 @@ bound with the coefficients, which are stored as real numbers.
 
 For coefficients far outside the dominant index range [alpha0*n, n/alpha0]
 (alpha0 = (1-lambda)/(1+lambda)) the values underflow double precision.
-``log_weighted_coeff_magnitude`` extracts them on a circle |z| = r through
-the decaying saddle of the coefficient integral instead, where the
-integrand maximum matches the coefficient size and only log-magnitudes are
-formed.  It samples the upper half of that circle and reads the bins of
-one real inverse FFT, for the same reason.  Its transform is sized by the
-same Cauchy bound, taken on both sides of r: with M(R) the maximum of
-|b^n| on |z| = R, the coefficients of (1-z^2) b^n obey
+``log_weighted_coeff_magnitude`` extracts them on a circle |z| = r instead,
+the caller's radius (``asymptotics`` passes the decaying saddle of the
+coefficient integral, where the integrand maximum matches the coefficient
+size), and forms only log-magnitudes.  It samples the upper half of that
+circle and reads the bins of one real inverse FFT, for the same reason.
+Its transform is sized by the same Cauchy bound on both sides of r: with
+M(R) the maximum of |b^n| on |z| = R, the coefficients of (1-z^2) b^n obey
 |c_i| <= (1+R^2) M(R) R^-i for every 0 < R < 1/lambda, so bins lo..hi of
 an N-point transform scaled by M(r) alias at most
 min_{r<R<1/lambda} (1+R^2) M(R)/M(r) (r/R)^(lo+N) / (1 - (r/R)^N) from
@@ -208,20 +208,6 @@ def weight_series(base: CoefficientSeries) -> CoefficientSeries:
     return CoefficientSeries(w, 2 * base.error + np.finfo(float).eps)
 
 
-def _decaying_saddle_radius(lam: float, a: float) -> float:
-    """Radius through the saddle of the coefficient integral at which the
-    exponent -f decays, i.e. the stationary point z* of f with f(z*) > 0."""
-    M = (a * (1 + lam ** 2) - (1 - lam ** 2)) / (2 * lam * a)
-    if M * M <= 1:
-        raise DomainError("index ratio a inside the dominant region; use the plain FFT")
-    s = np.sqrt(M * M - 1)
-    for z in (M + s, M - s):
-        fv = a * np.log(abs(z)) + np.log(abs(1 - lam * z)) - np.log(abs(z - lam))
-        if fv > 0:
-            return abs(z)
-    raise DomainError("no decaying saddle found")
-
-
 def _contour_tails(lam: float, n: int, r: float, lo: int, hi: int):
     """``_alias_size`` tails of the transform in ``log_weighted_coeff_magnitude``:
     (1-z^2) b_lambda^n on |z| = r, scaled by M(r), read at bins lo..hi.
@@ -246,22 +232,23 @@ def _contour_tails(lam: float, n: int, r: float, lo: int, hi: int):
     return lambda size: [above, below] if size <= hi else [above]
 
 
-def log_weighted_coeff_magnitude(lam: float, n: int, k: int, window: int = 0) -> np.ndarray:
+def log_weighted_coeff_magnitude(lam: float, n: int, k: int, r: float,
+                                 window: int = 0) -> np.ndarray:
     """log |c_w(j)| for 0 <= j in [k-window, k+window], far below underflow.
 
-    Samples (1-z^2) b_lambda^n on the upper half of the circle |z| = r
-    through the decaying saddle of the coefficient integral, rescaled by
-    its maximum modulus M(r) so that all intermediate values stay
-    representable; only logarithms are returned.  The coefficients are
+    Samples (1-z^2) b_lambda^n on the upper half of the circle |z| = r,
+    rescaled by its maximum modulus M(r) so that all intermediate values
+    stay representable; only logarithms are returned.  The coefficients are
     real, so the samples are Hermitian and one irfft of their conjugates
     reads them.  The transform is the smallest power of two past the
     window whose Cauchy alias bound (``_contour_tails``) is <= ALIAS_TOL,
-    and c_w(j) is read from bin j mod size.
-    Requires real lambda in (0,1) and k/n outside the dominant region.
+    and c_w(j) is read from bin j mod size.  The radius through the
+    decaying saddle of the coefficient integral at k/n, where the integrand
+    maximum matches the coefficient size, keeps the transform short.
+    Requires real lambda in (0,1) and 0 < r < 1/lambda.
     """
-    if not (0 < lam < 1):
-        raise DomainError("lambda must be real in (0,1)")
-    r = _decaying_saddle_radius(lam, k / n)
+    if not (0 < lam < 1 and 0 < r < 1 / lam):
+        raise DomainError(f"need 0 < lambda < 1 and 0 < r < 1/lambda; got {lam}, {r}")
     lo, hi = max(0, k - window), k + window
     size, _ = _alias_size(hi - lo, _contour_tails(lam, n, r, lo, hi))
     z = r * np.exp(1j * (2 * np.pi * np.arange(size // 2 + 1) / size))

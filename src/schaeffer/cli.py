@@ -16,7 +16,7 @@ import argparse
 import math
 import sys
 
-from .errors import ConfigError, DomainError, ModeError, ResourceError
+from .errors import DomainError, ModeError, ResourceError
 from .spectra import SpectrumSpec
 
 
@@ -65,6 +65,13 @@ def _parse_ints(text):
 
 def _parse_complexes(text):
     return [complex(v) for v in text.split(",") if v != ""]
+
+
+def _parse_format(text):
+    """--format's own check; argparse checks ``choices`` on the command line only."""
+    if text not in ("csv", "json"):
+        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 'csv', 'json')")
+    return text
 
 
 class _Config(dict):
@@ -215,10 +222,13 @@ def _bounds_task(args):
 
 
 def _check_bounds(opts):
-    """The whole sweep's arguments; a zeta that meets the spectrum only
-    skips its rows."""
-    if opts.C < 1:
-        raise DomainError(f"power-bound constant C = {opts.C} must be >= 1")
+    """The whole sweep's arguments; a finite zeta that meets the spectrum
+    only skips its rows."""
+    if not 1 <= opts.C < math.inf:
+        raise DomainError(f"power-bound constant C = {opts.C} must be finite and >= 1")
+    for zeta in opts.zetas:
+        if not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
+            raise DomainError(f"zeta = {zeta} must be finite")
     for lam in opts.lambdas:
         for n in opts.n:
             SpectrumSpec.single(lam, n)
@@ -333,13 +343,14 @@ def cmd_validate(opts) -> int:
 
 
 def _add_common(sub, config):
+    # each default is config text that the flag's type converts, or rejects as a usage error
     sub.add_argument("--lambda", dest="lambdas", type=_parse_floats,
-                     default=_parse_floats(config.get("lambda", "0.5")))
+                     default=config.get("lambda", "0.5"))
     sub.add_argument("--out", default=config.get("out", None))
-    sub.add_argument("--format", choices=("csv", "json"),
+    sub.add_argument("--format", type=_parse_format, choices=("csv", "json"),
                      default=config.get("format", "csv"))
-    sub.add_argument("--workers", type=int, default=int(config.get("workers", "1")))
-    sub.add_argument("--n", type=_parse_ints, default=_parse_ints(config.get("n", "")))
+    sub.add_argument("--workers", type=int, default=config.get("workers", "1"))
+    sub.add_argument("--n", type=_parse_ints, default=config.get("n", ""))
 
 
 def build_parser(config=None):
@@ -356,20 +367,19 @@ def build_parser(config=None):
 
     g = sp.add_parser("growth", help="lower-bound and truncated-phi growth study")
     _add_common(g, config)
-    g.add_argument("--phi-max-n", type=int, default=int(config.get("phi_max_n", "64")))
+    g.add_argument("--phi-max-n", type=int, default=config.get("phi_max_n", "64"))
     g.set_defaults(fn=cmd_growth, check=_check_growth, needs_out=True)
 
     b = sp.add_parser("bounds", help="resolvent bound sweep")
     _add_common(b, config)
     b.add_argument("--zeta", dest="zetas", type=_parse_complexes,
-                   default=_parse_complexes(config.get("zeta", "0")))
-    b.add_argument("--C", type=float, default=float(config.get("C", "1")))
+                   default=config.get("zeta", "0"))
+    b.add_argument("--C", type=float, default=config.get("C", "1"))
     b.set_defaults(fn=cmd_bounds, check=_check_bounds, needs_out=True)
 
     a = sp.add_parser("asymptotics", help="estimate-vs-truth sweep and decay fits")
     _add_common(a, config)
-    a.add_argument("--k", type=_parse_ints,
-                   default=_parse_ints(config.get("k", "")))
+    a.add_argument("--k", type=_parse_ints, default=config.get("k", ""))
     a.add_argument("--alpha", type=float, default=config.get("alpha"))
     a.add_argument("--beta", type=float, default=config.get("beta"))
     a.set_defaults(fn=cmd_asymptotics, check=_check_asymptotics, needs_out=True)
@@ -413,7 +423,7 @@ def main(argv=None) -> int:
             return 2
         try:
             opts.check(opts)
-        except (ConfigError, DomainError) as ex:
+        except DomainError as ex:
             print(f"error: {opts.command}: {ex}", file=sys.stderr)
             return 2
     try:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; a bad tuning parameter is a ``DomainError``."""
 
 
 class DomainError(ValueError):
@@ -7,10 +7,6 @@ class DomainError(ValueError):
 
 class ModeError(ValueError):
     """The operation's hypotheses do not hold; a different routine applies."""
-
-
-class ConfigError(ValueError):
-    """A tuning parameter violates its admissible range."""
 
 
 class ResourceError(RuntimeError):

@@ -2,7 +2,8 @@
 
 ``_compressed_shift`` is the compression of multiplication-by-z to the
 model space K_B of a real spectrum, in closed form; for a singleton
-spectrum it is the paper's Toeplitz counterexample (``build_toeplitz``).
+spectrum it is the paper's Toeplitz counterexample (``build_toeplitz``, a
+plain float64 array, which ``minimal_poly_check`` reads with its lambda).
 ``_malmquist_walsh_rows`` generates the basis as Taylor rows;
 ``model_matrix`` reads the compression off them, and ``wiener_opt`` poses
 its l1 programs with them and bounds their tails by the shift.
@@ -11,7 +12,6 @@ its l1 programs with them and bounds their tails by the shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +20,6 @@ from .simplex import LD
 from .spectra import SpectrumSpec
 
 GRAM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ToeplitzMatrix:
-    entries: np.ndarray
-    lam: float
-    n: int
 
 
 def _compressed_shift(mus) -> np.ndarray:
@@ -45,15 +38,16 @@ def _compressed_shift(mus) -> np.ndarray:
     return np.where(i > j, np.sqrt(w[:, None] * w) * product, np.diag(mu))
 
 
-def build_toeplitz(lam: float, n: int) -> ToeplitzMatrix:
+def build_toeplitz(lam: float, n: int) -> np.ndarray:
     """Lower-triangular Toeplitz counterexample of dimension n for a real
-    eigenvalue lambda: the compressed shift of the singleton spectrum,
-    diagonal lambda and d-th subdiagonal (-lambda)^(d-1) (1 - lambda^2);
-    det = lambda^n by triangularity.  A non-real lambda is a DomainError."""
+    eigenvalue lambda, as a float64 array: the compressed shift of the
+    singleton spectrum, diagonal lambda and d-th subdiagonal
+    (-lambda)^(d-1) (1 - lambda^2); det = lambda^n by triangularity.  A
+    non-real lambda is a DomainError."""
     lam = complex(lam)
     if lam.imag != 0 or lam == 0 or abs(lam) >= 1 or n < 1:
         raise DomainError("need a real lambda with 0 < |lambda| < 1 and a dimension n >= 1")
-    return ToeplitzMatrix(_compressed_shift([lam.real] * n), lam.real, n)
+    return _compressed_shift([lam.real] * n)
 
 
 def _first_order_scan(r: np.ndarray, mu) -> np.ndarray:
@@ -133,26 +127,28 @@ def model_matrix(spec: SpectrumSpec) -> np.ndarray:
     return (R[:, 1:] @ R[:, :-1].T).astype(float)
 
 
-def minimal_poly_check(T: ToeplitzMatrix):
-    """Verify (T - lambda I)^n = 0 while (T - lambda I)^(n-1) != 0.
+def minimal_poly_check(T: np.ndarray, lam: float):
+    """Verify (T - lambda I)^n = 0 while (T - lambda I)^(n-1) != 0, for the
+    n x n array T.
 
     The vanishing power is detected by the relative drop
     ||N^p||_F <= 1e-8 ||N^(p-1)||_F ||N||_F, which one extra factor of a
     nonzero nilpotent matrix can never produce.  Returns (degree, residual)
     with residual the scaled drop at the detected degree.
     """
-    N = T.entries - T.lam * np.eye(T.n)
+    n = T.shape[0]
+    N = T - lam * np.eye(n)
     norm1 = float(np.linalg.norm(N))
     if norm1 == 0:
         return (1, 0.0)
-    P, prev = np.eye(T.n), math.sqrt(T.n)
-    for p in range(1, T.n + 1):
+    P, prev = np.eye(n), math.sqrt(n)
+    for p in range(1, n + 1):
         P = P @ N
         cur = float(np.linalg.norm(P))
         drop = cur / (prev * norm1)
         if drop <= 1e-8:
-            if p < T.n:
-                raise ConsistencyError(f"nilpotency index {p} below the matrix dimension {T.n}")
+            if p < n:
+                raise ConsistencyError(f"nilpotency index {p} below the matrix dimension {n}")
             return p, drop
         prev = cur
     raise ConsistencyError("(T - lambda I)^n does not vanish; construction bug")

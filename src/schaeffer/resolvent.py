@@ -1,6 +1,6 @@
 """Resolvent upper-bound family for power-bounded matrices with known spectrum.
 
-``mainlemma_bound`` evaluates the rho-parameterized bound
+``mainlemma_log_bound`` evaluates the rho-parameterized bound
 
     C * sqrt( 1/(1-rho^2) * sum_{k=1}^{|m|} rho^{-(2k-2)}
               * (1 - rho^2 |l_k|^2)/|zeta - l_k|^2
@@ -14,7 +14,8 @@ run sums in closed form as the geometric series
 max(a, a + (m-1)s) + log(expm1(-m|s|)/expm1(-|s|)), and a final
 log-sum-exp runs over the runs.  One evaluation costs O(#points), not
 O(|m|), and multiplicities in the millions stay finite in log space where
-the bound itself overflows a double.
+the bound itself overflows a double; it is the only form, and a caller that
+needs the bound exponentiates it.
 ``optimize_rho`` minimizes over rho; the four closed forms are particular
 rho choices plus relaxations, so the optimized value sits below each of
 them wherever their hypotheses hold.
@@ -65,8 +66,10 @@ class BoundQuery:
 
     def __post_init__(self):
         object.__setattr__(self, "zeta", complex(self.zeta))
-        if self.C < 1:
-            raise DomainError("power-bound constant C must be >= 1")
+        if not 1 <= self.C < math.inf:
+            raise DomainError("power-bound constant C must be finite and >= 1")
+        if not (math.isfinite(self.zeta.real) and math.isfinite(self.zeta.imag)):
+            raise DomainError("zeta must be finite")
         if any(abs(self.zeta - l) < 1e-15 for l in self.lams):
             raise DomainError("zeta lies in the spectrum")
         if any(1 - l.conjugate() * self.zeta == 0 for l in self.lams):
@@ -133,12 +136,6 @@ def mainlemma_log_bound(q: BoundQuery, rho: float) -> float:
     total = mx + math.log(sum(math.exp(t - mx) for t in runs))
     total -= math.log(_one_minus_sq(rho))
     return math.log(q.C) + 0.5 * total
-
-
-def mainlemma_bound(q: BoundQuery, rho: float) -> float:
-    """The rho-parameterized resolvent bound; inf when it exceeds the double
-    range (use mainlemma_log_bound for such regimes)."""
-    return _exp_or_inf(mainlemma_log_bound(q, rho))
 
 
 _GOLDEN = (math.sqrt(5) - 1) / 2

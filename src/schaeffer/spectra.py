@@ -22,7 +22,7 @@ class SpectrumSpec:
         for lam, mult in points:
             lam = complex(lam)
             mult = int(mult)
-            if abs(lam) > 1:
+            if not abs(lam) <= 1:  # a nan eigenvalue fails too
                 raise DomainError(f"eigenvalue {lam} outside the closed unit disk")
             if mult < 1:
                 raise DomainError("multiplicity must be a positive integer")
@@ -48,10 +48,7 @@ class SpectrumSpec:
 
     def expanded(self):
         """Eigenvalues listed with multiplicity, in declaration order."""
-        out = []
-        for lam, mult in self.points:
-            out.extend([lam] * mult)
-        return out
+        return [lam for lam, mult in self.points for _ in range(mult)]
 
     def eigen_product(self) -> complex:
         p = 1.0 + 0j

@@ -37,13 +37,26 @@ _CERT_REL_WIDTH = 1e-8  # widest certified bracket, relative to its upper end
 @dataclass(frozen=True)
 class Bracket:
     """One l1 program's result times a scale (|a0| for phi), scaled in long
-    double and rounded to float once: value = ||f||_1 of the optimum f at the
-    final degree, lower <= N <= upper proven for the exact program, converged
-    when lower <= value and the bracket is within _CERT_REL_WIDTH of upper."""
+    double and rounded to float once (``_scaled_bracket``): value = ||f||_1
+    of the optimum f at the final degree, lower <= N <= upper proven for the
+    exact program and rounded outward, converged when lower <= value and
+    the bracket is within _CERT_REL_WIDTH of upper."""
     value: float
     lower: float
     upper: float
     converged: bool
+
+
+def _scaled_bracket(value, lower, upper, converged, scale, scale_err) -> Bracket:
+    """The ``Bracket`` of long-double results times scale, a rounded value
+    within scale_err relative of the exact scale s: value rounded to the
+    nearest float, and the ends widened by scale_err and stepped one float
+    outward from the nearest, so that they bracket s N wherever the
+    long-double ends bracket N."""
+    lo, up = scale * lower, scale * upper
+    lo, up = float(lo - abs(lo) * scale_err), float(up + abs(up) * scale_err)
+    return Bracket(float(scale * value), float(np.nextafter(lo, -np.inf)),
+                   float(np.nextafter(up, np.inf)), converged)
 
 
 def _malmquist_walsh_resolvent_rhs(mus, zeta: float) -> np.ndarray:
@@ -116,9 +129,11 @@ def _shift_tail(mus):
     return index, bound, L
 
 
-def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int, scale=1) -> Bracket:
+def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int, scale=1,
+                           scale_err=0.0) -> Bracket:
     """N(zeta) = min ||f||_1 over all analytic f, from degree deg up, as a
-    ``Bracket`` times scale.  A non-real spectrum or zeta, or a zeta within
+    ``Bracket`` times scale, scale_err bounding scale's relative error
+    (``_scaled_bracket``).  A non-real spectrum or zeta, or a zeta within
     1e-14 of an eigenvalue, is a DomainError; rows the simplex finds
     dependent in floating point (near lambda = 1) a ``SimplexError``.
 
@@ -180,7 +195,7 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int, scale=1)
         certified = (1 - _CERT_REL_WIDTH) * upper <= lower <= value
         beyond = np.nonzero(g[deg + 1:] > 1)[0]
         if certified or beyond.size == 0 or deg + 1 >= _COLUMN_BUDGET:
-            return Bracket(*(float(scale * v) for v in (value, lower, upper)), bool(certified))
+            return _scaled_bracket(value, lower, upper, bool(certified), scale, scale_err)
         deg = min(deg + 1 + int(beyond[-1]), _COLUMN_BUDGET - 1)
         f, y = _interpolate(posed[:, :deg + 1], rhs)
 
@@ -197,10 +212,15 @@ def phi_exact_truncated(spec: SpectrumSpec) -> Bracket:
     h(0) = a0 = prod lambda_i and an m_i-fold zero at each lambda_i, from
     ``_start_degree`` with the columns its dual prices in: |a0| times the
     zeta = 0 interpolation norm's ``Bracket`` (Remark 5, h = a0 (1 + z f)).
+    ``eigen_product`` forms each lambda_i^(m_i) in 2 log2(m_i) + 1 roundings
+    (or by a pow within an ulp, past m_i = 100) and the P products add P, so
+    (2|m| + 2) u, u = 2^-53, bounds |a0|'s rounding with two units to spare
+    for second-order terms and the long-double arithmetic of the scaling.
     Raises as ``_certified_interpolate`` does."""
     spec.require_nonzero()
     spec.require_interior()
-    return _certified_interpolate(spec, 0j, _start_degree(spec), LD(abs(spec.eigen_product())))
+    return _certified_interpolate(spec, 0j, _start_degree(spec), LD(abs(spec.eigen_product())),
+                                  (2 * spec.degree + 2) * 2.0 ** -53)
 
 
 def phi_lower_bound(spec: SpectrumSpec) -> float:

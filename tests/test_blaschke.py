@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schaeffer import blaschke
+from schaeffer import asymptotics, blaschke
 from schaeffer.blaschke import (
     CoefficientSeries,
     blaschke_power_coeffs,
@@ -16,6 +16,17 @@ from schaeffer.blaschke import (
     weight_series,
 )
 from schaeffer.errors import DomainError, ResourceError
+
+
+def _saddle_radius(lam, n, k):
+    """The contour radius ``asymptotics.decay_exponent_fit`` passes: |z_plus|
+    at k/n, the saddle with Re f >= 0."""
+    return abs(asymptotics._pick_saddles(lam, k / n)[0])
+
+
+def _contour(lam, n, k, window=0):
+    """``log_weighted_coeff_magnitude`` on the circle through that saddle."""
+    return log_weighted_coeff_magnitude(lam, n, k, _saddle_radius(lam, n, k), window=window)
 
 
 def _weighted(lam, n, K):
@@ -295,7 +306,7 @@ class TestExponentialRegions:
         z = np.exp(2j * np.pi * np.arange(size) / size)
         vals = (1 - z * z) * ((z - 0.5) / (1 - 0.5 * z)) ** n
         direct = np.log(abs((np.fft.fft(vals) / size)[k]))
-        scaled = log_weighted_coeff_magnitude(0.5, n, k)[0]
+        scaled = _contour(0.5, n, k)[0]
         assert scaled == pytest.approx(direct, abs=1e-9)
 
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -306,14 +317,14 @@ class TestExponentialRegions:
         logs = []
         for n in ns:
             k = int(0.8 * alpha * n) if side == "left" else int(np.ceil(1.2 * n / alpha))
-            logs.append(float(np.max(log_weighted_coeff_magnitude(lam, n, k, window=2))))
+            logs.append(float(np.max(_contour(lam, n, k, window=2))))
         slope = np.polyfit(ns, logs, 1)[0]
         assert slope < -1e-3
 
     def test_window_clamped_at_zero(self):
         # bins wrap mod the transform size by design, but j < 0 names no
         # coefficient: the window stops at j = 0
-        lw = log_weighted_coeff_magnitude(0.5, 8, 1, window=3)
+        lw = _contour(0.5, 8, 1, window=3)
         assert lw.shape == (5,)
         n, size = 8, 1 << 12
         z = np.exp(2j * np.pi * np.arange(size) / size)
@@ -335,7 +346,7 @@ class TestExponentialRegions:
                                for j in range(min(n, i) + 1))
 
             exact = float(mp.log(abs(c(k) - c(k - 2))))
-        assert log_weighted_coeff_magnitude(lam, n, k)[0] == pytest.approx(exact, abs=1e-12)
+        assert _contour(lam, n, k)[0] == pytest.approx(exact, abs=1e-12)
 
     def test_wrapped_bins_match_a_larger_transform(self, monkeypatch):
         # the bound picks 1024 points for bins 1840..1846, which wrap; a
@@ -350,10 +361,10 @@ class TestExponentialRegions:
             return c
 
         monkeypatch.setattr(np.fft, "irfft", counted)
-        lw = log_weighted_coeff_magnitude(lam, n, k, window=3)
+        lw = _contour(lam, n, k, window=3)
         assert sizes[0] < k
         size = 4 * sizes[0]
-        r = blaschke._decaying_saddle_radius(lam, k / n)
+        r = _saddle_radius(lam, n, k)
         z = r * np.exp(2j * np.pi * np.arange(size) / size)
         log_b = n * np.log((z - lam) / (1 - lam * z))
         scale = log_b.real.max()
@@ -370,15 +381,22 @@ class TestExponentialRegions:
         elapsed = []
         for _ in range(3):
             t = time.perf_counter()
-            lw = log_weighted_coeff_magnitude(lam, n, k, window=3)
+            lw = _contour(lam, n, k, window=3)
             elapsed.append(time.perf_counter() - t)
         assert np.all(np.isfinite(lw))
         assert min(elapsed) < 0.05
 
+    @pytest.mark.parametrize("r", [0.0, -0.5, 2.0, 2.5, math.inf, math.nan])
+    def test_radius_outside_the_disk_of_analyticity_rejected(self, r):
+        # b_lambda^n is analytic in |z| < 1/lambda = 2; no other circle holds
+        # the Taylor coefficients
+        with pytest.raises(DomainError):
+            log_weighted_coeff_magnitude(0.5, 64, 400, r)
+
     def test_deep_region_magnitude_is_tiny(self):
         # far right of the dominant range the coefficient is far below
         # double-precision underflow; only its log is representable
-        lw = log_weighted_coeff_magnitude(0.5, 1024, int(7.2 * 1024))[0]
+        lw = _contour(0.5, 1024, int(7.2 * 1024))[0]
         assert lw < -1000
 
 

@@ -450,6 +450,15 @@ class TestValidateAndConfig:
         ["coeffs", "--k", "1"],
         ["growth", "--workers", "0"],
         ["bounds", "--workers", "-1"],
+        # nan fails every comparison, so a domain check must be one that
+        # nan fails, not one it must pass to be rejected
+        ["bounds", "--lambda", "nan", "--zeta", "0"],
+        ["bounds", "--zeta", "nan"],
+        ["bounds", "--zeta", "inf"],
+        ["bounds", "--C", "nan"],
+        ["bounds", "--C", "inf"],
+        ["growth", "--lambda", "nan"],
+        ["coeffs", "--lambda", "nan"],
     ], ids=" ".join)
     def test_out_of_domain_argument_is_usage_error(self, tmp_path, capsys, argv):
         # one stderr line before any work, not a traceback or a file of
@@ -457,6 +466,22 @@ class TestValidateAndConfig:
         out = tmp_path / "x.csv"
         assert main(argv + ["--n", "4", "--out", str(out)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["lambda=abc", "workers=two", "phi_max_n=abc", "format=xml",
+                                      "alpha=abc"])
+    def test_malformed_config_value_is_usage_error(self, tmp_path, capsys, line):
+        # each value goes to argparse as text and is converted by its flag's
+        # own type; --format checks its names itself, as argparse checks
+        # choices only on the command line
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(f"n=4\n{line}\n")
+        out = tmp_path / "x.csv"
+        command = "asymptotics" if line.startswith("alpha") else "growth"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), command, "--out", str(out)])
+        assert exc.value.code == 2
+        assert line.split("=")[1] in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

@@ -13,7 +13,6 @@ from schaeffer.resolvent import (
     BoundRule,
     _scan_grid,
     applicable_closed_forms,
-    mainlemma_bound,
     mainlemma_log_bound,
     optimize_rho,
     pseudo_hyperbolic,
@@ -85,29 +84,30 @@ class TestMainLemma:
             expect = float(mp.sqrt((1 / (1 - mp.mpf("0.81")))
                                    * (1 - mp.mpf("0.81") * mp.mpf("0.25")) / mp.mpf("0.25")))
         q = BoundQuery(SpectrumSpec.single(0.5, 1), 0.0, 1.0)
-        assert mainlemma_bound(q, 0.9) == pytest.approx(expect, rel=1e-13)
+        assert math.exp(mainlemma_log_bound(q, 0.9)) == pytest.approx(expect, rel=1e-13)
 
     def test_linear_in_C(self):
         q1 = BoundQuery(SpectrumSpec.single(0.5, 1), 0.0, 1.0)
         q2 = BoundQuery(SpectrumSpec.single(0.5, 1), 0.0, 2.0)
-        assert mainlemma_bound(q2, 0.9) == 2 * mainlemma_bound(q1, 0.9)
+        assert math.exp(mainlemma_log_bound(q2, 0.9)) == 2 * math.exp(mainlemma_log_bound(q1, 0.9))
 
     def test_rho_limit_unimodular_single(self):
         q = BoundQuery(SpectrumSpec.single(1.0, 1), 0.5, 1.0)
-        assert mainlemma_bound(q, 1 - 1e-7) == pytest.approx(1 / 0.5, rel=1e-4)
+        assert math.exp(mainlemma_log_bound(q, 1 - 1e-7)) == pytest.approx(1 / 0.5, rel=1e-4)
 
     def test_monotone_convergence_to_case1(self):
         q = BoundQuery(SpectrumSpec.single(1.0, 5), 0.3, 1.0)
         target = thm_case1(q)
-        diffs = [abs(mainlemma_bound(q, 1 - 10.0 ** -k) - target) for k in range(2, 7)]
+        diffs = [abs(math.exp(mainlemma_log_bound(q, 1 - 10.0 ** -k)) - target)
+                 for k in range(2, 7)]
         assert all(a > b for a, b in zip(diffs, diffs[1:]))
 
     def test_rho_domain(self):
         q = BoundQuery(SpectrumSpec.single(0.5, 1), 0.0, 1.0)
         with pytest.raises(DomainError):
-            mainlemma_bound(q, 0.0)
+            mainlemma_log_bound(q, 0.0)
         with pytest.raises(DomainError):
-            mainlemma_bound(q, 1.0)
+            mainlemma_log_bound(q, 1.0)
 
     def test_large_multiplicity_log_path(self):
         # the bound itself overflows a double near |m| ~ 700 at r = 0.1; the
@@ -115,7 +115,7 @@ class TestMainLemma:
         q = BoundQuery(SpectrumSpec.single(0.1, 800), 0.0, 1.0)
         lg = mainlemma_log_bound(q, 0.99)
         assert math.isfinite(lg) and lg > 0
-        assert mainlemma_bound(q, 0.99) == math.inf
+        assert lg > 709.78  # the bound is past the largest double
         rep = optimize_rho(q)
         assert math.isfinite(mainlemma_log_bound(q, rep.rho_star))
 
@@ -160,7 +160,7 @@ class TestOptimizeRho:
     def test_below_given_rho_point(self):
         q = BoundQuery(SpectrumSpec.single(0.5, 1), 0.0, 1.0)
         rep = optimize_rho(q)
-        assert rep.value <= mainlemma_bound(q, 0.9) + 1e-12
+        assert rep.value <= math.exp(mainlemma_log_bound(q, 0.9)) + 1e-12
         assert rep.rule is BoundRule.MAIN_LEMMA_OPT
         assert 0 < rep.rho_star < 1
 
@@ -172,7 +172,7 @@ class TestOptimizeRho:
         q = BoundQuery(SpectrumSpec.single(0.7, 8), 0.3, 1.0)
         rep = optimize_rho(q)
         for rho in np.linspace(1e-6, 1 - 1e-6, 32):
-            assert rep.value <= mainlemma_bound(q, float(rho)) + 1e-9
+            assert rep.value <= math.exp(mainlemma_log_bound(q, float(rho))) + 1e-9
 
     @pytest.mark.parametrize("n", [1, 4, 64, 1024, 3072])
     def test_scan_grid_is_linspace(self, n):
@@ -351,6 +351,17 @@ def test_query_validation():
         BoundQuery(SpectrumSpec.single(0.5, 1), 0.5, 1.0)
     with pytest.raises(DomainError):
         BoundQuery(SpectrumSpec.single(0.5, 1), 0.0, 0.5)
+    # nan fails every comparison, so `C < 1` alone would accept it
+    for zeta, C in [(math.nan, 1.0), (math.inf, 1.0), (complex(0, math.nan), 1.0),
+                    (0.0, math.nan), (0.0, math.inf)]:
+        with pytest.raises(DomainError):
+            BoundQuery(SpectrumSpec.single(0.5, 1), zeta, C)
+
+
+def test_nan_eigenvalue_rejected():
+    for lam in (math.nan, complex(0.5, math.nan)):
+        with pytest.raises(DomainError):
+            SpectrumSpec.single(lam)
 
 
 def test_report_json_shape():

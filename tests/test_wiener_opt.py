@@ -488,6 +488,34 @@ class TestVerifiedBracket:
         assert res.lower <= res.value <= res.upper
         assert 1e-10 <= (res.upper - res.lower) / res.upper <= 1e-9
 
+    def test_one_point_bracket_holds_the_exact_norm(self):
+        # at one point the constant f = 1/(zeta - lam) is optimal, so
+        # N(zeta) = 1/|zeta - lam| exactly; ends rounded to the nearest
+        # float miss it on about a quarter of these programs
+        for lam in np.random.default_rng(3).uniform(0.2, 0.8, 40).tolist():
+            for zeta in (0.0, -0.5, 0.9, 1.0, 1.5):
+                res = resolvent_interpolation_norm(SpectrumSpec.single(lam, 1), zeta)
+                exact = 1 / abs(Fraction(zeta) - Fraction(lam))
+                assert Fraction(res.lower) <= exact <= Fraction(res.upper), (lam, zeta)
+
+    def test_phi_ends_bracket_the_exactly_scaled_long_double_ends(self, monkeypatch):
+        # |a0| = lam^n is formed in double; the float ends must hold lam^n
+        # times the long-double ends, in exact arithmetic
+        ends = []
+        scaled = wiener_opt._scaled_bracket
+
+        def recorded(value, lower, upper, *args):
+            ends.append((lower, upper))
+            return scaled(value, lower, upper, *args)
+
+        monkeypatch.setattr(wiener_opt, "_scaled_bracket", recorded)
+        for lam in np.random.default_rng(3).uniform(0.2, 0.8, 40).tolist():
+            for n in (3, 5, 7, 9, 12, 17, 24):
+                res = phi_exact_truncated(SpectrumSpec.single(lam, n))
+                lower, upper = (Fraction(lam) ** n * Fraction(*e.as_integer_ratio())
+                                for e in ends.pop())
+                assert Fraction(res.lower) <= lower and upper <= Fraction(res.upper), (lam, n)
+
     @pytest.mark.parametrize("points, D", [([(0.5, 64)], 400), ([(0.9, 24)], 1200),
                                            ([(0.3, 3), (-0.7, 5), (0.6, 4)], 300)])
     def test_row_error_bound_holds_at_60_digits(self, points, D):
