@@ -54,20 +54,22 @@ def alpha0(lam: float) -> float:
 
 
 def _check_pole(lam: float, z):
+    """DomainError where z is 0, lambda or 1/lambda; elementwise for an array z."""
+    if getattr(z, "ndim", 0) == 0:
+        if z == 0 or abs(z - lam) < 1e-300 or (lam != 0 and abs(z - 1 / lam) < 1e-300):
+            raise DomainError(f"z = {z} is a singular point of the phase")
+        return
     bad = (z == 0) | (abs(z - lam) < 1e-300)
     if lam != 0:
         bad = bad | (abs(z - 1 / lam) < 1e-300)
-    if np.ndim(z) == 0:
-        if bad:
-            raise DomainError(f"z = {z} is a singular point of the phase")
-    elif bad.any():
+    if bad.any():
         raise DomainError(f"z = {z[bad][0]} is a singular point of the phase")
 
 
 def phase_value(lam: float, a, z):
     """f_a(z); elementwise for arrays a and z."""
     _check_pole(lam, z)
-    z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
+    z = np.asarray(z, dtype=complex) if getattr(z, "ndim", 0) else complex(z)
     return a * np.log(z) + np.log(1 - lam * z) - np.log(z - lam)
 
 
@@ -195,18 +197,21 @@ def _coalescence_ratio(mu: float) -> float:
 
 
 def _cube_roots(x) -> list:
-    """The three cube roots of x; elementwise for an array x."""
+    """The three cube roots of x; elementwise for an array x.  The angle is
+    arctan2(Im x, Re x), what np.angle computes, without its wrapper."""
     mag = abs(x) ** (1 / 3)
-    ang = np.angle(x)
+    ang = np.arctan2(x.imag, x.real)
     return [mag * np.exp(1j * (ang + 2 * math.pi * i) / 3) for i in range(3)]
 
 
 def _real_gamma2_root(g3):
-    """The cube root gamma of g3 for which gamma^2 is real; elementwise for
-    an array g3."""
+    """The cube root gamma of g3 for which gamma^2 is real, the first of
+    equal candidates; elementwise for an array g3."""
     roots = _cube_roots(g3)
+    if getattr(g3, "ndim", 0) == 0:
+        return min(roots, key=lambda r: abs((r * r).imag))
     pick = np.argmin(np.abs([(r * r).imag for r in roots]), axis=0)
-    return np.choose(pick, roots)[()]
+    return np.choose(pick, roots)
 
 
 def _zprime_seed(mu: float, ac: float) -> complex:

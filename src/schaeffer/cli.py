@@ -226,6 +226,8 @@ def _check_bounds(opts):
     only skips its rows."""
     if not 1 <= opts.C < math.inf:
         raise DomainError(f"power-bound constant C = {opts.C} must be finite and >= 1")
+    if not opts.zetas:
+        raise DomainError("empty zeta list")
     for zeta in opts.zetas:
         if not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
             raise DomainError(f"zeta = {zeta} must be finite")

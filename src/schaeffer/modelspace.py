@@ -119,7 +119,8 @@ def model_matrix(spec: SpectrumSpec) -> np.ndarray:
         raise DomainError("the Malmquist-Walsh rows need a real spectrum")
     mus = [lam.real for lam in spec.expanded()]
     shift, power, D = _compressed_shift(mus), np.eye(len(mus)), -1
-    while np.max(np.linalg.norm(power, axis=1)) > GRAM_TOL:
+    # the row l2 norms, as np.linalg.norm(power, axis=1) forms them
+    while np.sqrt(np.add.reduce(power * power, axis=1)).max() > GRAM_TOL:
         power, D = power @ shift, D + 1
     R = _malmquist_walsh_rows(mus, D)
     if np.max(np.abs(R @ R.T - np.eye(len(mus)))) >= GRAM_TOL:

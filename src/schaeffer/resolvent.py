@@ -15,7 +15,11 @@ max(a, a + (m-1)s) + log(expm1(-m|s|)/expm1(-|s|)), and a final
 log-sum-exp runs over the runs.  One evaluation costs O(#points), not
 O(|m|), and multiplicities in the millions stay finite in log space where
 the bound itself overflows a double; it is the only form, and a caller that
-needs the bound exponentiates it.
+needs the bound exponentiates it.  The terms that do not depend on rho
+(conj(l) zeta, 1 - conj(l) zeta, |l|, log|zeta - l|, log(|1 - conj(l) zeta|
+/|zeta - l|) per distinct eigenvalue, and log C) are formed once per
+``BoundQuery``, on its first evaluation, so each rho costs only the terms
+that move with it.
 ``optimize_rho`` minimizes over rho; the four closed forms are particular
 rho choices plus relaxations, so the optimized value sits below each of
 them wherever their hypotheses hold.
@@ -29,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import DomainError, ModeError
 from .spectra import SpectrumSpec
@@ -81,6 +86,23 @@ class BoundQuery:
         takes its minima over these and |m| from ``spec.degree``."""
         return [lam for lam, _ in self.spec.points]
 
+    @cached_property
+    def _eigen_terms(self) -> list:
+        """Per distinct eigenvalue l, the rho-free terms of the lemma bound:
+        (conj(l) zeta, 1 - conj(l) zeta, |l|, log|zeta - l|,
+        log(|1 - conj(l) zeta|/|zeta - l|), multiplicity)."""
+        terms = []
+        for lam, mult in self.spec.points:
+            c = lam.conjugate() * self.zeta
+            denom = 1 - c  # nonzero: __post_init__ rejects a conjugate-reciprocal zeta
+            dist = abs(self.zeta - lam)
+            terms.append((c, denom, abs(lam), math.log(dist), math.log(abs(denom) / dist), mult))
+        return terms
+
+    @cached_property
+    def _log_C(self) -> float:
+        return math.log(self.C)
+
 
 @dataclass
 class BoundReport:
@@ -114,28 +136,26 @@ def mainlemma_log_bound(q: BoundQuery, rho: float) -> float:
     if not 0 < rho < 1:
         raise DomainError("rho must lie in (0, 1)")
     rho = float(rho)  # numpy scalars would send the complex arithmetic through numpy
-    zeta = q.zeta
     log_rho = math.log(rho)
+    one_minus = _one_minus_sq(rho)
     offset = 0.0  # -2 (k - 1) log rho + 2 sum_{j<k} log |fac_j| at a run's start
     runs = []
-    for lam, mult in q.spec.points:
-        c = lam.conjugate() * zeta
-        denom = 1 - c  # nonzero: BoundQuery rejects a conjugate-reciprocal zeta
-        dist = abs(zeta - lam)
-        log_dist = math.log(dist)
+    for c, denom, abs_lam, log_dist, log_ratio, mult in q._eigen_terms:
         # fac = (1 + w)/b with w = (1-rho^2) c/denom and b = (zeta - l)/denom;
         # log|1 + w| by log1p keeps a small slope accurate as it is scaled by m
-        w = _one_minus_sq(rho) * c / denom
-        log_fac = (0.5 * math.log1p(w.real * (2 + w.real) + w.imag * w.imag)
-                   + math.log(abs(denom) / dist))
+        w = one_minus * c / denom
+        log_fac = 0.5 * math.log1p(w.real * (2 + w.real) + w.imag * w.imag) + log_ratio
         slope = 2 * (log_fac - log_rho)
-        start = offset + math.log(_one_minus_sq(rho * abs(lam))) - 2 * log_dist
+        start = offset + math.log(_one_minus_sq(rho * abs_lam)) - 2 * log_dist
         runs.append(_run_log_sum(start, slope, mult))
         offset += mult * slope
-    mx = max(runs)
-    total = mx + math.log(sum(math.exp(t - mx) for t in runs))
-    total -= math.log(_one_minus_sq(rho))
-    return math.log(q.C) + 0.5 * total
+    if len(runs) == 1:
+        total = runs[0]  # the log-sum-exp of one run: mx + log(1.0) == mx
+    else:
+        mx = max(runs)
+        total = mx + math.log(sum(math.exp(t - mx) for t in runs))
+    total -= math.log(one_minus)
+    return q._log_C + 0.5 * total
 
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -163,19 +183,18 @@ def optimize_rho(q: BoundQuery) -> BoundReport:
     i0 = min(range(_SCAN_POINTS), key=logv.__getitem__)  # the first minimum
     a = rs[max(0, i0 - 1)]
     b = rs[min(_SCAN_POINTS - 1, i0 + 1)]
-    f = lambda r: mainlemma_log_bound(q, r)
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = mainlemma_log_bound(q, x1), mainlemma_log_bound(q, x2)
     while b - a > 1e-2 * edge:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
+            f1 = mainlemma_log_bound(q, x1)
         else:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
+            f2 = mainlemma_log_bound(q, x2)
     rho_star = (a + b) / 2
     log_value = mainlemma_log_bound(q, rho_star)
     if log_value > logv[i0]:  # multimodal surprise: fall back to the scan

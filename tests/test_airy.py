@@ -164,10 +164,11 @@ def test_node_literals_equal_the_series_bitwise():
 
 def test_oracle_literals_equal_mpmath_bitwise():
     # criterion 8's oracle is the double each 40-digit mpmath value rounds to
-    assert len(_airy_oracle.AI) == len(_airy_oracle.AI_PRIME) == 401
+    stored = np.frombuffer(bytes.fromhex(_airy_oracle.ORACLE_HEX), "<f8")
+    assert stored.shape == (802,)
+    oracle_ai, oracle_aip = stored.reshape(2, -1).tolist()
     with mp.workdps(40):
-        for x, ai, aip in zip(np.linspace(-20, 20, 401).tolist(), _airy_oracle.AI,
-                              _airy_oracle.AI_PRIME):
+        for x, ai, aip in zip(np.linspace(-20, 20, 401).tolist(), oracle_ai, oracle_aip):
             assert ai == float(mp.airyai(mp.mpf(x))), x
             assert aip == float(mp.airyai(mp.mpf(x), 1)), x
 

@@ -340,6 +340,74 @@ def test_pole_rejected_inside_an_array():
         A.phase_value(0.5, np.array([1.0, 1.0]), np.array([1j, 0.5]))
 
 
+def _array_real_gamma2_root(g3):
+    """The gamma pick in its array form, np.angle, np.argmin over the three
+    roots and np.choose: the reference for the 0-d path."""
+    mag = abs(g3) ** (1 / 3)
+    ang = np.angle(g3)
+    roots = [mag * np.exp(1j * (ang + 2 * math.pi * i) / 3) for i in range(3)]
+    pick = np.argmin(np.abs([(r * r).imag for r in roots]), axis=0)
+    return np.choose(pick, roots)[()]
+
+
+def _mask_is_pole(lam, z):
+    """The pole test in its mask form: the reference for the 0-d path."""
+    bad = (z == 0) | (abs(z - lam) < 1e-300)
+    if lam != 0:
+        bad = bad | (abs(z - 1 / lam) < 1e-300)
+    return bool(bad)
+
+
+def _complex_draws() -> list:
+    """2000 finite complex numbers: 1990 in all four quadrants with moduli
+    from 1e-6 to 1e6, and five points of the negative real axis with each
+    sign of a zero imaginary part."""
+    rng = np.random.default_rng(34)
+    z = (10.0 ** rng.uniform(-6, 6, 1990) * np.exp(1j * rng.uniform(-math.pi, math.pi, 1990)))
+    out = z.tolist()
+    for x in (1e-3, 0.5, 1.0, 3.0, 2e5):
+        out += [complex(-x, 0.0), complex(-x, -0.0)]
+    return out
+
+
+def _bits(z) -> tuple:
+    return type(z), z.real.hex(), z.imag.hex()
+
+
+def test_zero_d_gamma_root_keeps_the_array_formula_bits():
+    draws = _complex_draws()
+    quadrants = {(z.real > 0, z.imag > 0) for z in draws}
+    assert len(draws) == 2000 and len(quadrants) == 4
+    for z in draws:
+        for g3 in (z, np.complex128(z)):
+            assert _bits(A._real_gamma2_root(g3)) == _bits(_array_real_gamma2_root(g3)), g3
+    arr = np.array(draws).reshape(40, 50)
+    assert np.array_equal(A._real_gamma2_root(arr), _array_real_gamma2_root(arr))
+
+
+def test_zero_d_pole_check_matches_the_mask():
+    for lam in (0.5, -0.5, 0.3):
+        near = [0j, complex(lam), complex(1 / lam)]
+        near += [complex(np.nextafter(v.real, math.inf)) for v in near]
+        for z in _complex_draws()[::10] + near:
+            for zz in (z, np.complex128(z), np.array(z)):
+                if _mask_is_pole(lam, zz):
+                    with pytest.raises(DomainError):
+                        A._check_pole(lam, zz)
+                else:
+                    A._check_pole(lam, zz)
+
+
+@pytest.mark.parametrize("lam", [0.5, -0.5, 0.3])
+def test_scalar_pole_raises(lam):
+    for z in (0, 0.0, lam, 1 / lam):
+        for zz in (z, complex(z), np.float64(z), np.complex128(z), np.array(complex(z))):
+            with pytest.raises(DomainError):
+                A._check_pole(lam, zz)
+            with pytest.raises(DomainError):
+                A.phase_value(lam, 1.0, zz)
+
+
 class TestStationaryPhase:
     @pytest.mark.parametrize("n", [1024, 2048])
     def test_center_accuracy(self, n):

@@ -459,6 +459,8 @@ class TestValidateAndConfig:
         ["bounds", "--C", "inf"],
         ["growth", "--lambda", "nan"],
         ["coeffs", "--lambda", "nan"],
+        # an empty zeta list, like an empty n grid or lambda list
+        ["bounds", "--lambda", "0.5", "--zeta", ""],
     ], ids=" ".join)
     def test_out_of_domain_argument_is_usage_error(self, tmp_path, capsys, argv):
         # one stderr line before any work, not a traceback or a file of
