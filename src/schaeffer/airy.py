@@ -23,8 +23,8 @@ Two regimes:
   sequences, truncated at the smallest term.  At the seam xi = 18 the
   optimally truncated tail is ~ exp(-2 xi) ~ 1e-15.
 
-Every step is elementwise, so a float gives the same bits as the same
-point inside an array.
+A float is evaluated as a 0-d array, and every step is elementwise, so
+it gives the same bits as the same point inside an array.
 """
 
 from __future__ import annotations
@@ -64,11 +64,11 @@ _NODE_VALUES = (
 )
 
 
-def _correction_coeffs(K: int = _N_CORRECTIONS):
+def _correction_coeffs():
     # u_0 = 1, u_{k+1}/u_k = (3k+5/2)(3k+3/2)(3k+1/2) / (54 (k+1)(k+1/2));
     # v_k = u_k (6k+1)/(1-6k)
     u = [1.0]
-    for k in range(K):
+    for k in range(_N_CORRECTIONS):
         u.append(u[-1] * (3 * k + 2.5) * (3 * k + 1.5) * (3 * k + 0.5) / (54 * (k + 1) * (k + 0.5)))
     v = [c * ((6 * k + 1) / (1 - 6 * k)) if k else c for k, c in enumerate(u)]
     return u, v
@@ -121,8 +121,8 @@ def _taylor_tables() -> tuple:
 
 
 def _taylor(x, derivative: bool):
-    """Ai or Ai' by Horner's rule about the nearest node; x is a float with
-    |x| <= SERIES_CUTOFF or an array of such values."""
+    """Ai or Ai' by Horner's rule about the nearest node, elementwise over
+    an array x of values with |x| <= SERIES_CUTOFF."""
     node = np.rint(x)
     coeffs = _taylor_tables()[derivative][(node + SERIES_CUTOFF).astype(int)].T
     h = x - node  # exact: x and node are within 1/2 of each other
@@ -133,11 +133,6 @@ def _taylor(x, derivative: bool):
 
 
 def _evaluate(x, derivative: bool):
-    if np.ndim(x) == 0:
-        x = float(x)
-        if abs(x) <= SERIES_CUTOFF:
-            return float(_taylor(x, derivative))
-        return _asymptotic(x, derivative)
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     inner = np.abs(x) <= SERIES_CUTOFF
@@ -147,7 +142,7 @@ def _evaluate(x, derivative: bool):
     # the scalar ** and math.exp (about 5% of results differ in the last
     # bit), so an array version would move the values
     out[~inner] = [_asymptotic(v, derivative) for v in x[~inner].tolist()]
-    return out
+    return out[()]  # a 0-d input gives an np.float64, which is a float
 
 
 def airy_ai(x):

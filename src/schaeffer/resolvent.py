@@ -121,7 +121,7 @@ def _one_minus_sq(x: float) -> float:
 
 
 def _run_log_sum(a: float, s: float, m: int) -> float:
-    """log sum_{j<m} exp(a + j s), summed as a geometric series."""
+    """log sum_{j<m} exp(a + j s), summed as a geometric series; a at s = -inf."""
     hi = max(a, a + (m - 1) * s)
     if s == 0:
         return hi + math.log(m)
@@ -142,9 +142,12 @@ def mainlemma_log_bound(q: BoundQuery, rho: float) -> float:
     runs = []
     for c, denom, abs_lam, log_dist, log_ratio, mult in q._eigen_terms:
         # fac = (1 + w)/b with w = (1-rho^2) c/denom and b = (zeta - l)/denom;
-        # log|1 + w| by log1p keeps a small slope accurate as it is scaled by m
+        # log|1 + w| by log1p keeps a small slope accurate as it is scaled by m;
+        # it is -inf where 1 + w = (1 - rho^2 c)/denom vanishes (rho^2 c = 1,
+        # where the scan closes in for a unimodular l) and rounds to -1 or below
         w = one_minus * c / denom
-        log_fac = 0.5 * math.log1p(w.real * (2 + w.real) + w.imag * w.imag) + log_ratio
+        sq = w.real * (2 + w.real) + w.imag * w.imag
+        log_fac = (0.5 * math.log1p(sq) if sq > -1 else -math.inf) + log_ratio
         slope = 2 * (log_fac - log_rho)
         start = offset + math.log(_one_minus_sq(rho * abs_lam)) - 2 * log_dist
         runs.append(_run_log_sum(start, slope, mult))

@@ -9,8 +9,8 @@ a0 = prod lambda_i gives phi = |a0| N(0) (Remark 5).
 
 ``_certified_interpolate`` is the one entry point.  For a real spectrum and
 real zeta it poses the program in the Malmquist-Walsh basis of the model
-space K_B (``modelspace``), grows the degree as the simplex dual demands,
-and brackets N(zeta) to 1e-8 relative with every rounding bounded; past the
+space K_B (``modelspace``) at its coefficient support, solves it once, and
+brackets N(zeta) to 1e-8 relative with every rounding bounded; past the
 priced columns, the compressed shift of K_B bounds the Taylor tails
 (``_shift_tail``).  Each program's result is one ``Bracket``, phi's and
 the resolvent norm's alike.  Nothing is cached between calls.
@@ -38,7 +38,7 @@ _CERT_REL_WIDTH = 1e-8  # widest certified bracket, relative to its upper end
 class Bracket:
     """One l1 program's result times a scale (|a0| for phi), scaled in long
     double and rounded to float once (``_scaled_bracket``): value = ||f||_1
-    of the optimum f at the final degree, lower <= N <= upper proven for the
+    of the optimum f at the posed degree, lower <= N <= upper proven for the
     exact program and rounded outward, converged when lower <= value and
     the bracket is within _CERT_REL_WIDTH of upper."""
     value: float
@@ -129,13 +129,13 @@ def _shift_tail(mus):
     return index, bound, L
 
 
-def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int, scale=1,
+def _certified_interpolate(spec: SpectrumSpec, zeta: complex, *, scale=1,
                            scale_err=0.0) -> Bracket:
-    """N(zeta) = min ||f||_1 over all analytic f, from degree deg up, as a
-    ``Bracket`` times scale, scale_err bounding scale's relative error
-    (``_scaled_bracket``).  A non-real spectrum or zeta, or a zeta within
-    1e-14 of an eigenvalue, is a DomainError; rows the simplex finds
-    dependent in floating point (near lambda = 1) a ``SimplexError``.
+    """N(zeta) = min ||f||_1 over all analytic f, as a ``Bracket`` times
+    scale, scale_err bounding scale's relative error (``_scaled_bracket``).
+    A non-real spectrum or zeta, or a zeta within 1e-14 of an eigenvalue, is
+    a DomainError; rows the simplex finds dependent in floating point (near
+    lambda = 1) a ``SimplexError``.
 
     f matches the jets exactly when f - h lies in B H^2, where
     h = (1 - B/B(zeta))/(zeta - z), i.e. when <f, e_j> = <h, e_j> for the
@@ -143,17 +143,17 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int, scale=1,
     coefficients (``_malmquist_walsh_rows``), well conditioned where the
     jet rows (~4^n) are not, and the right-hand side the closed form
     ``_malmquist_walsh_resolvent_rhs``.  The rows at a degree are a bitwise
-    prefix of those at any larger one, so every solve slices them, and they
-    are built again only when the dual prices a column past the last.
+    prefix of those at any larger one, so they are built longer only when
+    the dual's shift index passes the posed degree.
 
     With the dual y, g = sum_j y_j e_j gives y . rhs / max(1, sup_k |g_k|)
     <= N(zeta) (weak duality): the columns up to max(deg, K) are priced
     exactly, K the index of g's shift bound (``_shift_tail``), and that
     bound covers the later ones.  With res = rows @ f - rhs, f - sum_j res_j
     e_j is exactly feasible, so N(zeta) <= ||f||_1 + sum_j |res_j|
-    ||e_j||_1, the tail of e_j at most 2 L times its shift bound.  Until the
-    bracket is within _CERT_REL_WIDTH, the degree grows to the last column
-    with |g_k| > 1, up to _COLUMN_BUDGET columns.
+    ||e_j||_1, the tail of e_j at most 2 L times its shift bound.  It is
+    solved once, at ``_start_degree``: the optimum's support ends inside it,
+    and a column priced above 1 past it would only lower the lower end.
 
     Only y and f are taken as exact.  The rows gain ``_row_error_bound``;
     rhs_j, a product of j + 1 factors, gains (3 + 1/(1 - mu_j^2) +
@@ -166,6 +166,7 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int, scale=1,
         raise DomainError("zeta coincides with an eigenvalue")
     mus = [lam.real for lam in spec.expanded()]
     rhs = _malmquist_walsh_resolvent_rhs(mus, zeta.real)
+    deg = _start_degree(spec)
     posed = _malmquist_walsh_rows(mus, deg)
     f, y = _interpolate(posed, rhs)
     eps, mu, z = np.finfo(LD).eps, np.asarray(mus, dtype=LD), LD(zeta.real)
@@ -175,42 +176,35 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, deg: int, scale=1,
         q = np.where(exact, 0, abs(mu * z / (1 - mu * z)))
         rhs_err = eps * (3 + 1 / (1 - mu * mu) + np.cumsum(np.r_[0, 3 + q][:-1])) * np.abs(rhs)
     index, bound, L = _shift_tail(mus)
-    while True:
-        y64 = y.astype(float)
-        past = max(deg, min(index(y64), _COLUMN_BUDGET)) + 1
-        if posed.shape[1] < past:
-            posed = _malmquist_walsh_rows(mus, past - 1)
-        rows = posed[:, :past]
-        delta = _row_error_bound(mus, past - 1)
-        gamma = 2 * (len(mus) + past) * eps
-        tails = bound(np.vstack([y64, np.eye(len(mus))]), past)  # g's, then each e_j's
-        norms = np.sum(np.abs(rows), axis=1) + np.sqrt(past) * delta + 2 * L * tails[1:]
-        g = np.abs(y @ rows) + gamma * (np.abs(y) @ np.abs(rows)) + np.abs(y) @ delta
-        lower = ((y @ rhs - gamma * (np.abs(y) @ np.abs(rhs)) - np.abs(y) @ rhs_err)
-                 / (max(LD(1), np.max(g), LD(tails[0])) * (1 + gamma)))
-        res = (np.abs(rows[:, :deg + 1] @ f - rhs) + delta * np.sqrt(f @ f) + rhs_err
-               + gamma * (np.abs(rows[:, :deg + 1]) @ np.abs(f) + np.abs(rhs)))
-        value = np.sum(np.abs(f))
-        upper = (value + res @ norms) * (1 + gamma)
-        certified = (1 - _CERT_REL_WIDTH) * upper <= lower <= value
-        beyond = np.nonzero(g[deg + 1:] > 1)[0]
-        if certified or beyond.size == 0 or deg + 1 >= _COLUMN_BUDGET:
-            return _scaled_bracket(value, lower, upper, bool(certified), scale, scale_err)
-        deg = min(deg + 1 + int(beyond[-1]), _COLUMN_BUDGET - 1)
-        f, y = _interpolate(posed[:, :deg + 1], rhs)
+    y64 = y.astype(float)
+    past = max(deg, min(index(y64), _COLUMN_BUDGET)) + 1
+    rows = posed if past == deg + 1 else _malmquist_walsh_rows(mus, past - 1)
+    delta = _row_error_bound(mus, past - 1)
+    gamma = 2 * (len(mus) + past) * eps
+    tails = bound(np.vstack([y64, np.eye(len(mus))]), past)  # g's, then each e_j's
+    norms = np.sum(np.abs(rows), axis=1) + np.sqrt(past) * delta + 2 * L * tails[1:]
+    g = np.abs(y @ rows) + gamma * (np.abs(y) @ np.abs(rows)) + np.abs(y) @ delta
+    lower = ((y @ rhs - gamma * (np.abs(y) @ np.abs(rhs)) - np.abs(y) @ rhs_err)
+             / (max(LD(1), np.max(g), LD(tails[0])) * (1 + gamma)))
+    res = (np.abs(posed @ f - rhs) + delta * np.sqrt(f @ f) + rhs_err
+           + gamma * (np.abs(posed) @ np.abs(f) + np.abs(rhs)))
+    value = np.sum(np.abs(f))
+    upper = (value + res @ norms) * (1 + gamma)
+    certified = (1 - _CERT_REL_WIDTH) * upper <= lower <= value
+    return _scaled_bracket(value, lower, upper, bool(certified), scale, scale_err)
 
 
 def _start_degree(spec: SpectrumSpec) -> int:
-    """Degree the certified programs start from: the coefficient support
+    """Degree the certified programs are solved at: the coefficient support
     ``blaschke.support_estimate``, ~|m|/alpha0, with at least 64 and at most
-    _COLUMN_BUDGET columns.  The dual prices in any column it leaves out."""
+    _COLUMN_BUDGET columns.  The dual is priced past it."""
     return min(max(blaschke.support_estimate(spec.points), 64), _COLUMN_BUDGET) - 1
 
 
 def phi_exact_truncated(spec: SpectrumSpec) -> Bracket:
     """Truncated phi: min over polynomials h of sum_{k>=1} |h_k| subject to
-    h(0) = a0 = prod lambda_i and an m_i-fold zero at each lambda_i, from
-    ``_start_degree`` with the columns its dual prices in: |a0| times the
+    h(0) = a0 = prod lambda_i and an m_i-fold zero at each lambda_i, solved
+    once at ``_start_degree`` with its dual priced past it: |a0| times the
     zeta = 0 interpolation norm's ``Bracket`` (Remark 5, h = a0 (1 + z f)).
     ``eigen_product`` forms each lambda_i^(m_i) in 2 log2(m_i) + 1 roundings
     (or by a pow within an ulp, past m_i = 100) and the P products add P, so
@@ -219,8 +213,8 @@ def phi_exact_truncated(spec: SpectrumSpec) -> Bracket:
     Raises as ``_certified_interpolate`` does."""
     spec.require_nonzero()
     spec.require_interior()
-    return _certified_interpolate(spec, 0j, _start_degree(spec), LD(abs(spec.eigen_product())),
-                                  (2 * spec.degree + 2) * 2.0 ** -53)
+    return _certified_interpolate(spec, 0j, scale=LD(abs(spec.eigen_product())),
+                                  scale_err=(2 * spec.degree + 2) * 2.0 ** -53)
 
 
 def phi_lower_bound(spec: SpectrumSpec) -> float:
@@ -242,8 +236,8 @@ def schaeffer_upper(n: int) -> float:
 
 def resolvent_interpolation_norm(spec: SpectrumSpec, zeta: complex) -> Bracket:
     """The ``Bracket`` of inf{||f||_W : f matches the jets of 1/(zeta - z)
-    on the spectrum}, from ``_start_degree`` with the columns its dual
-    prices in, which the harness scales by |B(zeta)| to exhibit resolvent
+    on the spectrum}, solved once at ``_start_degree`` with its dual priced
+    past it, which the harness scales by |B(zeta)| to exhibit resolvent
     growth.  Raises as ``_certified_interpolate`` does."""
     spec.require_interior()
-    return _certified_interpolate(spec, complex(zeta), _start_degree(spec))
+    return _certified_interpolate(spec, complex(zeta))

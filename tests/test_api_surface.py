@@ -105,3 +105,44 @@ def _unused_imports() -> list:
 
 def test_every_imported_name_is_used():
     assert _unused_imports() == []
+
+
+def _defaults_never_passed() -> list:
+    """Default-valued parameters of the package's functions and methods that
+    no call in ``src/schaeffer`` or ``perfbench/`` passes, by position or by
+    keyword.  Calls are matched by the called name; a call that unpacks
+    ``*args`` or ``**kwargs`` counts as passing every parameter."""
+    trees = [(path, ast.parse(path.read_text()))
+             for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))]
+    calls = {}  # called name -> its calls
+    for _, tree in trees:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                calls.setdefault(name, []).append(call)
+    flagged = []
+    for path, tree in trees:
+        if path.parent != PACKAGE:
+            continue
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            bound = 1 if id(fn) in methods and positional and positional[0].arg in ("self", "cls") else 0
+            first = len(positional) - len(fn.args.defaults)
+            defaulted = [(i - bound, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                          if d is not None]
+            for index, arg in defaulted:
+                if not any(any(isinstance(a, ast.Starred) for a in c.args)
+                           or any(k.arg is None or k.arg == arg for k in c.keywords)
+                           or (index is not None and len(c.args) > index)
+                           for c in calls.get(fn.name, [])):
+                    flagged.append(f"{path.name}:{fn.lineno} {fn.name}({arg})")
+    return flagged
+
+
+def test_every_default_is_overridden():
+    # a default that every caller takes is a constant, not a parameter
+    assert _defaults_never_passed() == []

@@ -309,6 +309,21 @@ class TestBounds:
         assert rules[0] == "skipped"
         assert "mainlemma-optimized" in rules[1:]
 
+    @pytest.mark.parametrize("lam, zetas", [(1.0, "2,1.5,10"), (-1.0, "-2,-1.5,-10")])
+    def test_unimodular_eigenvalue_past_the_circle(self, tmp_path, lam, zetas):
+        # 1 + w vanishes at rho = 1/sqrt(l zeta), where the scan lands: the
+        # bound there is C/|zeta - l|, the norm of (zeta - T)^-1 for T = l I
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", f"--lambda={lam}", "--n", "2,3,8", f"--zeta={zetas}",
+                     "--out", str(out)]) == 0
+        rows = _read_csv(out)
+        assert all(r["dominance_ok"] == "true" for r in rows)
+        opt = [r for r in rows if r["rule"] == "mainlemma-optimized"]
+        assert len(opt) == 9
+        for r in opt:
+            exact = 1 / abs(float(r["zeta_re"]) - lam)
+            assert float(r["value"]) == pytest.approx(exact, rel=1e-14, abs=0)
+
     def test_programming_error_is_not_a_skipped_row(self, tmp_path, monkeypatch):
         # only a DomainError becomes a skipped row; any other exception fails
         # the command

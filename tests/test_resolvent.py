@@ -103,6 +103,12 @@ class TestMainLemma:
                  for k in range(2, 7)]
         assert all(a > b for a, b in zip(diffs, diffs[1:]))
 
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_vanishing_factor_keeps_the_first_term(self, m):
+        # s = -inf, a vanishing |fac|: only the run's first term survives
+        assert resolvent._run_log_sum(0.75, -math.inf, m) == 0.75
+        assert resolvent._run_log_sum(-math.inf, 0.5, m) == -math.inf
+
     def test_rho_domain(self):
         q = BoundQuery(SpectrumSpec.single(0.5, 1), 0.0, 1.0)
         with pytest.raises(DomainError):

@@ -128,8 +128,9 @@ def test_once_stalled_program_certifies():
     spec = SpectrumSpec.single(0.97, 32)
     result = phi_exact_truncated(spec)
     assert (format(result.value, ".17g"), result.converged) == ("3.0466231208942358", True)
+    mus = [lam.real for lam in spec.expanded()]
     with pytest.raises(SimplexError, match="depends on the rows before it"):
-        _certified_interpolate(spec, 0j, 255)
+        min_l1_solution(_malmquist_walsh_rows(mus, 255), _malmquist_walsh_resolvent_rhs(mus, 0.0))
 
 
 def _count_runs(monkeypatch):
@@ -174,11 +175,11 @@ def test_phi_lp_pivot_path(monkeypatch):
 
 
 def test_crash_start_takes_few_pricing_passes(monkeypatch):
-    # lambda = 0.66, n = 64, zeta = 0.9 from degree 511: 2932 pricing passes
-    # from the all-artificial start of a two-phase simplex, 2826 of them in
-    # its phase 1
+    # lambda = 0.66, n = 64, zeta = 0.9 from its coefficient support; from
+    # degree 511 it took 2932 pricing passes from the all-artificial start
+    # of a two-phase simplex, 2826 of them in its phase 1
     runs = _count_runs(monkeypatch)
-    assert _certified_interpolate(SpectrumSpec.single(0.66, 64), 0.9 + 0j, 511).converged
+    assert _certified_interpolate(SpectrumSpec.single(0.66, 64), 0.9 + 0j).converged
     assert sum(passes for passes, _ in runs) < 100
 
 
@@ -292,7 +293,7 @@ def test_refined_vertex_and_dual_match_a_40_digit_solve(monkeypatch, points, zet
     monkeypatch.setattr(simplex, "_run", recorded_run)
     monkeypatch.setattr(simplex, "dense_simplex", recorded)
     spec = SpectrumSpec(points)
-    assert _certified_interpolate(spec, complex(zeta), _start_degree(spec)).converged
+    assert _certified_interpolate(spec, complex(zeta)).converged
     assert solves
     eps = np.finfo(LD).eps
     with mp.workdps(40):

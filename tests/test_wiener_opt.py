@@ -6,7 +6,7 @@ import pytest
 from schaeffer.blaschke import blaschke_power_coeffs, support_estimate, weight_series
 from schaeffer import acceptance, wiener_opt
 from schaeffer.errors import DomainError
-from schaeffer.simplex import LD, min_l1_solution
+from schaeffer.simplex import LD, SimplexError, min_l1_solution
 from schaeffer.modelspace import _malmquist_walsh_rows, _row_error_bound
 from schaeffer.spectra import SpectrumSpec
 from schaeffer.wiener_opt import (
@@ -268,7 +268,7 @@ class TestResolventInterpolation:
     def test_certified_interpolate_rejects_zeta_in_spectrum(self):
         # the one entry point checks it, not only the norm that wraps it
         with pytest.raises(DomainError, match="zeta coincides with an eigenvalue"):
-            _certified_interpolate(SpectrumSpec.single(0.9, 1), 0.9 + 0j, 63)
+            _certified_interpolate(SpectrumSpec.single(0.9, 1), 0.9 + 0j)
 
     def test_complex_zeta_rejected(self):
         with pytest.raises(DomainError):
@@ -405,24 +405,58 @@ class TestCertificate:
     def test_bracket_is_tight(self, lam, n, zeta):
         # the dual, priced over every k, and the repaired primal bracket the
         # untruncated norm
-        res = _certified_interpolate(SpectrumSpec.single(lam, n), zeta, 8 * n)
+        res = _certified_interpolate(SpectrumSpec.single(lam, n), zeta)
         assert res.converged
         assert res.lower <= res.value <= res.upper
         assert res.upper - res.lower <= 1e-8 * res.upper
 
     @pytest.mark.parametrize("n", [8, 16])
-    def test_columns_priced_in_past_the_start(self, n):
-        # at lambda = 0.9 the optimal support runs past the starting degree:
-        # the dual prices in the missing columns, and the certified value is
-        # the one a far longer fixed truncation reaches
+    def test_one_solve_reaches_the_long_truncation(self, n):
+        # at lambda = 0.9 the optimal support runs to ~19 n: the one solve at
+        # the support degree certifies the value a far longer fixed
+        # truncation reaches
         spec = SpectrumSpec.single(0.9, n)
-        start = np.sum(np.abs(_solve(spec, 0.0, 8 * n)[0]))
-        res = _certified_interpolate(spec, 0j, 8 * n)
+        res = _certified_interpolate(spec, 0j)
         far = np.sum(np.abs(_solve(spec, 0.0, 2047)[0]))
         assert res.converged
-        assert float(start) > res.value * (1 + 1e-3)
         assert res.value == pytest.approx(float(far), rel=1e-12)
         assert phi_exact_truncated(spec).converged
+
+
+_ONE_SOLVE_PROGRAMS = ([([(lam, n)], zeta) for lam in (0.3, 0.5, 0.66, 0.9, 0.97, -0.6)
+                        for n in (8, 16, 32, 64) for zeta in (0.0, 0.9, -0.5)]
+                       + [([(0.3, 2), (-0.6, 3), (0.8, 2)], 0.9)])
+
+
+def test_one_solve_per_program(monkeypatch):
+    # the optimum's support ends inside the coefficient support the program
+    # is posed at: each program is solved once, and one that does not
+    # certify prices no column past the posed degree above 1, so no longer
+    # truncation within the column budget could tighten it
+    solves = []
+    solve = wiener_opt._interpolate
+
+    def recorded(rows, rhs):
+        f, y = solve(rows, rhs)
+        solves.append((rows.shape[1] - 1, y))
+        return f, y
+
+    monkeypatch.setattr(wiener_opt, "_interpolate", recorded)
+    for points, zeta in _ONE_SOLVE_PROGRAMS:
+        spec = SpectrumSpec(points)
+        solves.clear()
+        try:
+            res = _certified_interpolate(spec, complex(zeta))
+        except (DomainError, SimplexError):
+            continue
+        assert len(solves) == 1, (points, zeta)
+        (deg, y), = solves
+        assert deg == _start_degree(spec)
+        if not res.converged:
+            mus = [lam.real for lam in spec.expanded()]
+            K = _shift_tail(mus)[0](y.astype(float))
+            priced = _malmquist_walsh_rows(mus, max(deg, min(K, wiener_opt._COLUMN_BUDGET)))
+            assert np.all(np.abs(y @ priced[:, deg + 1:]) <= 1), (points, zeta)
 
 
 class TestShiftTail:
@@ -483,7 +517,7 @@ class TestVerifiedBracket:
         # bracket to ~6e-10: the printed value is still certified to 1e-8
         spec = SpectrumSpec.single(0.5, 16)
         _planted(monkeypatch, 1e-9)
-        res = _certified_interpolate(spec, 0j, _start_degree(spec))
+        res = _certified_interpolate(spec, 0j)
         assert res.converged
         assert res.lower <= res.value <= res.upper
         assert 1e-10 <= (res.upper - res.lower) / res.upper <= 1e-9
