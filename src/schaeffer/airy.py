@@ -78,15 +78,21 @@ _U, _V = _correction_coeffs()
 
 
 def _asym_sum(coeffs: list, xi: float) -> float:
-    """sum_k (-1)^k coeffs[k] / xi^k, truncated at the smallest term."""
+    """sum_k (-1)^k coeffs[k] / xi^k, truncated at the smallest term.
+
+    The terms it adds shrink in size, and the sum's neighbours on either
+    side lie at least half its ulp away, so a term below a quarter of the
+    ulp leaves the sum unchanged and so does every later one: the loop
+    stops there with the bits of the full sum."""
     total = 0.0
-    prev = math.inf
+    prev = math.inf  # size of the previous term
     for k, u in enumerate(coeffs):
         term = u / xi ** k
-        if abs(term) > abs(prev):
+        size = abs(term)
+        if size > prev or size < math.ulp(total) / 4:
             break
         total += (-term if k % 2 else term)
-        prev = term
+        prev = size
     return total
 
 

@@ -27,6 +27,7 @@ and move onto the real axis outside it.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -110,17 +111,14 @@ def _pick_saddles(mu: float, a: float):
 
 
 def _pick_saddles_along(mu: float, a: np.ndarray):
-    """``_pick_saddles`` at each ratio of the array a (any shape), as two
-    complex arrays.  The ratio a of the estimate itself keeps the scalar
-    version, whose Python complex results the amplitudes are computed from."""
+    """``_pick_saddles`` at each ratio of the array a, every one of them
+    outside [alpha0, 1/alpha0], where the saddles are a real reciprocal
+    pair; returns two real arrays.  Branch-tracking paths use it off the
+    unit circle, where their values only choose signs and ``branch_ok``."""
     M = _midpoint(mu, a)
-    circle = M * M <= 1
-    s = np.sqrt(np.abs(1 - M * M))
-    # Re f at the real candidate M + s; on the circle at a stand-in off every pole
-    c1_first = phase_value(mu, a, np.where(circle, 1j, M + s)).real >= 0
-    zp = np.where(circle, M + 1j * s, np.where(c1_first, M + s, M - s))
-    zm = np.where(circle, M - 1j * s, np.where(c1_first, M - s, M + s))
-    return zp, zm
+    s = np.sqrt(M * M - 1)
+    c1_first = phase_value(mu, a, M + s).real >= 0  # Re f at the candidate M + s
+    return np.where(c1_first, M + s, M - s), np.where(c1_first, M - s, M + s)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +169,12 @@ def classify_region(lam: float, n: int, k: float, alpha: float | None = None,
     """
     if k < 0:
         raise DomainError("k must be >= 0")
-    b1, b2, b3, b4, b5, b6 = region_thresholds(lam, n, alpha, beta)
+    return _region_of(region_thresholds(lam, n, alpha, beta), k)
+
+
+def _region_of(thresholds: tuple, k: float) -> Region:
+    """``classify_region`` of an index k >= 0 against ``region_thresholds``."""
+    b1, b2, b3, b4, b5, b6 = thresholds
     if k <= b1:
         return Region.I
     if k <= b2:
@@ -243,28 +246,67 @@ def _continue_signs(seed: complex, w: np.ndarray):
     return np.where(np.count_nonzero(same > flipped, axis=-1) % 2, -last, last), jump
 
 
+def _path_saddles_and_gammas(mu: float, path: np.ndarray):
+    """Saddles z_pm and gamma at each ratio of the tracking paths (any shape).
+
+    On the unit circle (M^2 <= 1) z_plus = M + i s, s = sqrt(1 - M^2), and
+    |1 - mu z| = |z - mu|, so f(z_plus) = i h with the real
+    h = a arg z + arg(1 - mu z) - arg(z - mu), and gamma = -i cbrt(3h/2) is
+    the cube root of (3/2) f with gamma^2 real.  Off the circle the saddles
+    are the real pair of ``_pick_saddles_along`` and gamma comes from
+    ``_real_gamma2_root``.  These values only choose signs and
+    ``branch_ok``, so they may round differently from a ratio's own values,
+    which reach the estimate."""
+    M = _midpoint(mu, path)
+    circle = M * M <= 1
+    zps = np.empty(path.shape, dtype=complex)
+    zms = np.empty(path.shape, dtype=complex)
+    gs = np.empty(path.shape, dtype=complex)
+    Mc = M[circle]
+    s = np.sqrt(1 - Mc * Mc)
+    h = (path[circle] * np.arctan2(s, Mc) + np.arctan2(-mu * s, 1 - mu * Mc)
+         - np.arctan2(s, Mc - mu))
+    zps[circle] = Mc + 1j * s
+    zms[circle] = Mc - 1j * s
+    gs[circle] = -1j * np.cbrt(1.5 * h)
+    off = ~circle
+    if off.any():
+        a = path[off]
+        zp, zm = _pick_saddles_along(mu, a)
+        _check_pole(mu, zm)  # phase_value checks z_plus
+        zps[off], zms[off] = zp, zm
+        gs[off] = _real_gamma2_root(1.5 * phase_value(mu, a, zp))
+    return zps, zms, gs
+
+
 def _tracked_amplitudes(mu: float, ac: float, seed: complex, a: list) -> list:
     """(A0, A1, gamma_sq, branch_ok) at each ratio of the list a, none of
-    them at the coalescence ratio ac."""
+    them at the coalescence ratio ac.
+
+    Each ratio's saddles, gamma and z'(t_pm) reach the estimate, so they
+    keep scalar arithmetic; only the steps that round as their 0-d forms do
+    (the pole test, f(z_plus)) run as one array pass over all ratios.  The
+    inner steps of the tracking paths only choose the signs of z'(t_pm) and
+    ``branch_ok`` (see ``_path_saddles_and_gammas``)."""
+    ratios = np.array(a)
     saddles = [_pick_saddles(mu, ai) for ai in a]
-    for _, zm in saddles:
-        _check_pole(mu, zm)  # phase_value checks z_plus
-    gams = [_real_gamma2_root(1.5 * phase_value(mu, ai, zp)) for ai, (zp, _) in zip(a, saddles)]
+    _check_pole(mu, np.array([zm for _, zm in saddles]))  # phase_value checks z_plus
+    f = phase_value(mu, ratios, np.array([zp for zp, _ in saddles]))
+    # iterating gives 0-d complex128 items, so each gamma takes the scalar root pick
+    gams = [_real_gamma2_root(g3) for g3 in 1.5 * f]
 
     # branch tracking from the coalesced limit along a straight path in a:
     # z'(t_pm) up to sign at the inner steps of every ratio at once (one row
     # per ratio) and at each ratio itself, then the signs by continuity
-    path = ac + (np.array(a)[:, None] - ac) * np.arange(1, _BRANCH_STEPS) / _BRANCH_STEPS
-    zps, zms = _pick_saddles_along(mu, path)
-    _check_pole(mu, zms)  # phase_value checks zps
-    gs = _real_gamma2_root(1.5 * phase_value(mu, path, zps))
+    path = ac + (ratios[:, None] - ac) * np.arange(1, _BRANCH_STEPS) / _BRANCH_STEPS
+    zps, zms, gs = _path_saddles_and_gammas(mu, path)
     wp, jump_p = _continue_signs(seed, np.column_stack([
         np.sqrt(-2 * gs / _phase_f2(mu, path, zps)),
-        [np.sqrt(-2 * gam / _phase_f2(mu, ai, complex(zp)))
+        [cmath.sqrt(-2 * gam / _phase_f2(mu, ai, complex(zp)))
          for ai, (zp, _), gam in zip(a, saddles, gams)]]))
     wm, jump_m = _continue_signs(seed, np.column_stack([
         np.sqrt(2 * gs / _phase_f2(mu, path, zms)),
-        [np.sqrt(2 * gam / _phase_f2(mu, ai, complex(zm)))
+        [cmath.sqrt(2 * gam / _phase_f2(mu, ai, complex(zm)))
          for ai, (_, zm), gam in zip(a, saddles, gams)]]))
     branch_ok = ~np.any(np.maximum(jump_p, jump_m)[:, 1:] > _BRANCH_JUMP_LIMIT, axis=1)
 
@@ -291,10 +333,12 @@ def _airy_cores(mu: float, n: float, a: list) -> list:
     then runs backwards along the Airy contour).
 
     The inner tracking steps of all ratios go through one array pass, and
-    Ai and Ai' through one call each.  Each ratio's own saddles, gamma and
-    amplitudes stay scalar: numpy's array loops for complex multiply, abs,
-    exp and ** round differently from the scalar operations, so the same
-    steps on arrays would move the last bits of the estimates.
+    Ai and Ai' through one call each.  Those path values only choose the
+    signs of z'(t_pm) and ``branch_ok``, so they may round differently from
+    a ratio's own values.  Each ratio's own saddles, gamma and amplitudes
+    reach the estimate and stay scalar: numpy's array loops for complex
+    multiply, abs, exp and ** round differently from the scalar operations,
+    so the same steps on arrays would move the last bits of the estimates.
     """
     ac = _coalescence_ratio(mu)
     seed = _zprime_seed(mu, ac)

@@ -215,7 +215,7 @@ def _bounds_task(args):
     rows = [(lam, n, zeta.real, zeta.imag, C, opt.rule.value, opt.value,
              opt.rho_star, "true")]
     for rule, value in resolvent.applicable_closed_forms(q).items():
-        ok = opt.value <= value + 1e-9
+        ok = opt.value <= value + 1e-9 * max(1.0, abs(value))
         rows.append((lam, n, zeta.real, zeta.imag, C, rule.value, value, None,
                      str(ok).lower()))
     return rows
@@ -256,8 +256,10 @@ def _asym_task(args):
     truths = asymptotics.weighted_truth(lam, n, np.array(ks))
     floor = asymptotics.truth_error(lam, n)  # no rel_error for a truth within its error
     airy = asymptotics.uniform_airy_estimates(lam, n, ks)
+    # one set of thresholds per task; _check_asymptotics has rejected every k < 0
+    thresholds = asymptotics.region_thresholds(lam, n, alpha, beta)
     for k, truth, ae in zip(ks, truths.tolist(), airy):
-        region = asymptotics.classify_region(lam, n, k, alpha, beta)
+        region = asymptotics._region_of(thresholds, k)
         est = None
         g2 = None
         flag = ""

@@ -140,6 +140,31 @@ def test_array_matches_scalar_bitwise():
         assert np.array_equal(fn(xs.reshape(3, -1)), arr.reshape(3, -1))
 
 
+def _full_asym_sum(coeffs, xi):
+    """The asymptotic sum with every term up to the smallest one added."""
+    total, prev = 0.0, math.inf
+    for k, u in enumerate(coeffs):
+        term = u / xi ** k
+        if abs(term) > abs(prev):
+            break
+        total += (-term if k % 2 else term)
+        prev = term
+    return total
+
+
+def test_asymptotic_sum_stops_with_the_full_sum_bits():
+    # as _asymptotic calls it for |x| >= 9: both coefficient lists at xi >= 18
+    # for x > 0, their even and odd halves at xi^2 for x < 0; dense near the
+    # cutoff, where the most terms count
+    rng = np.random.default_rng(36)
+    xis = np.concatenate([np.geomspace(18, 1e7, 4000), rng.uniform(18, 40, 4000)]).tolist()
+    cases = [(coeffs, xi) for coeffs in (airy._U, airy._V) for xi in xis]
+    cases += [(coeffs[start::2], xi * xi) for coeffs in (airy._U, airy._V)
+              for start in (0, 1) for xi in xis]
+    for coeffs, xi in cases:
+        assert airy._asym_sum(coeffs, xi).hex() == _full_asym_sum(coeffs, xi).hex(), xi
+
+
 def test_seam_continuity():
     # every piece boundary: the midpoints between Taylor nodes, where the
     # node changes, and the Taylor/asymptotic handover at +-9.  The jump is

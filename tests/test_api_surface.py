@@ -146,3 +146,33 @@ def _defaults_never_passed() -> list:
 def test_every_default_is_overridden():
     # a default that every caller takes is a constant, not a parameter
     assert _defaults_never_passed() == []
+
+
+def test_benchmark_tracer_installs(monkeypatch):
+    # perfbench/tracer.py wraps package functions by name and perfbench/run.py
+    # clears two caches by name; strings are not mentions, so a deleted name
+    # passes the checks above and breaks only a traced benchmark run
+    import importlib
+    import sys
+
+    from schaeffer import acceptance, asymptotics
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    harness = ("checks", "tracer")
+    saved = {name: sys.modules.pop(name) for name in harness if name in sys.modules}
+    try:
+        tracer = importlib.import_module("tracer")
+        original = asymptotics.uniform_airy_estimate
+        t = tracer.Tracer()
+        t.install()
+        try:
+            assert asymptotics.uniform_airy_estimate is not original
+        finally:
+            t.uninstall()
+        assert asymptotics.uniform_airy_estimate is original
+    finally:
+        for name in harness:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved)
+    assert callable(asymptotics.clear_truth_cache)
+    assert isinstance(acceptance._norm_cache, dict)

@@ -312,6 +312,79 @@ def test_batched_estimates_match_scalar_reference():
             assert abs(est.value - ref_value) <= 1e-13 * abs(ref_value), (lam, n, k)
 
 
+def _whole_path_tracked_amplitudes(mu, ac, seed, a):
+    """``A._tracked_amplitudes`` with every path point on the complex route:
+    the saddles of a both-sided ``_pick_saddles_along``, then
+    ``_real_gamma2_root`` of (3/2) f(z_plus) at each path point, and each
+    ratio's pole test, f(z_plus) and z'(t_pm) one 0-d call at a time."""
+    def saddles_along(asub):
+        M = A._midpoint(mu, asub)
+        circle = M * M <= 1
+        s = np.sqrt(np.abs(1 - M * M))
+        c1_first = A.phase_value(mu, asub, np.where(circle, 1j, M + s)).real >= 0
+        zp = np.where(circle, M + 1j * s, np.where(c1_first, M + s, M - s))
+        zm = np.where(circle, M - 1j * s, np.where(c1_first, M - s, M + s))
+        return zp, zm
+
+    saddles = [A._pick_saddles(mu, ai) for ai in a]
+    for _, zm in saddles:
+        A._check_pole(mu, zm)
+    gams = [A._real_gamma2_root(1.5 * A.phase_value(mu, ai, zp))
+            for ai, (zp, _) in zip(a, saddles)]
+    path = ac + (np.array(a)[:, None] - ac) * np.arange(1, A._BRANCH_STEPS) / A._BRANCH_STEPS
+    zps, zms = saddles_along(path)
+    A._check_pole(mu, zms)
+    gs = A._real_gamma2_root(1.5 * A.phase_value(mu, path, zps))
+    wp, jump_p = A._continue_signs(seed, np.column_stack([
+        np.sqrt(-2 * gs / A._phase_f2(mu, path, zps)),
+        [np.sqrt(-2 * gam / A._phase_f2(mu, ai, complex(zp)))
+         for ai, (zp, _), gam in zip(a, saddles, gams)]]))
+    wm, jump_m = A._continue_signs(seed, np.column_stack([
+        np.sqrt(2 * gs / A._phase_f2(mu, path, zms)),
+        [np.sqrt(2 * gam / A._phase_f2(mu, ai, complex(zm)))
+         for ai, (_, zm), gam in zip(a, saddles, gams)]]))
+    branch_ok = ~np.any(np.maximum(jump_p, jump_m)[:, 1:] > A._BRANCH_JUMP_LIMIT, axis=1)
+    out = []
+    for (zp, zm), gam, wpi, wmi, ok in zip(saddles, gams, wp, wm, branch_ok.tolist()):
+        G0p, G0m = A._psi(zp) * wpi, A._psi(zm) * wmi
+        A1 = (G0p - G0m) / (2 * gam) if abs(gam) > 1e-7 else complex(2.0 * seed ** 2)
+        out.append(((G0p + G0m) / 2, A1, float((gam * gam).real), ok))
+    return out
+
+
+def test_estimates_keep_the_whole_path_bits(monkeypatch):
+    # on the unit circle the path's gamma comes from three real arctan2 and
+    # a cbrt; path values only choose signs and branch_ok, so every estimate
+    # keeps the bits of the complex route.  Dense over both windows, and at
+    # lambda 0.1 past the overlap, where the far paths leave the circle and
+    # tracking fails
+    def bits(rows):
+        return [None if r is None else (r[0].real.hex(), r[0].imag.hex(), r[1].hex(), r[2])
+                for r in rows]
+
+    def run():
+        out = []
+        for lam in (0.05, 0.1, 0.2, 0.5, 0.9, 0.97):
+            a0 = A.alpha0(lam)
+            for n in (16, 256, 2048):
+                ks = sorted({float(round(k)) for k in np.linspace(0.5 * a0, 1.5 / a0, 300) * n}
+                            | set((np.linspace(0.5 * a0, 1.5 / a0, 301) * n).tolist()))
+                out += bits((e.value, e.gamma_sq, e.branch_ok) if e else None
+                            for e in A.uniform_airy_estimates(lam, n, ks))
+                if lam == 0.1:
+                    r = np.geomspace(1e-6, 0.5, 40)
+                    for mu, ac in ((lam, 1 / a0), (-lam, a0)):
+                        out += bits(A._airy_cores(mu, n, (ac * np.concatenate([1 - r, 1 + r])).tolist()))
+        return out
+
+    fast = run()
+    monkeypatch.setattr(A, "_tracked_amplitudes", _whole_path_tracked_amplitudes)
+    reference = run()
+    assert sum(b is not None for b in reference) > 8000
+    assert any(b is not None and not b[3] for b in reference)  # branch_ok = False is reached
+    assert fast == reference
+
+
 def test_airy_evaluated_once_per_side(monkeypatch):
     # one call of Ai and of Ai' per coalescence side, however many ks
     from schaeffer import acceptance, cli

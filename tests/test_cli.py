@@ -324,6 +324,20 @@ class TestBounds:
             exact = 1 / abs(float(r["zeta_re"]) - lam)
             assert float(r["value"]) == pytest.approx(exact, rel=1e-14, abs=0)
 
+    def test_dominance_is_relative_to_the_value(self, tmp_path):
+        # at n 1 the optimised lemma and case 1 are about 1e7 and differ by
+        # 6e-16 relative, so case 1 dominates; at n 2 the optimised rows sit
+        # truly above case 1 (the rho scan stops short of its rho -> 1 limit)
+        out = tmp_path / "bounds.csv"
+        assert main(["bounds", "--lambda", "1", "--n", "1", "--zeta", "1.0000001",
+                     "--out", str(out)]) == 0
+        case1 = [r for r in _read_csv(out) if r["rule"] == "case1"]
+        assert [r["dominance_ok"] for r in case1] == ["true"]
+        assert main(["bounds", "--lambda", "1", "--n", "2", "--zeta", "0.5,1.0000001",
+                     "--out", str(out)]) == 0
+        case1 = [r for r in _read_csv(out) if r["rule"] == "case1"]
+        assert [r["dominance_ok"] for r in case1] == ["false", "false"]
+
     def test_programming_error_is_not_a_skipped_row(self, tmp_path, monkeypatch):
         # only a DomainError becomes a skipped row; any other exception fails
         # the command
