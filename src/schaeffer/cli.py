@@ -2,7 +2,8 @@
 and the acceptance suite.
 
 Output files are deterministic: fixed column order, numbers printed with 17
-significant digits, rows emitted in input order regardless of worker count.
+significant digits, rows emitted in input order regardless of worker count;
+so are the stderr notes of ``growth``.
 Exit codes: 0 success, 1 validation failure, 2 usage error.
 
 Each command imports the layers it runs, and numpy with them, inside its own
@@ -163,27 +164,27 @@ def cmd_coeffs(opts) -> int:
 
 
 def _growth_task(args):
+    """One growth row and its stderr note (None when there is none)."""
     from . import wiener_opt
     from .simplex import SimplexError
 
     lam, n, phi_max_n = args
     spec = SpectrumSpec.single(lam, n)
     L = wiener_opt.phi_lower_bound(spec)
-    phi = conv = None
+    phi = conv = note = None
     if n <= phi_max_n:
         try:
             res = wiener_opt.phi_exact_truncated(spec)
         except SimplexError as ex:  # blank phi_D, phi_converged=false; the sweep goes on
-            print(f"growth lambda={lam} n={n}: phi_D not computed: {ex}", file=sys.stderr)
+            note = f"growth lambda={lam} n={n}: phi_D not computed: {ex}"
             conv = False
         else:  # a truncated optimum is no estimate of phi, but its bracket is proven
             phi, conv = (res.value if res.converged else None), res.converged
             if not conv:
-                print(f"growth lambda={lam} n={n}: phi_D not printed: value {res.value:.17g} "
-                      f"is not certified; proven {res.lower:.17g} <= phi <= {res.upper:.17g}",
-                      file=sys.stderr)
+                note = (f"growth lambda={lam} n={n}: phi_D not printed: value {res.value:.17g} "
+                        f"is not certified; proven {res.lower:.17g} <= phi <= {res.upper:.17g}")
     return (lam, n, L, phi, "" if conv is None else str(conv).lower(),
-            wiener_opt.schaeffer_upper(n), L / math.sqrt(n))
+            wiener_opt.schaeffer_upper(n), L / math.sqrt(n)), note
 
 
 def _check_growth(opts):
@@ -195,10 +196,21 @@ def _check_growth(opts):
 
 
 def cmd_growth(opts) -> int:
+    from .modelspace import row_table
+
     tasks = [(lam, n, opts.phi_max_n) for lam in opts.lambdas for n in opts.n]
-    rows = _pool_map(_growth_task, tasks, opts.workers)
+    # each lambda's largest n first, so that its smaller programs slice the
+    # Malmquist-Walsh rows of its largest one (forked workers inherit the scope)
+    order = sorted(range(len(tasks)), key=lambda i: (i // len(opts.n), -tasks[i][1]))
+    with row_table():
+        solved = _pool_map(_growth_task, [tasks[i] for i in order], opts.workers)
+    results = [res for _, res in sorted(zip(order, solved))]  # input order
+    for _, note in results:
+        if note is not None:
+            print(note, file=sys.stderr)
     _write_table(opts, opts.out,
-                 ["lambda", "n", "L", "phi_D", "phi_converged", "sqrt_en", "L_over_sqrt_n"], rows)
+                 ["lambda", "n", "L", "phi_D", "phi_converged", "sqrt_en", "L_over_sqrt_n"],
+                 [row for row, _ in results])
     return 0
 
 
@@ -326,6 +338,7 @@ def cmd_asymptotics(opts) -> int:
 
 def cmd_validate(opts) -> int:
     from . import acceptance
+    from .modelspace import row_table
 
     numbers = None if opts.criteria is None else set(opts.criteria)
     unknown = sorted((numbers or set()) - set(range(1, len(acceptance.ALL_CRITERIA) + 1)))
@@ -333,7 +346,8 @@ def cmd_validate(opts) -> int:
         print(f"error: validate: no criterion {', '.join(map(str, unknown)) or 'selected'} "
               f"(criteria are 1..{len(acceptance.ALL_CRITERIA)})", file=sys.stderr)
         return 2
-    results = acceptance.run_all(numbers)
+    with row_table():  # criteria 4 and 11 slice the rows of criterion 3's largest program
+        results = acceptance.run_all(numbers)
     for r in results:
         print(r.line())
         print(f"criterion {r.number}: {r.elapsed:.3f} s", file=sys.stderr)

@@ -4,13 +4,15 @@
 model space K_B of a real spectrum, in closed form; for a singleton
 spectrum it is the paper's Toeplitz counterexample (``build_toeplitz``, a
 plain float64 array, which ``minimal_poly_check`` reads with its lambda).
-``_malmquist_walsh_rows`` generates the basis as Taylor rows;
+``_malmquist_walsh_rows`` generates the basis as Taylor rows, and inside a
+``row_table`` scope slices them from the one table it holds;
 ``model_matrix`` reads the compression off them, and ``wiener_opt`` poses
 its l1 programs with them and bounds their tails by the shift.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -20,6 +22,7 @@ from .simplex import LD
 from .spectra import SpectrumSpec
 
 GRAM_TOL = 1e-10
+_held = None  # inside ``row_table``: [] or [mu, D, rows], the one table held
 
 
 def _compressed_shift(mus) -> np.ndarray:
@@ -61,23 +64,81 @@ def _first_order_scan(r: np.ndarray, mu) -> np.ndarray:
     return c
 
 
+def _build_rows(mu: np.ndarray, D: int) -> np.ndarray:
+    """The rows of ``_malmquist_walsh_rows`` for the long-double spectrum mu.
+
+    First the prefixes p_j = prod_{i<j} b_{mu_i}, one ``_first_order_scan``
+    each, as each needs the one before it; then every row's scan of
+    p_j/(1 - mu_j z) at once, as one 2-D doubling scan.  A row whose
+    w = mu_j^(2^s) is 0 gets no more updates, as its own scan would stop
+    there, so each row keeps the bits of ``_first_order_scan``, signed zeros
+    included.  Row j depends only on mu_0..mu_j, and entry k only on the
+    entries below k, so the rows of (mu[:N'], D') are the leading block of
+    those of (mu, D), bit for bit.
+    """
+    rows = np.empty((mu.size, D + 1), dtype=LD)
+    prefix = np.zeros(D + 1, dtype=LD)  # prod_{i<j} b_{mu_i}
+    prefix[0] = 1
+    for j, m in enumerate(mu):
+        rows[j] = prefix
+        # prefix * b_mu: c_k = mu c_{k-1} + p_{k-1} - mu p_k
+        shifted = -m * prefix
+        shifted[1:] += prefix[:-1]
+        prefix = _first_order_scan(shifted, m)
+    shift, w = 1, mu
+    while shift <= D:
+        live = np.flatnonzero(w)
+        if live.size == w.size:
+            rows[:, shift:] += w[:, None] * rows[:, :-shift]
+        elif live.size:
+            rows[live, shift:] += w[live, None] * rows[live, :-shift]
+        else:
+            break
+        shift, w = 2 * shift, w * w
+    rows *= np.sqrt(1 - mu * mu)[:, None]
+    return rows
+
+
+@contextlib.contextmanager
+def row_table():
+    """A scope in which ``_malmquist_walsh_rows`` keeps the last table it
+    built, and only that one, and serves every request it covers by slicing
+    it; on exit, the scope held before it is back.  Outside every scope,
+    nothing is kept.  The rows of a spectrum prefix and a lower degree are a
+    bitwise block of the larger table (``_build_rows``), so a request gets
+    the bits it would get outside the scope."""
+    global _held
+    outer, _held = _held, []
+    try:
+        yield
+    finally:
+        _held = outer
+
+
 def _malmquist_walsh_rows(mus, D: int) -> np.ndarray:
     """Taylor coefficients 0..D of the Malmquist-Walsh basis of the model
     space K_B, one row per e_j(z) = sqrt(1-mu_j^2)/(1 - mu_j z) prod_{i<j}
     b_{mu_i}(z), for the real expanded spectrum mu_1..mu_N; long double.
     rows @ a holds the <h, e_j> of the polynomial h with coefficients a; the
-    rows are O(1) and nearly orthonormal, unlike the jet rows."""
-    rows = np.empty((len(mus), D + 1), dtype=LD)
-    prefix = np.zeros(D + 1, dtype=LD)  # prod_{i<j} b_{mu_i}
-    prefix[0] = 1
-    for j, mu in enumerate(mus):
-        mu = LD(mu)
-        rows[j] = np.sqrt(1 - mu * mu) * _first_order_scan(prefix, mu)
-        # prefix * b_mu: c_k = mu c_{k-1} + p_{k-1} - mu p_k
-        shifted = -mu * prefix
-        shifted[1:] += prefix[:-1]
-        prefix = _first_order_scan(shifted, mu)
-    return rows
+    rows are O(1) and nearly orthonormal, unlike the jet rows.
+
+    Inside ``row_table``, a request whose mus are a prefix of the held
+    table's spectrum, bit for bit, and whose D is at most its degree gets a
+    contiguous copy of the table's leading block; any other request builds
+    its own table, which replaces the one held, and gets a copy of it.  The
+    copies leave the held table as it is, whatever the caller does to them.
+    """
+    mu = np.array(mus, dtype=LD)
+    if _held is None:
+        return _build_rows(mu, D)
+    if _held:
+        held_mu, held_D, held_rows = _held
+        prefix = held_mu[:mu.size]
+        if (mu.size <= held_mu.size and D <= held_D and np.array_equal(prefix, mu)
+                and np.array_equal(np.signbit(prefix), np.signbit(mu))):
+            return held_rows[:mu.size, :D + 1].copy()
+    _held[:] = [mu, D, _build_rows(mu, D)]
+    return _held[2].copy()
 
 
 def _row_error_bound(mus, D: int) -> np.ndarray:

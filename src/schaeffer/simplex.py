@@ -208,8 +208,8 @@ def dense_simplex(R, b):
     prices again.  ``pivots`` counts the pivots: the crash itself, a
     re-formation and the pass that ends the run make none.
     """
-    R = np.array(R, dtype=LD)
-    b = np.array(b, dtype=LD)
+    R = np.asarray(R, dtype=LD)  # read only: the caller's long-double rows are not copied
+    b = np.asarray(b, dtype=LD)
     n = R.shape[1]
     T, basis = _crash(R, b)
     _, pivots = _run(T, R, b, basis)
@@ -229,8 +229,8 @@ def min_l1_solution(rows: np.ndarray, rhs: np.ndarray):
 
     Returns (value, x, y) in long double; the dual y, equilibration undone,
     has |y @ rows| <= 1 and y @ rhs = value."""
-    rows = np.array(rows, dtype=LD)
-    rhs = np.array(rhs, dtype=LD)
+    rows = np.asarray(rows, dtype=LD)  # read only: the scaling below makes the copies
+    rhs = np.asarray(rhs, dtype=LD)
     scale = np.max(np.abs(rows), axis=1)
     if np.any(scale == 0):
         raise SimplexError("zero constraint row")

@@ -13,7 +13,10 @@ space K_B (``modelspace``) at its coefficient support, solves it once, and
 brackets N(zeta) to 1e-8 relative with every rounding bounded; past the
 priced columns, the compressed shift of K_B bounds the Taylor tails
 (``_shift_tail``).  Each program's result is one ``Bracket``, phi's and
-the resolvent norm's alike.  Nothing is cached between calls.
+the resolvent norm's alike.  Nothing is cached between calls, except
+inside a ``modelspace.row_table`` scope, where the programs slice the
+Malmquist-Walsh rows of the one table it holds, with the bits they would
+build themselves.
 """
 
 from __future__ import annotations
@@ -170,24 +173,27 @@ def _certified_interpolate(spec: SpectrumSpec, zeta: complex, *, scale=1,
     posed = _malmquist_walsh_rows(mus, deg)
     f, y = _interpolate(posed, rhs)
     eps, mu, z = np.finfo(LD).eps, np.asarray(mus, dtype=LD), LD(zeta.real)
+    abs_rhs = np.abs(rhs)
     with np.errstate(divide="ignore", invalid="ignore"):  # mu zeta = 1 exactly zeroes the later rhs
         zn, zd = zeta.real.as_integer_ratio()
         exact = [mn * zn == md * zd for mn, md in map(float.as_integer_ratio, mus)]
         q = np.where(exact, 0, abs(mu * z / (1 - mu * z)))
-        rhs_err = eps * (3 + 1 / (1 - mu * mu) + np.cumsum(np.r_[0, 3 + q][:-1])) * np.abs(rhs)
+        rhs_err = eps * (3 + 1 / (1 - mu * mu) + np.cumsum(np.r_[0, 3 + q][:-1])) * abs_rhs
     index, bound, L = _shift_tail(mus)
     y64 = y.astype(float)
     past = max(deg, min(index(y64), _COLUMN_BUDGET)) + 1
     rows = posed if past == deg + 1 else _malmquist_walsh_rows(mus, past - 1)
+    abs_rows, abs_y = np.abs(rows), np.abs(y)
+    abs_posed = abs_rows if rows is posed else np.abs(posed)
     delta = _row_error_bound(mus, past - 1)
     gamma = 2 * (len(mus) + past) * eps
     tails = bound(np.vstack([y64, np.eye(len(mus))]), past)  # g's, then each e_j's
-    norms = np.sum(np.abs(rows), axis=1) + np.sqrt(past) * delta + 2 * L * tails[1:]
-    g = np.abs(y @ rows) + gamma * (np.abs(y) @ np.abs(rows)) + np.abs(y) @ delta
-    lower = ((y @ rhs - gamma * (np.abs(y) @ np.abs(rhs)) - np.abs(y) @ rhs_err)
+    norms = np.sum(abs_rows, axis=1) + np.sqrt(past) * delta + 2 * L * tails[1:]
+    g = np.abs(y @ rows) + gamma * (abs_y @ abs_rows) + abs_y @ delta
+    lower = ((y @ rhs - gamma * (abs_y @ abs_rhs) - abs_y @ rhs_err)
              / (max(LD(1), np.max(g), LD(tails[0])) * (1 + gamma)))
     res = (np.abs(posed @ f - rhs) + delta * np.sqrt(f @ f) + rhs_err
-           + gamma * (np.abs(posed) @ np.abs(f) + np.abs(rhs)))
+           + gamma * (abs_posed @ np.abs(f) + abs_rhs))
     value = np.sum(np.abs(f))
     upper = (value + res @ norms) * (1 + gamma)
     certified = (1 - _CERT_REL_WIDTH) * upper <= lower <= value

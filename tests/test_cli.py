@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import schaeffer
-from schaeffer import asymptotics, blaschke, resolvent, wiener_opt
+from schaeffer import acceptance, asymptotics, blaschke, modelspace, resolvent, wiener_opt
 from schaeffer.cli import _write_csv, main
 from schaeffer.simplex import SimplexError
 from schaeffer.spectra import SpectrumSpec
@@ -244,6 +244,56 @@ class TestGrowth:
             assert lower <= value <= upper
             assert float(row["L"]) <= upper
 
+    def test_notes_keep_input_order_with_two_workers(self, tmp_path, capsys):
+        # each lambda's programs run largest n first, and two workers finish
+        # in any order; the notes still come in input order, as with one
+        argv = ["growth", "--lambda", "0.995,0.97", "--n", "32,48,64"]
+        one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+        assert main(argv + ["--workers", "1", "--out", str(one)]) == 0
+        err_one = capsys.readouterr().err
+        assert main(argv + ["--workers", "2", "--out", str(two)]) == 0
+        err_two = capsys.readouterr().err
+        assert two.read_bytes() == one.read_bytes()
+        assert err_two == err_one
+        assert [line.split(": ")[:2] for line in err_two.splitlines()] == [
+            ["growth lambda=0.995 n=32", "phi_D not printed"],
+            ["growth lambda=0.995 n=48", "phi_D not computed"],
+            ["growth lambda=0.995 n=64", "phi_D not computed"],
+            ["growth lambda=0.97 n=64", "phi_D not printed"]]
+
+    def test_smaller_programs_slice_the_largest(self, tmp_path, monkeypatch):
+        builds, build = [], modelspace._build_rows
+
+        def counted(mu, D):
+            builds.append(mu.size)
+            return build(mu, D)
+
+        monkeypatch.setattr(modelspace, "_build_rows", counted)
+        out = tmp_path / "growth.csv"
+        assert main(["growth", "--lambda", "0.5,0.3", "--n", "8,64,16", "--out", str(out)]) == 0
+        assert builds == [64, 64]  # one table per lambda
+        assert [(r["lambda"], r["n"]) for r in _read_csv(out)] == [
+            ("0.5", "8"), ("0.5", "64"), ("0.5", "16"), ("0.29999999999999999", "8"),
+            ("0.29999999999999999", "64"), ("0.29999999999999999", "16")]
+
+    def test_no_row_table_remains(self, tmp_path, monkeypatch):
+        argv = ["growth", "--lambda", "0.5", "--n", "4,8", "--out", str(tmp_path / "growth.csv")]
+        assert main(argv) == 0
+        assert modelspace._held is None
+        solve, held = wiener_opt.phi_exact_truncated, []
+
+        def failing(spec):
+            held.append(modelspace._held is not None)
+            if spec.degree == 4:
+                raise RuntimeError("not a simplex error")
+            return solve(spec)
+
+        monkeypatch.setattr(wiener_opt, "phi_exact_truncated", failing)
+        with pytest.raises(RuntimeError, match="not a simplex error"):
+            main(argv)
+        assert held == [True, True]
+        assert modelspace._held is None
+
     def test_near_unit_single_point_certified(self, tmp_path):
         # phi = 1 exactly for n = 1; the dual's shift bound is exact there,
         # so the lower end closes on it
@@ -429,6 +479,32 @@ class TestValidateAndConfig:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"no criterion {unknown} " in err
+
+    def test_validate_shares_one_row_table(self, monkeypatch):
+        # criteria 4 and 11 slice the rows of criterion 3's largest program
+        builds, build = [], modelspace._build_rows
+
+        def counted(mu, D):
+            builds.append((mu.size, D))
+            return build(mu, D)
+
+        monkeypatch.setattr(modelspace, "_build_rows", counted)
+        assert main(["validate", "--criteria", "3,4,11"]) == 0
+        assert builds == [(4, 63), (8, 63), (16, 71), (32, 127)]
+        assert modelspace._held is None
+
+    def test_no_row_table_remains_after_validate(self, monkeypatch):
+        held = []
+
+        def failing(numbers):
+            held.append(modelspace._held)
+            raise RuntimeError("not a criterion failure")
+
+        monkeypatch.setattr(acceptance, "run_all", failing)
+        with pytest.raises(RuntimeError, match="not a criterion failure"):
+            main(["validate", "--criteria", "3"])
+        assert held == [[]]
+        assert modelspace._held is None
 
     def test_config_file_defaults(self, tmp_path):
         cfg = tmp_path / "study.cfg"

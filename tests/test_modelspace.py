@@ -5,10 +5,12 @@ from schaeffer import modelspace
 from schaeffer.errors import ConsistencyError, DomainError
 from schaeffer.modelspace import (
     _compressed_shift,
+    _first_order_scan,
     _malmquist_walsh_rows,
     build_toeplitz,
     minimal_poly_check,
     model_matrix,
+    row_table,
 )
 from schaeffer.simplex import LD
 from schaeffer.spectra import SpectrumSpec
@@ -124,6 +126,100 @@ class TestMalmquistWalsh:
         monkeypatch.setattr(modelspace, "_malmquist_walsh_rows", perturbed)
         with pytest.raises(ConsistencyError):
             model_matrix(SpectrumSpec.single(0.5, 3))
+
+
+def _per_row_rows(mus, D):
+    """The rows one ``_first_order_scan`` per row at a time: the reference the
+    2-D scan keeps bit for bit."""
+    rows = np.empty((len(mus), D + 1), dtype=LD)
+    prefix = np.zeros(D + 1, dtype=LD)
+    prefix[0] = 1
+    for j, mu in enumerate(mus):
+        mu = LD(mu)
+        rows[j] = np.sqrt(1 - mu * mu) * _first_order_scan(prefix, mu)
+        shifted = -mu * prefix
+        shifted[1:] += prefix[:-1]
+        prefix = _first_order_scan(shifted, mu)
+    return rows
+
+
+def _same_bits(a, b):
+    # == and the sign bits, not tobytes(): an x87 long double's padding
+    # bytes are not part of its value
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+# (mus, D): singletons near 0 and near 1, a multi-point spectrum with a
+# signed zero, mu = 0 (no scan at all) and mu = 1e-3, whose w = mu^(2^s)
+# underflows to 0 at shift 2048 while the rows of 0.5 scan on
+_COVER = ([([lam] * 64, 300) for lam in (0.1, 0.3, 0.5, 0.7, 0.9, 0.97, 0.99)]
+          + [([0.2, 0.2, 0.5, -0.4, 0.0, -0.7, -0.0, 0.3, 0.3, 0.3], 200),
+             ([0.0] * 6, 40),
+             ([1e-3] * 5, 2048),
+             ([1e-3, 0.5, 1e-3, 0.0, 0.5], 4200)])
+
+
+class TestRowTable:
+    @pytest.mark.parametrize("mus,D", _COVER)
+    def test_rows_keep_the_per_row_bits(self, mus, D):
+        assert _same_bits(_malmquist_walsh_rows(mus, D), _per_row_rows(mus, D))
+
+    @pytest.mark.parametrize("mus,D", _COVER)
+    def test_prefix_rows_are_the_leading_block(self, mus, D):
+        full = _malmquist_walsh_rows(mus, D)
+        for N in sorted({1, 2, len(mus) // 2, len(mus)}):
+            for d in sorted({0, 1, min(63, D), D // 2, D}):
+                assert _same_bits(_malmquist_walsh_rows(mus[:N], d), full[:N, :d + 1])
+
+    @pytest.mark.parametrize("mus,D", _COVER)
+    def test_scope_serves_the_same_bits(self, mus, D):
+        requests = [(N, d) for N in sorted({1, 2, len(mus) // 2, len(mus)})
+                    for d in sorted({0, min(63, D), D // 2, D})]
+        outside = [_malmquist_walsh_rows(mus[:N], d) for N, d in requests]
+        for order in (requests, requests[::-1]):
+            with row_table():
+                inside = {(N, d): _malmquist_walsh_rows(mus[:N], d) for N, d in order}
+            for (N, d), rows in zip(requests, outside):
+                assert _same_bits(inside[N, d], rows)
+                assert inside[N, d].flags.c_contiguous
+
+    def test_a_larger_request_replaces_the_table(self):
+        with row_table():
+            _malmquist_walsh_rows([0.5] * 8, 63)
+            _malmquist_walsh_rows([0.5] * 4, 127)  # past the held degree
+            _malmquist_walsh_rows([0.3, 0.5], 10)  # not a prefix
+            held_mu, held_D, _ = modelspace._held
+            assert held_mu.tolist() == [0.3, 0.5] and held_D == 10
+            assert _same_bits(_malmquist_walsh_rows([0.3], 5), _per_row_rows([0.3], 5))
+            # -0.0 and 0.0 give rows with different signed zeros
+            _malmquist_walsh_rows([0.0, 0.5, 0.3], 20)
+            assert not _same_bits(_per_row_rows([-0.0, 0.5], 20), _per_row_rows([0.0, 0.5], 20))
+            assert _same_bits(_malmquist_walsh_rows([-0.0, 0.5], 20), _per_row_rows([-0.0, 0.5], 20))
+
+    def test_mutated_rows_leave_the_table(self):
+        mus = [0.5, 0.5, -0.3]
+        with row_table():
+            R = _malmquist_walsh_rows(mus, 80)
+            R[1] *= 1 + LD(1e-6)
+            block = _malmquist_walsh_rows(mus[:2], 40)
+            block[:] = 0
+            assert _same_bits(_malmquist_walsh_rows(mus, 80), _per_row_rows(mus, 80))
+            assert _same_bits(_malmquist_walsh_rows(mus[:2], 40), _per_row_rows(mus[:2], 40))
+
+    def test_nothing_is_kept_outside_a_scope(self):
+        assert modelspace._held is None
+        _malmquist_walsh_rows([0.5] * 4, 63)
+        assert modelspace._held is None
+        with pytest.raises(ZeroDivisionError):
+            with row_table():
+                with row_table():
+                    _malmquist_walsh_rows([0.5] * 4, 63)
+                    assert len(modelspace._held) == 3
+                assert modelspace._held == []  # the outer scope is back, as it was
+                _malmquist_walsh_rows([0.5] * 4, 63)
+                1 / 0
+        assert modelspace._held is None
 
 
 class TestModelMatrix:

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from schaeffer.blaschke import blaschke_power_coeffs, support_estimate, weight_s
 from schaeffer import acceptance, wiener_opt
 from schaeffer.errors import DomainError
 from schaeffer.simplex import LD, SimplexError, min_l1_solution
-from schaeffer.modelspace import _malmquist_walsh_rows, _row_error_bound
+from schaeffer.modelspace import _malmquist_walsh_rows, _row_error_bound, row_table
 from schaeffer.spectra import SpectrumSpec
 from schaeffer.wiener_opt import (
     _certified_interpolate,
@@ -457,6 +458,28 @@ def test_one_solve_per_program(monkeypatch):
             K = _shift_tail(mus)[0](y.astype(float))
             priced = _malmquist_walsh_rows(mus, max(deg, min(K, wiener_opt._COLUMN_BUDGET)))
             assert np.all(np.abs(y @ priced[:, deg + 1:]) <= 1), (points, zeta)
+
+
+def _outcome(spec, zeta):
+    """Every ``Bracket`` field, the floats in hex, or the error raised."""
+    try:
+        res = resolvent_interpolation_norm(spec, zeta)
+    except (DomainError, SimplexError) as ex:
+        return type(ex).__name__, str(ex)
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(res))
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.3, 0.5, 0.7, 0.9, 0.97, 0.99])
+def test_row_table_keeps_every_bracket_bit(lam):
+    # in ascending n each larger program replaces the table, in descending n the
+    # smaller ones slice the largest; zeta = 0.9 meets lambda = 0.9, and
+    # lambda 0.97 and 0.99 leave programs uncertified at the column budget
+    grid = [(n, zeta) for n in (1, 2, 8, 16, 32, 48, 64) for zeta in (0.0, 0.9, -0.5)]
+    outside = {key: _outcome(SpectrumSpec.single(lam, key[0]), key[1]) for key in grid}
+    for order in (grid, grid[::-1]):
+        with row_table():
+            inside = {key: _outcome(SpectrumSpec.single(lam, key[0]), key[1]) for key in order}
+        assert inside == outside
 
 
 class TestShiftTail:
