@@ -12,11 +12,12 @@ sit on the unit circle for a strictly between alpha0 = (1-lambda)/(1+lambda)
 and 1/alpha0, coalesce at z = +1 or z = -1 at the ends of that interval,
 and move onto the real axis outside it.
 
-* Mid range (a separated from both ends): a single stationary-phase term
-  with an explicitly corrected amplitude (see ``stationary_phase_estimate``).
-* Near an end: the cubic normal form f = -t^3/3 + gamma^2 t turns the
-  integral into the two-term uniform Airy expansion
-  A0 n^(-1/3) Ai(n^(2/3) gamma^2) + A1 n^(-2/3) Ai'(n^(2/3) gamma^2),
+* Mid range (saddles on the circle, a outside both Airy windows): a single
+  stationary-phase term with an explicitly corrected amplitude (see
+  ``stationary_phase_estimate``).
+* Near an end (a within 50% of alpha0 or 1/alpha0): the cubic normal form
+  f = -t^3/3 + gamma^2 t turns the integral into the two-term uniform Airy
+  expansion A0 n^(-1/3) Ai(n^(2/3) gamma^2) + A1 n^(-2/3) Ai'(n^(2/3) gamma^2),
   with gamma pinned by the exact relation gamma^3 = (3/2) f(z_plus) and the
   A's from G0(+-gamma) = psi(z_pm) z'(t_pm), z'(t_pm)^2 = -+ 2 gamma/f''(z_pm),
   branches tracked by continuity from the coalesced limit
@@ -135,32 +136,26 @@ class Region(Enum):
     VII = "VII"
 
 
-def _resolve_alpha_beta(lam: float, alpha, beta):
+def _resolve_alpha(lam: float, alpha) -> float:
     a0 = alpha0(lam)
     if alpha is None:
         alpha = a0 / 2
-    if beta is None:
-        beta = (a0 + 1) / 2
     if not 0 < alpha < a0:
         raise DomainError(f"alpha must lie in (0, {a0}); got {alpha}")
-    if not a0 < beta < 1:
-        raise DomainError(f"beta must lie in ({a0}, 1); got {beta}")
-    return alpha, beta
+    return alpha
 
 
-def region_thresholds(lam: float, n: int, alpha: float | None = None,
-                      beta: float | None = None):
+def region_thresholds(lam: float, n: int, alpha: float | None = None):
     """The six index boundaries (alpha n, a0 n -+ n^(1/3), n/a0 -+ n^(1/3),
     n/alpha), made nondecreasing so they partition [0, inf) even at small n."""
-    alpha, beta = _resolve_alpha_beta(lam, alpha, beta)
+    alpha = _resolve_alpha(lam, alpha)
     a0 = alpha0(lam)
     w = n ** (1 / 3)
     raw = [alpha * n, a0 * n - w, a0 * n + w, n / a0 - w, n / a0 + w, n / alpha]
     return tuple(itertools.accumulate(raw, max))
 
 
-def classify_region(lam: float, n: int, k: float, alpha: float | None = None,
-                    beta: float | None = None) -> Region:
+def classify_region(lam: float, n: int, k: float, alpha: float | None = None) -> Region:
     """Row of the seven-region decay table containing index k.
 
     Half-open conventions: I owns [0, alpha n]; the two inner Airy windows
@@ -169,7 +164,7 @@ def classify_region(lam: float, n: int, k: float, alpha: float | None = None,
     """
     if k < 0:
         raise DomainError("k must be >= 0")
-    return _region_of(region_thresholds(lam, n, alpha, beta), k)
+    return _region_of(region_thresholds(lam, n, alpha), k)
 
 
 def _region_of(thresholds: tuple, k: float) -> Region:
@@ -409,8 +404,9 @@ def clear_truth_cache():
 def uniform_airy_estimates(lam: float, n: int, ks) -> list:
     """Uniform two-term Airy estimates of the coefficients at the indices
     ks: one ``AiryEstimate`` per k with k/n within 50% of either
-    coalescence ratio, alpha0 or 1/alpha0, and None at the others (use
-    ``stationary_phase_estimate`` there).  Where the two windows overlap
+    coalescence ratio, alpha0 or 1/alpha0, and None at the others; those
+    with alpha0 < k/n < 1/alpha0 take ``stationary_phase_estimate``, the
+    rest lie in the tails beyond both windows.  Where the two windows overlap
     (lambda <= 0.268) the relatively nearer one anchors the estimate.  Near
     k/n = alpha0 the mirrored problem with parameter -lambda is used and
     the result carries the parity phase exp(i pi (k - n)).
@@ -457,10 +453,10 @@ def uniform_airy_estimate(lam: float, n: int, k: float) -> AiryEstimate:
 # mid-range stationary phase
 
 
-def stationary_phase_estimate(lam: float, n: int, k: float,
-                              beta: float | None = None) -> float:
-    """Leading stationary-phase value for k/n separated from both
-    coalescences:
+def stationary_phase_estimate(lam: float, n: int, k: float) -> float:
+    """Leading stationary-phase value wherever the saddles sit on the circle,
+    alpha0 < a = k/n < 1/alpha0 (ModeError outside, where it is not real);
+    the CLI uses it outside the windows of ``uniform_airy_estimates``:
 
         sqrt(2/(pi n)) (1-lambda^2) (a-alpha0)^(1/4) (1/alpha0-a)^(1/4)
             / (lambda a^(3/2)) * cos(n h(phi+) - phi+ + 3 pi/4)
@@ -471,10 +467,10 @@ def stationary_phase_estimate(lam: float, n: int, k: float,
     frequently quoted variant with sqrt(1-lambda^2) in place of the factor
     (1-lambda^2) overshoots the FFT truth by 1/sqrt(1-lambda^2).
     """
-    _, beta = _resolve_alpha_beta(lam, None, beta)
     a = k / n
-    if not beta < a < 1 / beta:
-        raise ModeError(f"k/n = {a} outside the mid range ({beta}, {1 / beta})")
+    a0 = alpha0(lam)
+    if not a0 < a < 1 / a0:
+        raise ModeError(f"k/n = {a} outside ({a0}, {1 / a0}): saddles off the circle")
     zp, _ = _pick_saddles(lam, a)
     phi_p = float(np.angle(zp))
     h_at = float(phase_value(lam, a, zp).imag)
@@ -537,7 +533,7 @@ def decay_exponent_fit(lam: float, region: Region, n_list,
         raise DomainError("need at least 4 grid points")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError("n grid must be strictly increasing")
-    alpha_eff, _ = _resolve_alpha_beta(lam, alpha, None)
+    alpha_eff = _resolve_alpha(lam, alpha)
     logs = []
     for n in n_list:
         k = _default_k(region, lam, n, alpha_eff)

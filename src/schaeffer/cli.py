@@ -263,13 +263,13 @@ def _asym_task(args):
 
     from . import asymptotics
 
-    lam, n, ks, alpha, beta = args
+    lam, n, ks, alpha = args
     out = []
     truths = asymptotics.weighted_truth(lam, n, np.array(ks))
     floor = asymptotics.truth_error(lam, n)  # no rel_error for a truth within its error
     airy = asymptotics.uniform_airy_estimates(lam, n, ks)
     # one set of thresholds per task; _check_asymptotics has rejected every k < 0
-    thresholds = asymptotics.region_thresholds(lam, n, alpha, beta)
+    thresholds = asymptotics.region_thresholds(lam, n, alpha)
     for k, truth, ae in zip(ks, truths.tolist(), airy):
         region = asymptotics._region_of(thresholds, k)
         est = None
@@ -279,9 +279,9 @@ def _asym_task(args):
             est, g2 = ae.value.real, ae.gamma_sq
             if not ae.branch_ok:
                 flag = "branch-tracking"
-        else:
+        else:  # stationary phase wherever the saddles sit on the circle
             try:
-                est = asymptotics.stationary_phase_estimate(lam, n, k, beta)
+                est = asymptotics.stationary_phase_estimate(lam, n, k)
             except ModeError:
                 est = None
         rel = abs(est - truth) / abs(truth) if est is not None and abs(truth) > floor else None
@@ -305,8 +305,8 @@ def _check_asymptotics(opts):
     for lam in opts.lambdas:
         for n in opts.n:
             SpectrumSpec.single(lam, n).require_interior()
-            for k in opts.k or [0]:  # k = 0 still checks lambda, alpha, beta
-                asymptotics.classify_region(lam, n, k, opts.alpha, opts.beta)
+            for k in opts.k or [0]:  # k = 0 still checks lambda and alpha
+                asymptotics.classify_region(lam, n, k, opts.alpha)
 
 
 def cmd_asymptotics(opts) -> int:
@@ -316,7 +316,7 @@ def cmd_asymptotics(opts) -> int:
     for lam in opts.lambdas:
         for n in opts.n:
             ks = opts.k if opts.k else _default_k_grid(lam, n)
-            tasks.append((lam, n, ks, opts.alpha, opts.beta))
+            tasks.append((lam, n, ks, opts.alpha))
     results = _pool_map(_asym_task, tasks, opts.workers)
     rows = [r for res in results for r in res]
     _write_table(opts, opts.out, ["lambda", "n", "k", "region", "estimate_re", "truth_re",
@@ -346,7 +346,7 @@ def cmd_validate(opts) -> int:
         print(f"error: validate: no criterion {', '.join(map(str, unknown)) or 'selected'} "
               f"(criteria are 1..{len(acceptance.ALL_CRITERIA)})", file=sys.stderr)
         return 2
-    with row_table():  # criteria 4 and 11 slice the rows of criterion 3's largest program
+    with row_table():  # criteria 3, 4 and 11 slice criterion 3's first, largest program
         results = acceptance.run_all(numbers)
     for r in results:
         print(r.line())
@@ -399,7 +399,6 @@ def build_parser(config=None):
     _add_common(a, config)
     a.add_argument("--k", type=_parse_ints, default=config.get("k", ""))
     a.add_argument("--alpha", type=float, default=config.get("alpha"))
-    a.add_argument("--beta", type=float, default=config.get("beta"))
     a.set_defaults(fn=cmd_asymptotics, check=_check_asymptotics, needs_out=True)
 
     v = sp.add_parser("validate", help="run the acceptance suite")

@@ -101,8 +101,6 @@ class TestRegions:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             A.classify_region(0.5, 100, 10, alpha=0.5)  # alpha above alpha0
-        with pytest.raises(DomainError):
-            A.classify_region(0.5, 100, 10, beta=0.2)   # beta below alpha0
 
     def test_alpha0_values(self):
         assert A.alpha0(0.5) == pytest.approx(1 / 3)
@@ -400,7 +398,7 @@ def test_airy_evaluated_once_per_side(monkeypatch):
     monkeypatch.setattr(A, "airy_ai", counted("ai", A.airy_ai))
     monkeypatch.setattr(A, "airy_ai_prime", counted("ai_prime", A.airy_ai_prime))
     lam, n = 0.5, 1024
-    rows = cli._asym_task((lam, n, cli._default_k_grid(lam, n), None, None))
+    rows = cli._asym_task((lam, n, cli._default_k_grid(lam, n), None))
     assert sum(r[7] is not None for r in rows) > 2  # Airy rows on both sides
     assert 0 < calls["ai"] <= 2 and 0 < calls["ai_prime"] <= 2
     calls.update(ai=0, ai_prime=0)
@@ -511,6 +509,56 @@ class TestStationaryPhase:
     def test_mode_error_outside_mid_range(self):
         with pytest.raises(ModeError):
             A.stationary_phase_estimate(0.5, 1024, 100)
+
+    @pytest.mark.parametrize("lam", [0.2, 0.5, 0.9])
+    def test_mode_error_where_the_saddles_leave_the_circle(self, lam):
+        # the envelope (a - alpha0)^(1/4) (1/alpha0 - a)^(1/4) is real only
+        # strictly inside (alpha0, 1/alpha0); n = 1 makes k/n exactly a
+        a0 = A.alpha0(lam)
+        for a in (a0, 0.5 * a0, 1 / a0, 2 / a0):
+            with pytest.raises(ModeError):
+                A.stationary_phase_estimate(lam, 1, a)
+        for a in (math.nextafter(a0, 1), math.nextafter(1 / a0, 0)):
+            assert math.isfinite(A.stationary_phase_estimate(lam, 1, a))
+
+
+_GRID_LAMBDAS = (0.2, 0.35, 0.5, 0.65, 0.8, 0.9)
+_GRID_N = (256, 512, 1024, 2048)
+
+
+class TestEstimateSelection:
+    """Every row of the default ``asymptotics`` grid gets an estimate: the
+    uniform Airy form inside either coalescence window, stationary phase
+    elsewhere, where the saddles sit on the unit circle."""
+
+    def test_every_default_row_gets_an_estimate(self):
+        from schaeffer.cli import _asym_task, _default_k_grid
+
+        for lam in _GRID_LAMBDAS:
+            for n in _GRID_N:
+                for row in _asym_task((lam, n, _default_k_grid(lam, n), None)):
+                    assert row[4] is not None and math.isfinite(row[4]), row
+                    assert row[8] == "", row
+
+    def test_phase_rows_track_the_windowed_truth(self):
+        # the error against max_{|j-k|<=3} |c_j|, as criterion 9 measures
+        # Airy; 148 of the rows lie between a window and (alpha0 + 1)/2 or
+        # its reciprocal, near the ends of the range on the circle
+        from schaeffer.cli import _default_k_grid
+
+        worst, near_ends = 0.0, 0
+        for lam in _GRID_LAMBDAS:
+            a0 = A.alpha0(lam)
+            for n in _GRID_N:
+                ks = _default_k_grid(lam, n)
+                airy = A.uniform_airy_estimates(lam, n, ks)
+                for k in (k for k, est in zip(ks, airy) if est is None):
+                    truth = A.weighted_truth(lam, n, np.arange(k - 3, k + 4))
+                    est = A.stationary_phase_estimate(lam, n, k)
+                    worst = max(worst, abs(est - truth[3]) / np.max(np.abs(truth)))
+                    near_ends += not (a0 + 1) / 2 < k / n < 2 / (a0 + 1)
+        assert near_ends == 148
+        assert worst <= 0.03
 
 
 class TestDecayFit:

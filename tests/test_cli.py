@@ -481,7 +481,8 @@ class TestValidateAndConfig:
         assert f"no criterion {unknown} " in err
 
     def test_validate_shares_one_row_table(self, monkeypatch):
-        # criteria 4 and 11 slice the rows of criterion 3's largest program
+        # criterion 3 solves its largest program first; its smaller ones and
+        # criteria 4 and 11 slice that program's rows
         builds, build = [], modelspace._build_rows
 
         def counted(mu, D):
@@ -490,7 +491,7 @@ class TestValidateAndConfig:
 
         monkeypatch.setattr(modelspace, "_build_rows", counted)
         assert main(["validate", "--criteria", "3,4,11"]) == 0
-        assert builds == [(4, 63), (8, 63), (16, 71), (32, 127)]
+        assert builds == [(32, 127)]
         assert modelspace._held is None
 
     def test_no_row_table_remains_after_validate(self, monkeypatch):
@@ -521,10 +522,11 @@ class TestValidateAndConfig:
         main(["--config", str(cfg), "coeffs", "--lambda", "0.5", "--out", str(out)])
         assert _read_csv(out)[0]["lambda"] == "0.5"
 
-    @pytest.mark.parametrize("key", ["lamda=0.3", "degree=16"])
+    @pytest.mark.parametrize("key", ["lamda=0.3", "degree=16", "beta=0.7"])
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, key):
         # a misspelt key would otherwise run the defaults silently; the
-        # truncation degree is no longer a setting
+        # truncation degree and the stationary-phase range are no longer
+        # settings
         cfg = tmp_path / "study.cfg"
         cfg.write_text(f"n=4\n{key}\n")
         out = tmp_path / "g.csv"
@@ -538,6 +540,34 @@ class TestValidateAndConfig:
                   "--out", str(tmp_path / "g.csv")])
         assert exc.value.code == 2
 
+    def test_beta_flag_is_usage_error(self, tmp_path):
+        # the estimate follows the saddles, so no flag moves the
+        # stationary-phase range
+        out = tmp_path / "a.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["asymptotics", "--lambda", "0.5", "--n", "4", "--beta", "0.1",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_readme_lists_the_common_flags(self):
+        # the "Common flags" sentence names every flag of the four table
+        # commands, and no flag that none of them has
+        import argparse
+
+        from schaeffer.cli import build_parser
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        sentence = readme.split("Common flags:", 1)[1].split("(simple", 1)[0]
+        documented = {m.split()[0] for m in re.findall(r"`(--[^`]+)`", sentence)}
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        flags = {"--config"} | {
+            opt for name in ("coeffs", "growth", "bounds", "asymptotics")
+            for action in commands[name]._actions for opt in action.option_strings
+            if opt not in ("-h", "--help")}
+        assert documented == flags
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
@@ -548,7 +578,6 @@ class TestValidateAndConfig:
         ["growth", "--lambda", "0"],
         ["coeffs", "--lambda", "1.0"],
         ["asymptotics", "--alpha", "0.9"],
-        ["asymptotics", "--beta", "0.1"],
         ["bounds", "--C", "0.5"],
         ["coeffs", "--k", "-1"],
         ["coeffs", "--k", "0"],
