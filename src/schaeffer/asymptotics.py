@@ -136,35 +136,27 @@ class Region(Enum):
     VII = "VII"
 
 
-def _resolve_alpha(lam: float, alpha) -> float:
-    a0 = alpha0(lam)
-    if alpha is None:
-        alpha = a0 / 2
-    if not 0 < alpha < a0:
-        raise DomainError(f"alpha must lie in (0, {a0}); got {alpha}")
-    return alpha
-
-
-def region_thresholds(lam: float, n: int, alpha: float | None = None):
+def region_thresholds(lam: float, n: int):
     """The six index boundaries (alpha n, a0 n -+ n^(1/3), n/a0 -+ n^(1/3),
-    n/alpha), made nondecreasing so they partition [0, inf) even at small n."""
-    alpha = _resolve_alpha(lam, alpha)
+    n/alpha) with a0 = alpha0 and alpha = a0/2, made nondecreasing so they
+    partition [0, inf) even at small n."""
     a0 = alpha0(lam)
+    alpha = a0 / 2
     w = n ** (1 / 3)
     raw = [alpha * n, a0 * n - w, a0 * n + w, n / a0 - w, n / a0 + w, n / alpha]
     return tuple(itertools.accumulate(raw, max))
 
 
-def classify_region(lam: float, n: int, k: float, alpha: float | None = None) -> Region:
+def classify_region(lam: float, n: int, k: float) -> Region:
     """Row of the seven-region decay table containing index k.
 
-    Half-open conventions: I owns [0, alpha n]; the two inner Airy windows
-    III and V own both their endpoints on the side facing the oscillatory
-    middle; VII starts exactly at n/alpha.
+    Half-open conventions, with alpha = alpha0/2: I owns [0, alpha n]; the
+    two inner Airy windows III and V own both their endpoints on the side
+    facing the oscillatory middle; VII starts exactly at n/alpha.
     """
     if k < 0:
         raise DomainError("k must be >= 0")
-    return _region_of(region_thresholds(lam, n, alpha), k)
+    return _region_of(region_thresholds(lam, n), k)
 
 
 def _region_of(thresholds: tuple, k: float) -> Region:
@@ -504,8 +496,9 @@ _POWER_REGIONS = {Region.III, Region.IV, Region.V}
 _FIT_WINDOW = 3  # half-width of the index window each fitted value maximizes over
 
 
-def _default_k(region: Region, lam: float, n: int, alpha: float) -> int:
+def _default_k(region: Region, lam: float, n: int) -> int:
     a0 = alpha0(lam)
+    alpha = a0 / 2
     table = {
         Region.I: 0.8 * alpha,
         Region.II: (alpha + a0) / 2,
@@ -518,8 +511,7 @@ def _default_k(region: Region, lam: float, n: int, alpha: float) -> int:
     return max(2, int(round(table[region] * n)))
 
 
-def decay_exponent_fit(lam: float, region: Region, n_list,
-                       alpha: float | None = None) -> FitResult:
+def decay_exponent_fit(lam: float, region: Region, n_list) -> FitResult:
     """Least-squares decay rate of the coefficient magnitude at a
     representative index per region, across a geometric n grid.
 
@@ -533,10 +525,9 @@ def decay_exponent_fit(lam: float, region: Region, n_list,
         raise DomainError("need at least 4 grid points")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise DomainError("n grid must be strictly increasing")
-    alpha_eff = _resolve_alpha(lam, alpha)
     logs = []
     for n in n_list:
-        k = _default_k(region, lam, n, alpha_eff)
+        k = _default_k(region, lam, n)
         if region in _POWER_REGIONS:
             js = np.arange(max(0, k - _FIT_WINDOW), k + _FIT_WINDOW + 1)
             peak = float(np.max(np.abs(weighted_truth(lam, n, js))))

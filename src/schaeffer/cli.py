@@ -6,6 +6,11 @@ significant digits, rows emitted in input order regardless of worker count;
 so are the stderr notes of ``growth``.
 Exit codes: 0 success, 1 validation failure, 2 usage error.
 
+Every setting is a flag that argparse reads.  An argument ``@FILE`` stands
+for the lines of FILE, one argument each (``--lambda=0.5``), so a file's
+values meet the same types, choices and unknown-flag errors as typed ones,
+and a flag after it overrides it.
+
 Each command imports the layers it runs, and numpy with them, inside its own
 functions, so ``--help`` and a usage error found while parsing exit before
 any of them loads.
@@ -66,33 +71,6 @@ def _parse_ints(text):
 
 def _parse_complexes(text):
     return [complex(v) for v in text.split(",") if v != ""]
-
-
-def _parse_format(text):
-    """--format's own check; argparse checks ``choices`` on the command line only."""
-    if text not in ("csv", "json"):
-        raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from 'csv', 'json')")
-    return text
-
-
-class _Config(dict):
-    """Config-file defaults that record in ``read`` the keys the parser reads."""
-
-    def get(self, key, default=None):
-        self.read = getattr(self, "read", set()) | {key}
-        return super().get(key, default)
-
-
-def _load_config(path):
-    values = _Config()
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
-    return values
 
 
 def _pool_map(fn, tasks, workers):
@@ -263,13 +241,13 @@ def _asym_task(args):
 
     from . import asymptotics
 
-    lam, n, ks, alpha = args
+    lam, n, ks = args
     out = []
     truths = asymptotics.weighted_truth(lam, n, np.array(ks))
     floor = asymptotics.truth_error(lam, n)  # no rel_error for a truth within its error
     airy = asymptotics.uniform_airy_estimates(lam, n, ks)
     # one set of thresholds per task; _check_asymptotics has rejected every k < 0
-    thresholds = asymptotics.region_thresholds(lam, n, alpha)
+    thresholds = asymptotics.region_thresholds(lam, n)
     for k, truth, ae in zip(ks, truths.tolist(), airy):
         region = asymptotics._region_of(thresholds, k)
         est = None
@@ -282,8 +260,8 @@ def _asym_task(args):
         else:  # stationary phase wherever the saddles sit on the circle
             try:
                 est = asymptotics.stationary_phase_estimate(lam, n, k)
-            except ModeError:
-                est = None
+            except ModeError:  # beyond both windows, off the circle
+                flag = "no-estimate"
         rel = abs(est - truth) / abs(truth) if est is not None and abs(truth) > floor else None
         out.append((lam, n, k, region.value, est, truth, rel, g2, flag))
     return out
@@ -305,8 +283,8 @@ def _check_asymptotics(opts):
     for lam in opts.lambdas:
         for n in opts.n:
             SpectrumSpec.single(lam, n).require_interior()
-            for k in opts.k or [0]:  # k = 0 still checks lambda and alpha
-                asymptotics.classify_region(lam, n, k, opts.alpha)
+            for k in opts.k or [0]:  # k = 0 still checks lambda
+                asymptotics.classify_region(lam, n, k)
 
 
 def cmd_asymptotics(opts) -> int:
@@ -316,7 +294,7 @@ def cmd_asymptotics(opts) -> int:
     for lam in opts.lambdas:
         for n in opts.n:
             ks = opts.k if opts.k else _default_k_grid(lam, n)
-            tasks.append((lam, n, ks, opts.alpha))
+            tasks.append((lam, n, ks))
     results = _pool_map(_asym_task, tasks, opts.workers)
     rows = [r for res in results for r in res]
     _write_table(opts, opts.out, ["lambda", "n", "k", "region", "estimate_re", "truth_re",
@@ -328,8 +306,7 @@ def cmd_asymptotics(opts) -> int:
             for region in (asymptotics.Region.I, asymptotics.Region.III,
                            asymptotics.Region.IV, asymptotics.Region.V,
                            asymptotics.Region.VII):
-                fit = asymptotics.decay_exponent_fit(lam, region, sorted(opts.n),
-                                                     alpha=opts.alpha)
+                fit = asymptotics.decay_exponent_fit(lam, region, sorted(opts.n))
                 fit_rows.append((lam, region.value, fit.mode, fit.slope))
         _write_csv(opts.out + ".fits.csv", ["lambda", "region", "mode", "slope"],
                    fit_rows)
@@ -360,45 +337,40 @@ def cmd_validate(opts) -> int:
 # argument plumbing
 
 
-def _add_common(sub, config):
-    # each default is config text that the flag's type converts, or rejects as a usage error
-    sub.add_argument("--lambda", dest="lambdas", type=_parse_floats,
-                     default=config.get("lambda", "0.5"))
-    sub.add_argument("--out", default=config.get("out", None))
-    sub.add_argument("--format", type=_parse_format, choices=("csv", "json"),
-                     default=config.get("format", "csv"))
-    sub.add_argument("--workers", type=int, default=config.get("workers", "1"))
-    sub.add_argument("--n", type=_parse_ints, default=config.get("n", ""))
+def _add_common(sub):
+    sub.add_argument("--lambda", dest="lambdas", type=_parse_floats, default=[0.5])
+    sub.add_argument("--out")
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--n", type=_parse_ints, default=[])
 
 
-def build_parser(config=None):
-    config = _Config() if config is None else config
+def build_parser():
     ap = argparse.ArgumentParser(prog="schaeffer",
                                  description="counterexample growth, resolvent "
-                                             "bounds and coefficient asymptotics")
+                                             "bounds and coefficient asymptotics",
+                                 fromfile_prefix_chars="@")
     sp = ap.add_subparsers(dest="command", required=True)
 
     c = sp.add_parser("coeffs", help="coefficient tables and sup norms")
-    _add_common(c, config)
-    c.add_argument("--k", dest="kmax", type=int, default=config.get("k"))
+    _add_common(c)
+    c.add_argument("--k", dest="kmax", type=int)
     c.set_defaults(fn=cmd_coeffs, check=_check_coeffs, needs_out=True)
 
     g = sp.add_parser("growth", help="lower-bound and truncated-phi growth study")
-    _add_common(g, config)
-    g.add_argument("--phi-max-n", type=int, default=config.get("phi_max_n", "64"))
+    _add_common(g)
+    g.add_argument("--phi-max-n", type=int, default=64)
     g.set_defaults(fn=cmd_growth, check=_check_growth, needs_out=True)
 
     b = sp.add_parser("bounds", help="resolvent bound sweep")
-    _add_common(b, config)
-    b.add_argument("--zeta", dest="zetas", type=_parse_complexes,
-                   default=config.get("zeta", "0"))
-    b.add_argument("--C", type=float, default=config.get("C", "1"))
+    _add_common(b)
+    b.add_argument("--zeta", dest="zetas", type=_parse_complexes, default=[0j])
+    b.add_argument("--C", type=float, default=1.0)
     b.set_defaults(fn=cmd_bounds, check=_check_bounds, needs_out=True)
 
     a = sp.add_parser("asymptotics", help="estimate-vs-truth sweep and decay fits")
-    _add_common(a, config)
-    a.add_argument("--k", type=_parse_ints, default=config.get("k", ""))
-    a.add_argument("--alpha", type=float, default=config.get("alpha"))
+    _add_common(a)
+    a.add_argument("--k", type=_parse_ints, default=[])
     a.set_defaults(fn=cmd_asymptotics, check=_check_asymptotics, needs_out=True)
 
     v = sp.add_parser("validate", help="run the acceptance suite")
@@ -409,22 +381,7 @@ def build_parser(config=None):
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    config = _Config()
-    if "--config" in argv:
-        i = argv.index("--config")
-        try:
-            config = _load_config(argv[i + 1])
-        except (IndexError, OSError) as ex:
-            print(f"cannot read config: {ex}", file=sys.stderr)
-            return 2
-        del argv[i:i + 2]
-    ap = build_parser(config)
-    unknown = sorted(set(config) - config.read)
-    if unknown:
-        print(f"error: unknown config key(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    opts = ap.parse_args(argv)
+    opts = build_parser().parse_args(argv)
     if opts.needs_out:
         if not opts.n:
             print("error: empty n grid", file=sys.stderr)

@@ -98,10 +98,6 @@ class TestRegions:
         for k in range(0, 60):
             A.classify_region(0.5, 8, k)  # must not raise
 
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            A.classify_region(0.5, 100, 10, alpha=0.5)  # alpha above alpha0
-
     def test_alpha0_values(self):
         assert A.alpha0(0.5) == pytest.approx(1 / 3)
         assert A.alpha0(1 / 3) == pytest.approx(0.5)
@@ -398,7 +394,7 @@ def test_airy_evaluated_once_per_side(monkeypatch):
     monkeypatch.setattr(A, "airy_ai", counted("ai", A.airy_ai))
     monkeypatch.setattr(A, "airy_ai_prime", counted("ai_prime", A.airy_ai_prime))
     lam, n = 0.5, 1024
-    rows = cli._asym_task((lam, n, cli._default_k_grid(lam, n), None))
+    rows = cli._asym_task((lam, n, cli._default_k_grid(lam, n)))
     assert sum(r[7] is not None for r in rows) > 2  # Airy rows on both sides
     assert 0 < calls["ai"] <= 2 and 0 < calls["ai_prime"] <= 2
     calls.update(ai=0, ai_prime=0)
@@ -536,9 +532,23 @@ class TestEstimateSelection:
 
         for lam in _GRID_LAMBDAS:
             for n in _GRID_N:
-                for row in _asym_task((lam, n, _default_k_grid(lam, n), None)):
+                for row in _asym_task((lam, n, _default_k_grid(lam, n))):
                     assert row[4] is not None and math.isfinite(row[4]), row
                     assert row[8] == "", row
+
+    def test_rows_beyond_both_windows_are_flagged(self):
+        # off the circle and outside both Airy windows no estimate answers,
+        # and the truth there is FFT rounding noise
+        from schaeffer.cli import _asym_task
+
+        rows = _asym_task((0.5, 1024, [50, 100, 5000, 6000]))
+        assert [(r[2], r[3], r[4], r[6], r[7], r[8]) for r in rows] == [
+            (50, "I", None, None, None, "no-estimate"),
+            (100, "I", None, None, None, "no-estimate"),
+            (5000, "VI", None, None, None, "no-estimate"),
+            (6000, "VI", None, None, None, "no-estimate"),
+        ]
+        assert all(abs(r[5]) < A.truth_error(0.5, 1024) for r in rows)
 
     def test_phase_rows_track_the_windowed_truth(self):
         # the error against max_{|j-k|<=3} |c_j|, as criterion 9 measures

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -508,31 +509,62 @@ class TestValidateAndConfig:
         assert modelspace._held is None
 
     def test_config_file_defaults(self, tmp_path):
-        cfg = tmp_path / "study.cfg"
-        cfg.write_text("lambda=0.5\nn=1\nk=4\nformat=csv\n")
+        # @FILE reads one argument per line
+        args = tmp_path / "study.args"
+        args.write_text("--lambda=0.5\n--n=1\n--k=4\n--format=csv\n")
         out = tmp_path / "c.csv"
-        assert main(["--config", str(cfg), "coeffs", "--out", str(out)]) == 0
+        assert main(["coeffs", f"@{args}", "--out", str(out)]) == 0
         byk = {int(r["k"]): float(r["coeff_re"]) for r in _read_csv(out)}
         assert byk[2] == pytest.approx(0.875)
 
     def test_flags_override_config(self, tmp_path):
-        cfg = tmp_path / "study.cfg"
-        cfg.write_text("lambda=0.9\nn=1\nk=4\n")
+        # a flag after @FILE wins
+        args = tmp_path / "study.args"
+        args.write_text("--lambda=0.9\n--n=1\n--k=4\n")
         out = tmp_path / "c.csv"
-        main(["--config", str(cfg), "coeffs", "--lambda", "0.5", "--out", str(out)])
+        main(["coeffs", f"@{args}", "--lambda", "0.5", "--out", str(out)])
         assert _read_csv(out)[0]["lambda"] == "0.5"
+
+    def test_file_arguments_write_the_bytes_of_the_flags(self, tmp_path):
+        flags = ["--lambda=0.35,0.5", "--n=8,16", "--k=40,60", "--workers=1"]
+        args = tmp_path / "study.args"
+        args.write_text("\n".join(flags) + "\n")
+        typed, read = tmp_path / "typed.csv", tmp_path / "read.csv"
+        assert main(["asymptotics", *flags, "--out", str(typed)]) == 0
+        assert main(["asymptotics", f"@{args}", "--out", str(read)]) == 0
+        assert read.read_bytes() == typed.read_bytes()
 
     @pytest.mark.parametrize("key", ["lamda=0.3", "degree=16", "beta=0.7"])
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, key):
-        # a misspelt key would otherwise run the defaults silently; the
-        # truncation degree and the stationary-phase range are no longer
+        # a misspelt flag in @FILE would otherwise run the defaults silently;
+        # the truncation degree and the stationary-phase range are no longer
         # settings
-        cfg = tmp_path / "study.cfg"
-        cfg.write_text(f"n=4\n{key}\n")
+        args = tmp_path / "study.args"
+        args.write_text(f"--n=4\n--{key}\n")
         out = tmp_path / "g.csv"
-        assert main(["--config", str(cfg), "growth", "--out", str(out)]) == 2
-        assert key.split("=")[0] in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["growth", f"@{args}", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--" + key.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_flag_is_usage_error(self, tmp_path):
+        # settings come from flags and @FILE alone
+        args = tmp_path / "study.cfg"
+        args.write_text("n=4\n")
+        out = tmp_path / "g.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(args), "growth", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_missing_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "g.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["growth", f"@{tmp_path / 'absent.args'}", "--n", "4", "--out", str(out)])
+        assert exc.value.code == 2
+        assert f"[Errno {errno.ENOENT}]" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_degree_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -550,6 +582,15 @@ class TestValidateAndConfig:
         assert exc.value.code == 2
         assert not out.exists()
 
+    def test_alpha_flag_is_usage_error(self, tmp_path):
+        # region I ends at alpha0/2, which no flag moves
+        out = tmp_path / "a.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["asymptotics", "--lambda", "0.5", "--n", "4", "--alpha", "0.2",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_readme_lists_the_common_flags(self):
         # the "Common flags" sentence names every flag of the four table
         # commands, and no flag that none of them has
@@ -562,11 +603,29 @@ class TestValidateAndConfig:
         documented = {m.split()[0] for m in re.findall(r"`(--[^`]+)`", sentence)}
         commands = next(a for a in build_parser()._actions
                         if isinstance(a, argparse._SubParsersAction)).choices
-        flags = {"--config"} | {
+        flags = {
             opt for name in ("coeffs", "growth", "bounds", "asymptotics")
             for action in commands[name]._actions for opt in action.option_strings
             if opt not in ("-h", "--help")}
         assert documented == flags
+
+    def test_readme_examples_parse(self):
+        # every command line in README's code blocks parses, so no example
+        # uses a flag the parser no longer has
+        import shlex
+
+        from schaeffer.cli import build_parser
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+        lines = [line for block in blocks for line in block.splitlines()
+                 if line.startswith("schaeffer ")]
+        assert len(lines) >= 7
+        for line in lines:
+            try:
+                build_parser().parse_args(shlex.split(line, comments=True)[1:])
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {line}")
 
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
@@ -577,7 +636,6 @@ class TestValidateAndConfig:
         ["growth", "--lambda", "1.5"],
         ["growth", "--lambda", "0"],
         ["coeffs", "--lambda", "1.0"],
-        ["asymptotics", "--alpha", "0.9"],
         ["bounds", "--C", "0.5"],
         ["coeffs", "--k", "-1"],
         ["coeffs", "--k", "0"],
@@ -604,18 +662,17 @@ class TestValidateAndConfig:
         assert len(capsys.readouterr().err.splitlines()) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["lambda=abc", "workers=two", "phi_max_n=abc", "format=xml",
-                                      "alpha=abc"])
+    @pytest.mark.parametrize("line", ["lambda=abc", "workers=two", "phi-max-n=abc", "format=xml",
+                                      "alpha=0.2"])
     def test_malformed_config_value_is_usage_error(self, tmp_path, capsys, line):
-        # each value goes to argparse as text and is converted by its flag's
-        # own type; --format checks its names itself, as argparse checks
-        # choices only on the command line
-        cfg = tmp_path / "study.cfg"
-        cfg.write_text(f"n=4\n{line}\n")
+        # argparse reads the lines of @FILE as it reads typed arguments: each
+        # flag's own type and choices, and no flag that the command lacks
+        args = tmp_path / "study.args"
+        args.write_text(f"--n=4\n--{line}\n")
         out = tmp_path / "x.csv"
         command = "asymptotics" if line.startswith("alpha") else "growth"
         with pytest.raises(SystemExit) as exc:
-            main(["--config", str(cfg), command, "--out", str(out)])
+            main([command, f"@{args}", "--out", str(out)])
         assert exc.value.code == 2
         assert line.split("=")[1] in capsys.readouterr().err
         assert not out.exists()
