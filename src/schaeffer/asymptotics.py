@@ -31,8 +31,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -355,8 +355,7 @@ def _airy_cores(mu: float, n: float, a: list) -> list:
     return out
 
 
-@dataclass
-class AiryEstimate:
+class AiryEstimate(NamedTuple):
     value: complex
     gamma_sq: float
     branch_ok: bool
@@ -486,8 +485,7 @@ def stationary_phase_envelope(lam: float, n: int, k: float) -> float:
 # decay-rate fits against ground truth
 
 
-@dataclass
-class FitResult:
+class FitResult(NamedTuple):
     slope: float
     mode: str  # "power" (log n) or "exponential" (n)
 

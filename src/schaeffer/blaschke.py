@@ -39,30 +39,33 @@ which the sum is <= ALIAS_TOL, and index j is read from bin j mod N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, ResourceError
 
 ALIAS_TOL = 1e-12
+_LOG_ALIAS_TOL = np.log(ALIAS_TOL)
 MAX_FFT_SIZE = 1 << 26
 
+# the radius grids of the alias bounds, formed once: fractions of
+# log(1/rho) for blaschke_power_coeffs, and log(R/r) above and below the
+# contour for _contour_tails
+_POWER_RADII = np.geomspace(1e-4, 0.999, 256)
+_CONTOUR_UP = np.geomspace(1e-6, 0.999, 400)
+_CONTOUR_DOWN = np.geomspace(1e-6, 40, 400)
 
-@dataclass
+
 class CoefficientSeries:
     """Finite real coefficient vector c[0..K]; ``error`` bounds the error
     of every stored coefficient.  A complex vector is a DomainError."""
 
-    coeffs: np.ndarray
-    error: float
-
-    def __post_init__(self):
-        if np.iscomplexobj(self.coeffs):
+    def __init__(self, coeffs, error: float):
+        if np.iscomplexobj(coeffs):
             raise DomainError("coefficient vector must be real")
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
+        self.coeffs = np.asarray(coeffs, dtype=float)
         if self.coeffs.ndim != 1 or self.coeffs.size == 0:
             raise DomainError("coefficient vector must be 1-d and nonempty")
+        self.error = error
 
     @property
     def max_index(self) -> int:
@@ -131,7 +134,7 @@ def _alias_size(span: int, tails):
         log_bound = np.logaddexp.reduce([
             np.min(log_a - (first + size) * x - np.log(-np.expm1(-size * x)))
             for log_a, x, first in tails(size)])
-        if log_bound <= np.log(ALIAS_TOL):
+        if log_bound <= _LOG_ALIAS_TOL:
             return size, float(np.exp(log_bound))
         size *= 2
     raise ResourceError(f"no FFT size up to {MAX_FFT_SIZE} holds {span + 1} "
@@ -186,7 +189,7 @@ def blaschke_power_coeffs(points, K: int) -> CoefficientSeries:
         raise DomainError("the spectrum must be real")
     points = [(complex(lam).real, m) for lam, m in points]
     rho = max(max(abs(lam) for lam, _ in points), 1e-3)
-    log_r = -np.log(rho) * np.geomspace(1e-4, 0.999, 256)
+    log_r = -np.log(rho) * _POWER_RADII
     log_m = log_max_modulus(points, np.exp(log_r))
     size, alias = _alias_size(K, lambda size: [(log_m, log_r, 0)])
     c = np.fft.irfft(np.exp(-1j * circle_phase(points, size)), size)[: K + 1]
@@ -225,10 +228,9 @@ def _contour_tails(lam: float, n: int, r: float, lo: int, hi: int):
         R = r * np.exp(x)
         return np.log1p(R * R) + log_max_modulus([(lam, n)], R) - log_m
 
-    x_up = -np.log(lam * r) * np.geomspace(1e-6, 0.999, 400)
-    x_down = np.geomspace(1e-6, 40, 400)
+    x_up = -np.log(lam * r) * _CONTOUR_UP
     above = (log_a(x_up), x_up, lo)
-    below = (log_a(-x_down), x_down, -hi)
+    below = (log_a(-_CONTOUR_DOWN), _CONTOUR_DOWN, -hi)
     return lambda size: [above, below] if size <= hi else [above]
 
 

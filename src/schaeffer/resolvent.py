@@ -31,7 +31,6 @@ Everything here is plain ``math`` on Python floats and complexes, the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -63,21 +62,20 @@ class BoundRule(Enum):
     SCHAEFFER_BASELINE = "schaeffer-baseline"
 
 
-@dataclass(frozen=True)
 class BoundQuery:
-    spec: SpectrumSpec
-    zeta: complex
-    C: float = 1.0
+    """A spectrum, a point zeta off it and the power bound C of the operator."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "zeta", complex(self.zeta))
-        if not 1 <= self.C < math.inf:
+    def __init__(self, spec: SpectrumSpec, zeta: complex, C: float):
+        self.spec = spec
+        self.zeta = zeta = complex(zeta)
+        self.C = C
+        if not 1 <= C < math.inf:
             raise DomainError("power-bound constant C must be finite and >= 1")
-        if not (math.isfinite(self.zeta.real) and math.isfinite(self.zeta.imag)):
+        if not (math.isfinite(zeta.real) and math.isfinite(zeta.imag)):
             raise DomainError("zeta must be finite")
-        if any(abs(self.zeta - l) < 1e-15 for l in self.lams):
+        if any(abs(zeta - l) < 1e-15 for l in self.lams):
             raise DomainError("zeta lies in the spectrum")
-        if any(1 - l.conjugate() * self.zeta == 0 for l in self.lams):
+        if any(1 - l.conjugate() * zeta == 0 for l in self.lams):
             raise DomainError("zeta conjugate-reciprocal to an eigenvalue")
 
     @property
@@ -94,7 +92,7 @@ class BoundQuery:
         terms = []
         for lam, mult in self.spec.points:
             c = lam.conjugate() * self.zeta
-            denom = 1 - c  # nonzero: __post_init__ rejects a conjugate-reciprocal zeta
+            denom = 1 - c  # nonzero: __init__ rejects a conjugate-reciprocal zeta
             dist = abs(self.zeta - lam)
             terms.append((c, denom, abs(lam), math.log(dist), math.log(abs(denom) / dist), mult))
         return terms
@@ -104,11 +102,13 @@ class BoundQuery:
         return math.log(self.C)
 
 
-@dataclass
 class BoundReport:
-    rule: BoundRule
-    value: float
-    rho_star: float | None = None
+    """A bound's value, the rule that gave it and the rho that reaches it."""
+
+    def __init__(self, rule: BoundRule, value: float, rho_star: float):
+        self.rule = rule
+        self.value = value
+        self.rho_star = rho_star
 
 
 def _exp_or_inf(x: float) -> float:
@@ -179,7 +179,14 @@ def optimize_rho(q: BoundQuery) -> BoundReport:
     with edge = min(1e-6, 0.01/|m|).  The minimizer approaches 1 like 1/|m|
     (about 1 - 0.27/|m| at lambda = 0.5, zeta = 1), so the edge follows |m|.
     The result is clipped by the scan minimum, so it never exceeds any
-    scanned value."""
+    scanned value.
+
+    For a spectrum on the unit circle and |zeta| < 1 the bound decreases
+    towards rho = 1, where (1 - rho^2 |l|^2)/(1 - rho^2) and |fac| tend to 1,
+    to the limit C sqrt(sum_k m_k |zeta - l_k|^-2): case 1 for one point,
+    below it for more.  Where the scan's minimum is its last point, that
+    limit is offered too, with rho_star = 1, and the smaller value is kept.
+    (For one simple unimodular eigenvalue the bound is flat in rho.)"""
     edge = min(1e-6, 0.01 / q.spec.degree)
     rs = _scan_grid(edge)
     logv = [mainlemma_log_bound(q, r) for r in rs]
@@ -203,17 +210,23 @@ def optimize_rho(q: BoundQuery) -> BoundReport:
     if log_value > logv[i0]:  # multimodal surprise: fall back to the scan
         rho_star = rs[i0]
         log_value = logv[i0]
-    return BoundReport(
-        rule=BoundRule.MAIN_LEMMA_OPT,
-        value=_exp_or_inf(log_value),
-        rho_star=rho_star,
-    )
+    value = _exp_or_inf(log_value)
+    if i0 == _SCAN_POINTS - 1 and abs(q.zeta) < 1 and _on_circle(q.lams):
+        limit = q.C * math.hypot(*(math.sqrt(m) / abs(q.zeta - l) for l, m in q.spec.points))
+        if limit < value:
+            value, rho_star = limit, 1.0
+    return BoundReport(BoundRule.MAIN_LEMMA_OPT, value, rho_star)
+
+
+def _on_circle(lams) -> bool:
+    """Every eigenvalue on the unit circle, to 1e-12."""
+    return all(abs(abs(l) - 1) <= 1e-12 for l in lams)
 
 
 def thm_case1(q: BoundQuery) -> float:
     """All eigenvalues on the unit circle: C sqrt(|m|)/min_i |zeta - l_i|."""
     lams = q.lams
-    if any(abs(abs(l) - 1) > 1e-12 for l in lams):
+    if not _on_circle(lams):
         raise ModeError("case 1 needs all eigenvalues on the unit circle")
     return q.C * math.sqrt(q.spec.degree) / min(abs(q.zeta - l) for l in lams)
 

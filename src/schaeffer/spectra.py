@@ -6,16 +6,12 @@ finite Blaschke product B = prod_i b_{lambda_i}^{mult_i} has numerator m.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
 class SpectrumSpec:
-    """Multiset of eigenvalues: list of (lambda, multiplicity) pairs."""
-
-    points: tuple
+    """Multiset of eigenvalues: list of (lambda, multiplicity) pairs, kept
+    as the tuple ``points`` of (complex, int)."""
 
     def __init__(self, points):
         pts = []
@@ -27,7 +23,7 @@ class SpectrumSpec:
             if mult < 1:
                 raise DomainError("multiplicity must be a positive integer")
             pts.append((lam, mult))
-        object.__setattr__(self, "points", tuple(pts))
+        self.points = tuple(pts)
 
     @classmethod
     def single(cls, lam, mult=1) -> "SpectrumSpec":

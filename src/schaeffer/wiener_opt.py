@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +37,7 @@ _COLUMN_BUDGET = 4096  # most columns an LP may grow to
 _CERT_REL_WIDTH = 1e-8  # widest certified bracket, relative to its upper end
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(NamedTuple):
     """One l1 program's result times a scale (|a0| for phi), scaled in long
     double and rounded to float once (``_scaled_bracket``): value = ||f||_1
     of the optimum f at the posed degree, lower <= N <= upper proven for the

@@ -7,7 +7,6 @@ certifies them is recomputed in tests/test_wiener_opt.py.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -106,7 +105,7 @@ def test_criterion_11_requires_every_norm_certified(monkeypatch):
 
     def uncertified(spec, zeta):
         res = norm(spec, zeta)
-        return replace(res, converged=False) if spec.degree == 16 else res
+        return res._replace(converged=False) if spec.degree == 16 else res
 
     monkeypatch.setattr(wiener_opt, "resolvent_interpolation_norm", uncertified)
     result = acceptance.criterion_11()

@@ -51,11 +51,20 @@ def test_every_private_function_is_reached():
     assert _unreached(private=True) == []
 
 
-def _is_record(cls) -> bool:
-    """A ``@dataclass`` or ``NamedTuple`` class."""
+def _record_fields(cls) -> list:
+    """(line, name) of each field of a record class: the annotated names of
+    a ``@dataclass`` or ``NamedTuple`` body, or, for a plain class, the
+    attributes its ``__init__`` assigns on ``self``."""
     marks = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
-    return any(getattr(m, "id", getattr(m, "attr", None)) in ("dataclass", "NamedTuple")
-               for m in marks + cls.bases)
+    if any(getattr(m, "id", getattr(m, "attr", None)) in ("dataclass", "NamedTuple")
+           for m in marks + cls.bases):
+        return [(stmt.lineno, stmt.target.id) for stmt in cls.body
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return [(n.lineno, n.attr) for f in cls.body
+            if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+            for n in ast.walk(f)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Store)
+            and getattr(n.value, "id", None) == "self"]
 
 
 def _fields_unread() -> list:
@@ -68,12 +77,10 @@ def _fields_unread() -> list:
         read |= {n.attr for n in ast.walk(tree)
                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
         if path.parent == PACKAGE:
-            records += [(path, c) for c in ast.walk(tree)
-                        if isinstance(c, ast.ClassDef) and _is_record(c)]
-    return [f"{path.name}:{stmt.lineno} {cls.name}.{stmt.target.id}"
-            for path, cls in records for stmt in cls.body
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-            and stmt.target.id not in read]
+            records += [(path, c) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)]
+    return [f"{path.name}:{line} {cls.name}.{name}"
+            for path, cls in records for line, name in _record_fields(cls)
+            if name not in read]
 
 
 def test_every_record_field_is_read():
@@ -110,8 +117,9 @@ def test_every_imported_name_is_used():
 def _defaults_never_passed() -> list:
     """Default-valued parameters of the package's functions and methods that
     no call in ``src/schaeffer`` or ``perfbench/`` passes, by position or by
-    keyword.  Calls are matched by the called name; a call that unpacks
-    ``*args`` or ``**kwargs`` counts as passing every parameter."""
+    keyword.  Calls are matched by the called name, and a call of a class
+    is a call of its ``__init__``; a call that unpacks ``*args`` or
+    ``**kwargs`` counts as passing every parameter."""
     trees = [(path, ast.parse(path.read_text()))
              for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))]
     calls = {}  # called name -> its calls
@@ -124,12 +132,13 @@ def _defaults_never_passed() -> list:
     for path, tree in trees:
         if path.parent != PACKAGE:
             continue
-        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                 for f in c.body}
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             positional = fn.args.posonlyargs + fn.args.args
-            bound = 1 if id(fn) in methods and positional and positional[0].arg in ("self", "cls") else 0
+            bound = 1 if id(fn) in owner and positional and positional[0].arg in ("self", "cls") else 0
             first = len(positional) - len(fn.args.defaults)
             defaulted = [(i - bound, a.arg) for i, a in enumerate(positional) if i >= first]
             defaulted += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
@@ -138,7 +147,8 @@ def _defaults_never_passed() -> list:
                 if not any(any(isinstance(a, ast.Starred) for a in c.args)
                            or any(k.arg is None or k.arg == arg for k in c.keywords)
                            or (index is not None and len(c.args) > index)
-                           for c in calls.get(fn.name, [])):
+                           for c in calls.get(owner[id(fn)] if fn.name == "__init__"
+                                              else fn.name, [])):
                     flagged.append(f"{path.name}:{fn.lineno} {fn.name}({arg})")
     return flagged
 

@@ -377,8 +377,10 @@ class TestBounds:
 
     def test_dominance_is_relative_to_the_value(self, tmp_path):
         # at n 1 the optimised lemma and case 1 are about 1e7 and differ by
-        # 6e-16 relative, so case 1 dominates; at n 2 the optimised rows sit
-        # truly above case 1 (the rho scan stops short of its rho -> 1 limit)
+        # 6e-16 relative, so case 1 dominates; at n 2 and zeta 0.5 the rho -> 1
+        # limit, case 1 itself, is the optimised value, while just outside the
+        # circle the optimised row still sits truly above case 1 (its minimiser
+        # lies past the scan's last point)
         out = tmp_path / "bounds.csv"
         assert main(["bounds", "--lambda", "1", "--n", "1", "--zeta", "1.0000001",
                      "--out", str(out)]) == 0
@@ -387,7 +389,7 @@ class TestBounds:
         assert main(["bounds", "--lambda", "1", "--n", "2", "--zeta", "0.5,1.0000001",
                      "--out", str(out)]) == 0
         case1 = [r for r in _read_csv(out) if r["rule"] == "case1"]
-        assert [r["dominance_ok"] for r in case1] == ["false", "false"]
+        assert [r["dominance_ok"] for r in case1] == ["true", "false"]
 
     def test_programming_error_is_not_a_skipped_row(self, tmp_path, monkeypatch):
         # only a DomainError becomes a skipped row; any other exception fails
@@ -692,13 +694,15 @@ class TestValidateAndConfig:
 
 
 @pytest.mark.parametrize("argv, code, absent", [
-    (["--help"], 0, ["numpy", "json"]),
-    (["growth", "--lambda", "0.5", "--n", "4", "--workers", "0"], 2, ["numpy"]),
+    (["--help"], 0, ["numpy", "json", "dataclasses", "inspect"]),
+    (["growth", "--lambda", "0.5", "--n", "4", "--workers", "0"], 2,
+     ["numpy", "dataclasses", "inspect"]),
     (["growth", "--lambda", "0.5", "--n", "8,256", "--workers", "1"], 0,
      ["schaeffer.acceptance", "schaeffer.asymptotics", "concurrent.futures.process", "json",
       "fractions"]),
     (["bounds", "--lambda", "0.5", "--n", "4", "--zeta", "0,0.9", "--workers", "1"], 0,
-     ["numpy", "schaeffer.simplex", "schaeffer.blaschke", "concurrent.futures.process"]),
+     ["numpy", "schaeffer.simplex", "schaeffer.blaschke", "concurrent.futures.process",
+      "dataclasses", "inspect"]),
 ], ids=["help", "usage-error", "growth", "bounds"])
 def test_command_imports_only_the_layers_it_runs(tmp_path, argv, code, absent):
     # each case runs in a fresh process, so sys.modules after cli.main holds

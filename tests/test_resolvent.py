@@ -197,6 +197,42 @@ class TestOptimizeRho:
             minima = [i for i in range(1, 31) if logv[i] < min(logv[i - 1], logv[i + 1])]
             assert len(minima) <= 1
 
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 64])
+    def test_unimodular_inside_reaches_the_limit(self, n):
+        # the bound falls towards rho = 1, past the scan's last point; there
+        # it tends to case 1, which the scan alone overshoots by up to 6.6%
+        for zeta in (0.0, 0.5, 0.9, 0.99, 0.999):
+            q = BoundQuery(SpectrumSpec.single(1.0, n), zeta, 1.0)
+            rep = optimize_rho(q)
+            assert (rep.value, rep.rho_star) == (thm_case1(q), 1.0)
+
+    def test_unimodular_limit_sits_below_case1_for_more_points(self):
+        q = BoundQuery(SpectrumSpec([(1.0, 3), (-1.0, 2)]), 0.5, 1.0)
+        rep = optimize_rho(q)
+        assert rep.rho_star == 1.0
+        assert rep.value == pytest.approx(math.sqrt(3 / 0.25 + 2 / 2.25), rel=1e-15)
+        assert rep.value < thm_case1(q)
+
+    def test_limit_is_not_offered_off_its_hypotheses(self):
+        # flat in rho (one simple point), zeta outside, or a spectrum off the circle
+        for points, zeta in (([(1.0, 1)], 0.5), ([(1.0, 4)], 2.0), ([(1.0, 4)], -1.01),
+                             ([(1.0, 2), (0.5, 1)], 0.3)):
+            assert optimize_rho(BoundQuery(SpectrumSpec(points), zeta, 1.0)).rho_star < 1
+
+    def test_bounds_grid_reads_dominance_ok_on_every_row(self):
+        # the bounds command's relative check, on lambda up to 1 and zeta
+        # inside, on and outside the circle
+        for lam in (0.3, 0.5, 0.7, 0.9, 0.99, 0.999, 1.0):
+            for n in (1, 2, 4, 8, 16, 64):
+                for zeta in (0.0, 0.5, 0.9, 0.99, 0.999, 1.0, 1.001, 1.01, 1.1, 2.0, -1.0):
+                    try:
+                        q = BoundQuery(SpectrumSpec.single(lam, n), zeta, 1.0)
+                    except DomainError:
+                        continue
+                    opt = optimize_rho(q).value
+                    for rule, form in applicable_closed_forms(q).items():
+                        assert opt <= form + 1e-9 * max(1.0, abs(form)), (lam, n, zeta, rule)
+
     def test_scalar_truth_dominated(self):
         # for a 1x1 matrix the true resolvent is 1/|zeta - lambda|; every
         # bound must sit above it

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -466,7 +465,7 @@ def _outcome(spec, zeta):
         res = resolvent_interpolation_norm(spec, zeta)
     except (DomainError, SimplexError) as ex:
         return type(ex).__name__, str(ex)
-    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(res))
+    return tuple(v.hex() if isinstance(v, float) else v for v in tuple(res))
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.3, 0.5, 0.7, 0.9, 0.97, 0.99])
